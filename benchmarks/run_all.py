@@ -60,8 +60,6 @@ BENCHES = [
     ("objective_bpr", "benchmarks.bench_objective_bpr", "Extension", "Pointwise CE vs pairwise BPR objective"),
     ("serving_latency", "benchmarks.bench_serving_latency", "Infrastructure", "Serving QPS/latency: index + cache vs naive scoring"),
     ("ann_retrieval", "benchmarks.bench_ann_retrieval", "Infrastructure", "IVF/PQ approximate retrieval: recall@20 vs latency/memory"),
-    ("parallel_scaling", "benchmarks.bench_parallel_scaling", "Infrastructure", "Data-parallel epoch engine scaling (workers 1/2/4)"),
-    ("compiled_epoch", "benchmarks.bench_compiled_epoch", "Infrastructure", "Trace-and-replay epoch compiler: eager vs compiled epoch"),
 ]
 
 #: Trajectory categories (harness.record_bench_metrics keys) and their

@@ -47,7 +47,6 @@ from repro.autograd.ops import (
     where,
 )
 from repro.autograd.gradcheck import gradcheck
-from repro.autograd.compile import Arena, EpochCompiler, TraceDivergence
 from repro.autograd import init, nn, optim
 
 __all__ = [
@@ -82,9 +81,6 @@ __all__ = [
     "gather_rows",
     "embedding_lookup",
     "gradcheck",
-    "Arena",
-    "EpochCompiler",
-    "TraceDivergence",
     "nn",
     "optim",
     "init",

@@ -8,7 +8,7 @@ attention path).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,28 +43,16 @@ def gradcheck(
     eps: float = 1e-6,
     atol: float = 1e-5,
     rtol: float = 1e-4,
-    compiled: bool = False,
 ) -> bool:
     """Compare analytic and numerical gradients of ``sum(fn(*inputs))``.
-
-    With ``compiled=True`` the analytic pass runs through the epoch
-    compiler's replay path instead of the eager tape: the expression is
-    recorded once, then replayed via the preallocated ``out=`` kernel
-    variants, and the gradients produced *by the replay* are checked
-    against the same central-difference reference at the same tolerances.
-    The replay must actually happen — a silent fallback to eager (trace
-    rejected or divergence) fails the check.
 
     Raises ``AssertionError`` with a diagnostic on mismatch; returns True
     on success so it can be used directly in test assertions.
     """
-    if compiled:
-        _run_compiled(fn, inputs)
-    else:
-        for t in inputs:
-            t.zero_grad()
-        out = fn(*inputs)
-        out.sum().backward()
+    for t in inputs:
+        t.zero_grad()
+    out = fn(*inputs)
+    out.sum().backward()
     for i, t in enumerate(inputs):
         if not t.requires_grad:
             continue
@@ -73,47 +61,8 @@ def gradcheck(
         if not np.allclose(analytic, numeric, atol=atol, rtol=rtol):
             worst = np.abs(analytic - numeric).max()
             raise AssertionError(
-                f"gradcheck failed for input {i}"
-                f"{' (compiled replay)' if compiled else ''}: "
+                f"gradcheck failed for input {i}: "
                 f"max abs error {worst:.3e}\n"
                 f"analytic:\n{analytic}\nnumeric:\n{numeric}"
             )
     return True
-
-
-def _run_compiled(fn: Callable[..., Tensor], inputs: Sequence[Tensor]) -> None:
-    """Record ``sum(fn(*inputs)).backward()`` once, then replay it.
-
-    Leaves the replay's gradients on ``inputs`` for comparison.  The
-    second run must be a genuine replay through the arena-backed ``out=``
-    kernels; anything else (unsupported op, divergence) is an assertion
-    failure so compiled coverage cannot silently degrade to re-testing
-    the eager path.
-    """
-    from repro.autograd import ops
-    from repro.autograd.compile import EpochCompiler
-
-    # The compiler patches ops *module attributes*; a bare function object
-    # (``gradcheck(ops.add, ...)``) would bypass them, so re-resolve such
-    # references through the module at call time — exactly how model code
-    # reaches the kernels.
-    name = getattr(fn, "__name__", None)
-    if name is not None and getattr(ops, name, None) is fn:
-        call = lambda *args: getattr(ops, name)(*args)  # noqa: E731
-    else:
-        call = fn
-
-    compiler = EpochCompiler()
-
-    def unit() -> None:
-        for t in inputs:
-            t.zero_grad()
-        call(*inputs).sum().backward()
-
-    compiler.run(("gradcheck",), unit)  # records eagerly
-    compiler.run(("gradcheck",), unit)  # replays via out= kernels
-    if compiler.stats["replayed"] != 1:
-        raise AssertionError(
-            "compiled gradcheck did not replay the trace "
-            f"(stats {compiler.stats}); the expression is not compilable"
-        )

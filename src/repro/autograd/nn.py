@@ -122,14 +122,12 @@ class Linear(Module):
 
 
 def _identity(x: Tensor) -> Tensor:
-    # Module-level (not a lambda) so modules holding it stay picklable,
-    # which worker processes rely on (repro.training.parallel).
     return x
 
 
 # Late-bound thin wrappers, not direct references to the ops functions:
-# the profiler and the epoch compiler patch ops *module attributes*, so
-# activations must reach them through attribute lookup at call time.
+# the profiler patches ops *module attributes*, so activations must reach
+# them through attribute lookup at call time.
 def _relu(x: Tensor) -> Tensor:
     return ops.relu(x)
 

@@ -31,84 +31,11 @@ current thanks to the refresh hook.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.autograd.nn import Parameter
-
-RowGrad = Tuple[np.ndarray, np.ndarray]  # (rows int64, vals (len(rows), d))
-
-
-def merge_row_grads(
-    parts: Iterable[Optional[RowGrad]], n_cols: int
-) -> RowGrad:
-    """Merge per-shard sparse row-gradients into one row-union gradient.
-
-    ``parts`` is an iterable of ``(rows, vals)`` pairs (``None`` or empty
-    ``rows`` = a shard that produced no gradient, an exact identity).
-    ``rows`` may repeat *within* a part; duplicates are first summed in
-    the part's own order.  The result is the sorted union of all rows
-    with, per row, the exact sum of every contribution.
-
-    Each output element is accumulated in a canonical order — the per-row
-    contributions of all parts are sorted by value before the
-    left-to-right sum — so **any permutation of ``parts`` is
-    bit-identical**.  This is what lets the data-parallel reduction
-    (:mod:`repro.training.parallel`) be invariant to which worker
-    produced which shard.
-    """
-    clean: List[RowGrad] = []
-    for part in parts:
-        if part is None:
-            continue
-        rows, vals = part
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        if rows.size == 0:
-            continue
-        vals = np.asarray(vals, dtype=np.float64).reshape(rows.size, -1)
-        if vals.shape[1] != n_cols:
-            raise ValueError(
-                f"row-grad part has {vals.shape[1]} columns, expected {n_cols}"
-            )
-        urows, inverse = np.unique(rows, return_inverse=True)
-        acc = np.zeros((urows.size, n_cols))
-        np.add.at(acc, inverse, vals)
-        clean.append((urows, acc))
-    if not clean:
-        return np.empty(0, dtype=np.int64), np.zeros((0, n_cols))
-    if len(clean) == 1:
-        return clean[0]
-    union = np.unique(np.concatenate([rows for rows, _ in clean]))
-    stacked = np.zeros((union.size, len(clean), n_cols))
-    for slot, (rows, vals) in enumerate(clean):
-        stacked[np.searchsorted(union, rows), slot] = vals
-    stacked.sort(axis=1)
-    out = stacked[:, 0].copy()
-    for slot in range(1, len(clean)):
-        out += stacked[:, slot]
-    return union, out
-
-
-def merge_dense_grads(
-    parts: Iterable[Optional[np.ndarray]],
-) -> Optional[np.ndarray]:
-    """Order-invariant sum of per-shard dense gradients (``None`` skipped).
-
-    Same canonical value-sorted accumulation as :func:`merge_row_grads`,
-    elementwise over the full array; returns ``None`` when every part is.
-    """
-    clean = [np.asarray(part, dtype=np.float64) for part in parts if part is not None]
-    if not clean:
-        return None
-    if len(clean) == 1:
-        return clean[0].copy()
-    stacked = np.stack(clean)
-    stacked.sort(axis=0)
-    out = stacked[0].copy()
-    for slot in range(1, len(clean)):
-        out += stacked[slot]
-    return out
 
 
 class Optimizer:
@@ -135,9 +62,6 @@ class Optimizer:
         self._t = 0
         #: Per managed parameter: the step id each row is current through.
         self._last: Dict[int, np.ndarray] = {}
-        #: Pre-reduced sparse gradients registered via :meth:`set_row_grad`,
-        #: consumed (and cleared) by the next :meth:`step`.
-        self._pending_rows: Dict[int, RowGrad] = {}
         if self.sparse:
             for p in self.params:
                 if p.data.ndim == 2:
@@ -199,46 +123,12 @@ class Optimizer:
                 self._replay(p, rows, last[rows], self._t)
                 last[rows] = self._t
 
-    def set_row_grad(self, p: Parameter, rows: np.ndarray, vals: np.ndarray) -> None:
-        """Register a pre-reduced sparse row-gradient for the next step.
-
-        This is the entry point for externally reduced gradients (e.g. the
-        data-parallel engine's row-union merge, :func:`merge_row_grads`):
-        ``rows`` must be unique and sorted, ``vals`` the per-row gradient.
-        For a lazily-managed parameter the next :meth:`step` applies a row
-        update exactly as if the rows had been touched by a local
-        ``gather_rows`` backward; for an unmanaged (or demoted) parameter
-        the rows are scattered into a dense ``p.grad`` instead, so callers
-        never need to know which path a parameter is on.
-        """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=np.float64).reshape(rows.size, -1)
-        if rows.size == 0:
-            return
-        if id(p) in self._last and not p._saw_dense_grad:
-            self._pending_rows[id(p)] = (rows, vals)
-            return
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        p.grad[rows] += vals
-
     def _sparse_step(self, p: Parameter) -> bool:
         """Try the sparse update for ``p`` at (already incremented) step
         ``self._t``; returns False when the dense path must run instead."""
         pid = id(p)
         if pid not in self._last:
             return False
-        pending = self._pending_rows.pop(pid, None)
-        if pending is not None:
-            rows, vals = pending
-            last = self._last[pid]
-            behind = last[rows] < self._t - 1
-            if behind.any():
-                stale = rows[behind]
-                self._replay(p, stale, last[stale], self._t - 1)
-            self._row_step(p, rows, self._t, vals)
-            last[rows] = self._t
-            return True
         touched_lists = p._sparse_touched or []
         if p._saw_dense_grad or (p.grad is not None and not touched_lists):
             # Gradient arrived through something other than a row gather

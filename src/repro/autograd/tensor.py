@@ -13,7 +13,7 @@ are tight; model code may down-cast inputs if desired.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -179,32 +179,6 @@ class Tensor:
 
     def __len__(self) -> int:
         return len(self.data)
-
-    # ------------------------------------------------------------------
-    # Pickling (worker processes, checkpoints)
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        """Pickle as a *leaf snapshot*: data and the grad flag only.
-
-        The tape (parents/backward closures), accumulated ``grad``, and
-        optimizer bookkeeping (``_refresh_hook`` closes over the parent
-        process's optimizer) are process-local and deliberately dropped —
-        a tensor shipped to a worker must look freshly constructed.
-        Callers owning lazily-updated parameters must flush the optimizer
-        before pickling (see :meth:`repro.autograd.optim.Optimizer.flush`).
-        """
-        return {"data": self.data, "requires_grad": self.requires_grad}
-
-    def __setstate__(self, state) -> None:
-        self.data = state["data"]
-        self.grad = None
-        self.requires_grad = state["requires_grad"]
-        self._parents = ()
-        self._backward_fns = ()
-        self._op = "leaf"
-        self._sparse_touched = None
-        self._saw_dense_grad = False
-        self._refresh_hook = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""

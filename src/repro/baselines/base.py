@@ -42,7 +42,7 @@ class Recommender(Module):
     #: :meth:`loss`, pointwise sigmoid-CE by default) or ``"bpr"``
     #: (:meth:`pairwise_loss`, BPR + batch-row EmbLoss).  Set by the
     #: trainer from :class:`~repro.training.trainer.TrainerConfig`; kept
-    #: as a model attribute so it pickles into parallel-engine workers.
+    #: as a model attribute so direct :meth:`training_loss` callers see it.
     objective: str = "ce"
 
     def __init__(self, dataset: RecDataset, seed: int = 0):
@@ -155,7 +155,7 @@ class Recommender(Module):
     def training_loss(self, users: np.ndarray, pos_items: np.ndarray, neg_items: np.ndarray) -> Tensor:
         """Batch loss under the active :attr:`objective`.
 
-        The single entry point the trainer and the parallel engine call:
+        The single entry point the trainer calls:
         ``"ce"`` dispatches to the model's native :meth:`loss` (bit-
         identical to the pre-objective-axis behavior), ``"bpr"`` to
         :meth:`pairwise_loss`.

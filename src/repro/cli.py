@@ -229,8 +229,6 @@ def cmd_train(args) -> int:
             objective=args.objective,
             verbose=args.verbose,
             seed=args.seed,
-            num_workers=args.workers,
-            compile_epoch=args.compile_epoch,
             tracer=tracer,
             track_memory=args.track_memory or bool(args.timeline),
             run_store=_make_run_store(args),
@@ -240,16 +238,6 @@ def cmd_train(args) -> int:
     _maybe_write_timeline(args, tracer)
     _close_tracer(tracer)
     _report_recorded_run(trainer)
-    if args.compile_epoch:
-        cs = trainer.compile_summary or {}
-        if "replayed" in cs:
-            print(
-                f"compile: {cs['replayed']} replayed / {cs['recorded']} "
-                f"recorded batch(es), {cs['diverged']} divergence(s), "
-                f"arena {cs['arena_bytes'] / 1048576:.1f} MiB"
-            )
-        else:
-            print("compile: enabled (per-worker compilers in process mode)")
     mem_summary = getattr(trainer, "_memory_summary", None)
     if mem_summary:
         print(
@@ -295,8 +283,6 @@ def cmd_compare(args) -> int:
             eval_k=args.k,
             eval_max_users=args.eval_users,
             objective=args.objective,
-            num_workers=args.workers,
-            compile_epoch=args.compile_epoch,
         ),
         topk_values=(args.k,),
         eval_ctr_too=True,
@@ -373,8 +359,6 @@ def cmd_export(args) -> int:
             objective=args.objective,
             verbose=args.verbose,
             seed=args.seed,
-            num_workers=args.workers,
-            compile_epoch=args.compile_epoch,
             tracer=tracer,
             track_memory=args.track_memory or bool(args.timeline),
             run_store=_make_run_store(args),
@@ -515,28 +499,12 @@ def cmd_profile(args) -> int:
     batch_size = min(model.batch_size, len(users))
     order = rng.permutation(len(users))
 
-    compiler = None
-    if args.compile_epoch:
-        from repro.autograd.compile import EpochCompiler
-
-        compiler = EpochCompiler()
-
     def one_step(step: int) -> None:
         lo = (step * batch_size) % max(1, len(users) - batch_size + 1)
         batch = order[lo : lo + batch_size]
-
-        def unit() -> None:
-            loss = model.training_loss(users[batch], pos_items[batch], negatives[batch])
-            optimizer.zero_grad()
-            loss.backward()
-
-        if compiler is not None:
-            # Forward + backward replay through the trace; optimizer.step
-            # stays outside the unit (it mutates parameters in place and is
-            # profiled separately via prof.patch below).
-            compiler.run(("batch", len(batch)), unit, rng=model.rng)
-        else:
-            unit()
+        loss = model.training_loss(users[batch], pos_items[batch], negatives[batch])
+        optimizer.zero_grad()
+        loss.backward()
         optimizer.step()
 
     tracer = _make_tracer(args)
@@ -567,14 +535,6 @@ def cmd_profile(args) -> int:
             mem.stop()
     report = prof.report()
     print(report.render())
-    if compiler is not None:
-        cs = compiler.summary()
-        print(
-            f"compile: {cs['replayed']} replayed / {cs['recorded']} recorded "
-            f"batch(es), {cs['diverged']} divergence(s), "
-            f"arena {cs['arena_bytes'] / 1048576:.1f} MiB "
-            f"across {cs['n_steps']} traced op(s)"
-        )
     if mem is not None:
         summary = mem.summary()
         print(
@@ -858,18 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(the KGAT/RecBole recipe; see docs/training.md)",
     )
     train_common.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="data-parallel training workers (0 = classic single-process "
-        "loop; >=1 uses the deterministic sharded engine, bit-identical "
-        "for any N — see docs/training.md)",
-    )
-    train_common.add_argument(
-        "--compile", dest="compile_epoch", action="store_true",
-        help="trace each batch shape once and replay it through "
-        "preallocated out= kernels — bit-identical to eager "
-        "(docs/autograd.md, 'Epoch compilation')",
-    )
-    train_common.add_argument(
         "--trace", "--log-jsonl", dest="trace", metavar="PATH", default=None,
         help="write obs span/event telemetry as JSONL to PATH",
     )
@@ -989,11 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--objective", default="ce", choices=["ce", "bpr"],
         help="profile the 'ce' or 'bpr' training objective",
-    )
-    p.add_argument(
-        "--compile", dest="compile_epoch", action="store_true",
-        help="profile compiled replay instead of eager dispatch "
-        "(records on the warm-up step; docs/autograd.md)",
     )
     p.set_defaults(func=cmd_profile)
 

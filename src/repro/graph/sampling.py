@@ -316,19 +316,10 @@ class NeighborSampler:
         self.resample()
 
     # ------------------------------------------------------------------
-    def resample(self, rng: Optional[np.random.Generator] = None) -> None:
+    def resample(self) -> None:
         """Redraw all adjacency tables (call once per epoch for fresh
         fixed-size random samples, matching the paper's per-iteration
-        ``Sample_neighbor``).
-
-        ``rng`` optionally replaces the sampler's generator for this (and
-        every later) redraw.  Data-parallel training passes a stream
-        derived purely from ``(seed, stream, epoch)`` so that parent and
-        worker processes — whose own generators have divergent histories —
-        rebuild bit-identical tables (see :mod:`repro.training.parallel`).
-        """
-        if rng is not None:
-            self._rng = rng
+        ``Sample_neighbor``)."""
         if self.impl == "vectorized":
             self._resample_vectorized()
         else:

@@ -2,11 +2,11 @@
 
 One :class:`Tracer` per run emits a flat stream of events — point events,
 ``span_start``/``span_end`` pairs, retrospective ``complete`` intervals
-(:meth:`Tracer.complete`, used for per-op profiler slices and worker
-phases), and ``counter`` samples (:meth:`Tracer.counter`, used for memory
-tracks) — each carrying the run id, wall clock, a monotonic timestamp,
-and the emitting ``pid``/``tid`` (overridable when re-emitting events
-collected from worker processes).  Everything is optionally mirrored to a
+(:meth:`Tracer.complete`, used for per-op profiler slices and trainer
+epoch phases), and ``counter`` samples (:meth:`Tracer.counter`, used for
+memory tracks) — each carrying the run id, wall clock, a monotonic
+timestamp, and the emitting ``pid``/``tid`` (overridable when re-emitting
+events collected from another process).  Everything is optionally mirrored to a
 JSONL file which ``repro obs timeline`` converts to Chrome trace-event
 JSON.  Spans nest per thread via a context-manager (or decorator) API:
 
@@ -244,9 +244,9 @@ class Tracer:
         Unlike a span there is no start/end pair: the interval already
         happened, so one record carries its wall start ``t0`` (defaulting
         to ``now - dur``) and duration in seconds.  The profiler uses this
-        for per-op slices; the parallel engine re-emits worker intervals
-        through it, passing the *worker's* ``pid``/``tid`` so the timeline
-        exporter keeps them on separate lanes.
+        for per-op slices and the trainer for epoch phases.  Passing
+        another process's ``pid``/``tid`` re-emits an interval collected
+        there; the timeline exporter keeps it on that process's lane.
         """
         current = self.current_span()
         self._emit(

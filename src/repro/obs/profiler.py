@@ -112,48 +112,6 @@ class Profiler:
         """Context manager adding a named non-op phase to the accounting."""
         return _Section(self, name)
 
-    # ------------------------------------------------------------------
-    # Externally timed events (the epoch compiler's replay path executes
-    # out= kernels directly, bypassing the patched op wrappers, and
-    # self-reports through these so attribution survives compilation).
-    # ------------------------------------------------------------------
-    def record_op_call(self, name: str, seconds: float, nbytes: int = 0) -> None:
-        """Credit one forward op call timed by the caller."""
-        stat = self._stat(name)
-        stat.calls += 1
-        stat.time_fwd += seconds
-        if nbytes:
-            stat.bytes_out += nbytes
-            if nbytes > stat.peak_bytes:
-                stat.peak_bytes = nbytes
-        if self._emit_events:
-            self._tracer.complete(
-                name, dur=seconds, t0=time.time() - seconds, cat="op", phase="fwd"
-            )
-
-    def record_backward_call(self, name: str, seconds: float) -> None:
-        """Credit one backward kernel call timed by the caller."""
-        stat = self._stat(name)
-        stat.calls_bwd += 1
-        stat.time_bwd += seconds
-
-    def record_backward_walk(self, seconds: float) -> None:
-        """Credit one full backward sweep timed by the caller."""
-        self.backward_walk_time += seconds
-        self.backward_calls += 1
-        if self._emit_events:
-            self._tracer.complete(
-                "backward_walk", dur=seconds, t0=time.time() - seconds, cat="backward"
-            )
-
-    def record_section(self, name: str, seconds: float) -> None:
-        """Credit a named non-op phase timed by the caller."""
-        self._record_section(name, seconds)
-        if self._emit_events:
-            self._tracer.complete(
-                name, dur=seconds, t0=time.time() - seconds, cat="section"
-            )
-
     def patch(self, owner: Any, attr: str, label: Optional[str] = None) -> None:
         """Wrap ``owner.attr`` (any callable) as a section until exit."""
         original = getattr(owner, attr)

@@ -551,10 +551,10 @@ def epoch_anatomy(
 
     Works on the same event stream ``repro obs timeline`` consumes: epoch
     spans define the windows, every span/complete interval inside one is
-    a phase (worker-lane intervals are listed under their own lane but do
-    not enter the driver-lane wall accounting, since they run in
-    parallel), and the ``memory_summary`` event — or an explicitly passed
-    dict — supplies per-op allocation.
+    a phase (intervals on other processes' lanes are listed under their
+    own lane but do not enter the driver-lane wall accounting, since they
+    run concurrently), and the ``memory_summary`` event — or an explicitly
+    passed dict — supplies per-op allocation.
     """
     from repro.obs.timeline import _collect, _nest
 
@@ -576,7 +576,7 @@ def epoch_anatomy(
     report.memory = dict(memory_summary or {})
 
     # Nest each lane, then find the epoch windows on whichever lane the
-    # trainer drove (fall back to parallel_epoch, then to lane roots).
+    # trainer drove (fall back to lane roots).
     forests = {lane: _nest(ivs) for lane, ivs in merged.items()}
     all_nodes: Dict[Any, list] = {}
     for lane, roots in forests.items():
@@ -592,13 +592,6 @@ def epoch_anatomy(
         n for nodes in all_nodes.values() for n in nodes if n.name == "epoch"
     ]
     if not epoch_nodes:
-        epoch_nodes = [
-            n
-            for nodes in all_nodes.values()
-            for n in nodes
-            if n.name == "parallel_epoch"
-        ]
-    if not epoch_nodes:
         epoch_nodes = [r for roots in forests.values() for r in roots]
     if not epoch_nodes:
         return report
@@ -608,21 +601,9 @@ def epoch_anatomy(
     report.epochs = len(epoch_nodes)
     report.epoch_wall_s = sum(n.dur for n in epoch_nodes)
 
-    worker_by_pid: Dict[int, Any] = {}
-    for lane, nodes in all_nodes.items():
-        for n in nodes:
-            if "worker" in n.attrs:
-                worker_by_pid.setdefault(lane[0], n.attrs["worker"])
     driver_pids = {lane[0] for _, _, lane in windows}
 
-    def lane_label(lane) -> str:
-        if lane[0] in driver_pids:
-            return "main"
-        if lane[0] in worker_by_pid:
-            return f"worker {worker_by_pid[lane[0]]}"
-        return f"pid {lane[0]}"
-
-    def in_window(node, lane) -> bool:
+    def in_window(node) -> bool:
         mid = 0.5 * (node.t0 + node.t1)
         return any(t0 <= mid <= t1 for t0, t1, _ in windows)
 
@@ -669,14 +650,14 @@ def epoch_anatomy(
                 unaccounted += exclusive
             add_row(node, "main", exclusive)
 
-    # Worker lanes run concurrently with the driver: list them for
-    # attribution but keep them out of the driver-lane wall accounting.
+    # Other processes' lanes run concurrently with the driver: list them
+    # for attribution but keep them out of the driver-lane wall accounting.
     for lane, nodes in all_nodes.items():
         if lane[0] in driver_pids:
             continue
-        label = lane_label(lane)
+        label = f"pid {lane[0]}"
         for node in nodes:
-            if not in_window(node, lane):
+            if not in_window(node):
                 continue
             add_row(node, label, exclusive_of(node))
 

@@ -176,11 +176,6 @@ class RunRecord:
     stopped_early: bool = False
     spans: Dict[str, Dict[str, float]] = field(default_factory=dict)
     anomalies: List[Dict[str, Any]] = field(default_factory=list)
-    #: Data-parallel engine accounting (mode, workers, shards, per-phase
-    #: wall breakdown, per-worker busy time) — empty for single-process
-    #: runs.  Older records simply lack the key; ``from_json`` tolerates
-    #: both directions.
-    parallel: Dict[str, Any] = field(default_factory=dict)
     #: :class:`~repro.obs.memory.MemoryTracker` summary (peak/live bytes,
     #: per-op allocation attribution, per-phase watermarks, epoch-boundary
     #: leak ledger) — empty unless the run tracked memory.  The scalar

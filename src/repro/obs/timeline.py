@@ -6,13 +6,12 @@ directly in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
 
 * ``span_start``/``span_end`` pairs become matched ``B``/``E`` duration
   events, nested per ``(pid, tid)`` lane;
-* ``complete`` intervals (per-op profiler slices, worker phases) become
-  ``X`` complete events — worker events keep the pid/tid they were
-  recorded under, so every worker process gets its own lane;
+* ``complete`` intervals (per-op profiler slices, trainer epoch phases)
+  become ``X`` complete events on the pid/tid they were recorded under;
 * ``counter`` samples become ``C`` events (the memory track);
 * point events become thread-scoped instants (``i``);
 * ``M`` metadata events name the lanes (``trainer (main)``,
-  ``worker N``).
+  ``process N``).
 
 Timestamps are wall-clock microseconds relative to the earliest event,
 which is what makes cross-process lanes line up: every process stamps
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 __all__ = [
     "load_trace_events",
@@ -236,13 +235,7 @@ def build_timeline(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     for record in out:
         del record["_seq"]
 
-    # Lane naming: the pid that emitted spans is the driver process; any
-    # pid whose events carry a `worker` attr is that worker's lane.
-    worker_by_pid: Dict[int, Any] = {}
-    for lane, intervals in completes_by_lane.items():
-        for iv in intervals:
-            if "worker" in iv.attrs:
-                worker_by_pid.setdefault(lane[0], iv.attrs["worker"])
+    # Lane naming: the pid that emitted spans is the driver process.
     span_pids = {lane[0] for lane in spans_by_lane}
     meta: List[Dict[str, Any]] = []
     all_pids = sorted(
@@ -252,12 +245,7 @@ def build_timeline(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         | {_lane(i)[0] for i in instants}
     )
     for idx, pid in enumerate(all_pids):
-        if pid in worker_by_pid and pid not in span_pids:
-            label = f"worker {worker_by_pid[pid]}"
-        elif pid in span_pids:
-            label = "trainer (main)"
-        else:
-            label = f"process {pid}"
+        label = "trainer (main)" if pid in span_pids else f"process {pid}"
         meta.append(
             {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
              "args": {"name": label}}

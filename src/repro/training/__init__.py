@@ -4,7 +4,6 @@ every table and figure bench.
 """
 
 from repro.training.trainer import Trainer, TrainerConfig, TrainResult
-from repro.training.parallel import EpochResult, ParallelEpochEngine
 from repro.training.experiment import (
     ComparisonResult,
     ModelFactory,
@@ -17,8 +16,6 @@ __all__ = [
     "Trainer",
     "TrainerConfig",
     "TrainResult",
-    "ParallelEpochEngine",
-    "EpochResult",
     "ComparisonResult",
     "ModelFactory",
     "run_comparison",

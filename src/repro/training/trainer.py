@@ -62,32 +62,13 @@ class TrainerConfig:
     shuffle: bool = True
     verbose: bool = False
     seed: int = 0
-    #: Data-parallel workers for the epoch loop.  ``0`` (default) keeps
-    #: the legacy single-process path; ``1`` runs the sharded engine
-    #: in-process; ``>=2`` spawns a persistent worker pool.  Any value
-    #: ``>=1`` is bit-identical to any other for the same seed (see
-    #: docs/training.md and :mod:`repro.training.parallel`).
-    num_workers: int = 0
-    #: Fixed shard count of the parallel engine's gradient reduction —
-    #: part of the numerics (NOT auto-scaled with ``num_workers``, which
-    #: is what makes the worker count irrelevant to the result).
-    grad_shards: int = 4
     #: Lazy row-sparse embedding updates (bit-identical to dense; see
     #: docs/autograd.md).  Escape hatch for A/B timing comparisons.
     sparse_updates: bool = True
-    #: Trace-and-replay epoch compilation (docs/autograd.md, "Epoch
-    #: compilation"): record each batch shape's op graph once, then
-    #: replay the fixed schedule through preallocated arena buffers —
-    #: no per-op allocation, no tape rebuild.  Bit-identical to eager
-    #: at a fixed seed (``tests/test_compile_parity.py``); shape
-    #: divergence (last partial batch) falls back to eager recording
-    #: automatically.  Off by default.
-    compile_epoch: bool = False
     #: Track tensor allocations during ``fit`` with a
     #: :class:`~repro.obs.memory.MemoryTracker`: peak/live bytes, per-op
     #: attribution, epoch-boundary leak detection, and (with a tracer)
-    #: a ``memory`` counter track in the exported timeline.  Parallel
-    #: workers report their own peaks (``worker_peak_mem_bytes``).
+    #: a ``memory`` counter track in the exported timeline.
     track_memory: bool = False
     #: Destination of per-epoch progress lines (``verbose``); defaults to
     #: the ``repro.training`` logger, so output works with or without an
@@ -111,10 +92,6 @@ class TrainerConfig:
             raise ValueError(f"unknown training objective {self.objective!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
-        if self.grad_shards < 1:
-            raise ValueError("grad_shards must be >= 1")
 
 
 @dataclass
@@ -135,8 +112,8 @@ class Trainer:
     def __init__(self, model: Recommender, config: Optional[TrainerConfig] = None):
         self.model = model
         self.config = config or TrainerConfig()
-        # The objective travels on the model so the parallel engine's
-        # pickled workers and any direct `training_loss` caller see it.
+        # The objective travels on the model so any direct
+        # `training_loss` caller sees it.
         model.objective = self.config.objective
         # Under "bpr" the batch-row EmbLoss inside `pairwise_loss` carries
         # λ; optimizer weight decay must be off or L2 is applied twice.
@@ -165,55 +142,6 @@ class Trainer:
         #: ``RunRecord`` persisted by the most recent ``fit`` (when
         #: ``config.run_store`` is set).
         self.last_run_record = None
-        #: Lazily created ``ParallelEpochEngine`` (``num_workers >= 1``).
-        self._engine = None
-        #: Trace-and-replay compiler (``config.compile_epoch``), keyed by
-        #: batch size so the last partial batch records its own trace.
-        self._compiler = None
-        if self.config.compile_epoch:
-            from repro.autograd.compile import EpochCompiler
-
-            self._compiler = EpochCompiler()
-
-    @property
-    def compile_summary(self) -> Dict[str, float]:
-        """Recorded/replayed/diverged counters (``compile_epoch`` only)."""
-        if self.config.num_workers >= 1:
-            if self._engine is not None:
-                return self._engine.summary().get("compile", {})
-            parallel = getattr(self, "_parallel_summary", {}) or {}
-            return parallel.get("compile", {})
-        return self._compiler.summary() if self._compiler is not None else {}
-
-    # ------------------------------------------------------------------
-    def _ensure_engine(self):
-        """Create/start the parallel engine on first use (workers >= 1)."""
-        if self._engine is None:
-            from repro.training.parallel import ParallelEpochEngine
-
-            self._engine = ParallelEpochEngine(
-                self.model,
-                self.optimizer,
-                seed=self.config.seed,
-                num_workers=self.config.num_workers,
-                n_shards=self.config.grad_shards,
-                shuffle=self.config.shuffle,
-                tracer=self.tracer,
-                collect_worker_telemetry=self.config.track_memory,
-                compile_epoch=self.config.compile_epoch,
-            )
-            self._engine.start()
-        return self._engine
-
-    def close(self) -> None:
-        """Release the parallel worker pool, if one was started.
-
-        ``fit`` closes the engine itself; call this only after driving
-        ``train_epoch`` manually with ``num_workers >= 1``.  Idempotent.
-        """
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
 
     @property
     def memory_summary(self) -> Dict[str, float]:
@@ -222,27 +150,27 @@ class Trainer:
 
     @property
     def peak_mem_bytes(self) -> Optional[float]:
-        """Run-level watermark: the driver-process peak or the highest
-        worker peak, whichever is larger (process mode trains in the
-        workers, so the parent alone under-reports).  ``None`` unless the
-        last ``fit`` ran with ``track_memory``."""
+        """Tensor-memory watermark of the last ``fit``; ``None`` unless it
+        ran with ``track_memory``."""
         memory = self.memory_summary
         if not memory:
             return None
-        parallel = getattr(self, "_parallel_summary", {}) or {}
-        return float(
-            max(
-                int(memory.get("peak_bytes", 0)),
-                int(parallel.get("worker_peak_mem_bytes", 0) or 0),
-            )
-        )
+        return float(memory.get("peak_bytes", 0))
 
     def train_epoch(self, epoch: int) -> float:
-        """One pass over the training positives; returns the mean loss."""
-        if self.config.num_workers >= 1:
-            return self._train_epoch_parallel(epoch)
+        """One pass over the training positives; returns the mean loss.
+
+        With a tracer attached, the epoch is cut into back-to-back
+        ``complete`` intervals — ``epoch.prepare`` (neighbor resampling,
+        negatives, shuffle), then per batch ``forward``, ``backward``,
+        ``grad_norm`` and ``optimizer.step`` — so ``repro obs anatomy``
+        can account for its wall time (docs/observability.md).
+        """
         model = self.model
         cfg = self.config
+        traced = self.tracer.enabled
+        if traced:
+            tick = time.time()
         model.begin_epoch(epoch)
         train = model.dataset.train
         users = train.users
@@ -259,6 +187,8 @@ class Trainer:
             if cfg.shuffle
             else np.arange(len(users))
         )
+        if traced:
+            tick = self._phase("epoch.prepare", tick)
         total_loss = 0.0
         n_batches = 0
         batch_size = model.batch_size
@@ -266,42 +196,46 @@ class Trainer:
         # measured when a tracer is attached or the health monitor asks
         # for them (keeps the untraced hot path within the <3% overhead
         # budget of bench_table6).
-        track_grads = self.tracer.enabled or self.health.wants_grad_norms
+        track_grads = traced or self.health.wants_grad_norms
         grad_norm_sum = 0.0
-        compiler = self._compiler
         for start in range(0, len(users), batch_size):
             batch = order[start : start + batch_size]
-
-            def unit(batch=batch, start=start):
-                loss = model.training_loss(
-                    users[batch], pos_items[batch], neg_items[batch]
+            loss = model.training_loss(
+                users[batch], pos_items[batch], neg_items[batch]
+            )
+            loss_value = loss.item()
+            if not np.isfinite(loss_value):
+                # Emits a structured `anomaly` event through the tracer,
+                # then aborts with full epoch/batch context.
+                raise self.health.nonfinite_loss(
+                    model.name, loss_value, epoch, start
                 )
-                loss_value = loss.item()
-                if not np.isfinite(loss_value):
-                    # Emits a structured `anomaly` event through the
-                    # tracer, then aborts with full epoch/batch context.
-                    raise self.health.nonfinite_loss(
-                        model.name, loss_value, epoch, start
-                    )
-                self.optimizer.zero_grad()
-                loss.backward()
-                return loss_value
-
-            if compiler is not None:
-                loss_value = compiler.run(("batch", len(batch)), unit, rng=model.rng)
-            else:
-                loss_value = unit()
+            if traced:
+                tick = self._phase("forward", tick)
+            self.optimizer.zero_grad()
+            loss.backward()
+            # Free this batch's tape now: kept until the next forward, two
+            # batches' intermediates would be alive at once (peak RSS).
+            del loss
+            if traced:
+                tick = self._phase("backward", tick)
             if track_grads:
                 grad_norm = self._global_grad_norm()
                 grad_norm_sum += grad_norm
                 self.health.observe_batch(epoch, start, loss_value, grad_norm)
+                if traced:
+                    tick = self._phase("grad_norm", tick)
             self.optimizer.step()
             total_loss += loss_value
             n_batches += 1
+            if traced:
+                tick = self._phase("optimizer.step", tick)
         # Deferred sparse-row updates must land before anything reads
         # parameter data directly (eval snapshots, state_dict, health
         # checks on embedding tables).
         self.optimizer.flush()
+        if traced:
+            self._phase("optimizer.step", tick)
         self.last_epoch_stats = {
             "examples": float(len(users)),
             "batches": float(n_batches),
@@ -314,38 +248,12 @@ class Trainer:
         self.health.observe_epoch(epoch, mean_loss, mean_grad)
         return mean_loss
 
-    def _train_epoch_parallel(self, epoch: int) -> float:
-        """Engine-backed epoch (``num_workers >= 1``), same telemetry.
-
-        Epoch preparation (neighbor resampling, negatives, shuffle) is
-        done by the engine from seed-derived streams so every process
-        reproduces it; the health monitor sees the same per-batch and
-        per-epoch signals as the legacy path.
-        """
-        engine = self._ensure_engine()
-        track_grads = self.tracer.enabled or self.health.wants_grad_norms
-
-        def on_batch(start: int, loss_value: float, grad_norm) -> None:
-            if not np.isfinite(loss_value):
-                raise self.health.nonfinite_loss(
-                    self.model.name, loss_value, epoch, start
-                )
-            if track_grads:
-                self.health.observe_batch(epoch, start, loss_value, grad_norm)
-
-        result = engine.run_epoch(
-            epoch, on_batch=on_batch, want_grad_norms=track_grads
-        )
-        self.last_epoch_stats = {
-            "examples": float(result.n_examples),
-            "batches": float(result.n_batches),
-        }
-        mean_grad = None
-        if track_grads and result.n_batches:
-            mean_grad = result.grad_norm_sum / result.n_batches
-            self.last_epoch_stats["grad_norm"] = mean_grad
-        self.health.observe_epoch(epoch, result.mean_loss, mean_grad)
-        return result.mean_loss
+    def _phase(self, name: str, since: float) -> float:
+        """Emit the wall interval ``since`` → now as epoch phase ``name``;
+        returns now, the start of the next phase."""
+        now = time.time()
+        self.tracer.complete(name, dur=now - since, t0=since, cat="phase")
+        return now
 
     def _global_grad_norm(self) -> float:
         """L2 norm over every parameter gradient of the current batch."""
@@ -388,7 +296,6 @@ class Trainer:
         epochs_since_best = 0
         start_time = time.perf_counter()
         epoch_times: List[float] = []
-        self._parallel_summary: Dict = {}
         self._memory_summary: Dict = {}
 
         mem = None
@@ -509,11 +416,6 @@ class Trainer:
                     anomalies=len(self.health.anomalies),
                 )
         finally:
-            # Capture pool accounting for the run record, then release
-            # the workers even when an epoch aborted (health monitor).
-            if self._engine is not None:
-                self._parallel_summary = self._engine.summary()
-            self.close()
             if mem is not None:
                 # Unpatch Tensor construction even on abort; the summary
                 # (peak/by_op/leaks) feeds the run record and timeline.
@@ -548,9 +450,6 @@ class Trainer:
                 "lr": model.lr,
                 "l2": model.l2,
                 "batch_size": model.batch_size,
-                "num_workers": cfg.num_workers,
-                "grad_shards": cfg.grad_shards,
-                "compile_epoch": cfg.compile_epoch,
             },
         }
         metrics: Dict[str, float] = {}
@@ -567,7 +466,6 @@ class Trainer:
             metrics["loss"] = best_record["loss"]
             metrics["final_loss"] = result.history[-1]["loss"]
         memory_summary = self.memory_summary
-        parallel_summary = getattr(self, "_parallel_summary", {}) or {}
         if memory_summary:
             metrics["peak_mem_bytes"] = self.peak_mem_bytes
         record = RunRecord(
@@ -586,7 +484,6 @@ class Trainer:
             stopped_early=result.stopped_early,
             spans=self.tracer.summary() if self.tracer.enabled else {},
             anomalies=self.health.anomalies,
-            parallel=parallel_summary,
             memory=memory_summary,
         )
         store.save(record)

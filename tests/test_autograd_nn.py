@@ -150,8 +150,8 @@ class TestActivationRegistry:
 
     def test_late_binding_sees_patched_ops(self, monkeypatch):
         """Activations must resolve through the ops *module attribute* at
-        call time — the profiler and the epoch compiler patch it, and an
-        early-bound reference would silently bypass both."""
+        call time — the profiler patches it, and an early-bound
+        reference would silently bypass it."""
         f = activation("relu")
         calls = []
         real = ops.relu

@@ -69,26 +69,6 @@ class TestParser:
         assert "gather_rows" in out
         assert "accounted" in out
 
-    def test_train_compile_flag(self, capsys):
-        code = main(
-            ["train", "--dataset", "music", "--scale", "0.3", "--model",
-             "cg-kgr", "--epochs", "2", "--eval-users", "5", "--compile"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "compile:" in out and "replayed" in out
-
-    def test_profile_compile_smoke(self, capsys):
-        code = main(
-            ["profile", "cg-kgr", "--dataset", "music", "--scale", "0.3",
-             "--steps", "2", "--compile"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "compile.overhead" in out
-        assert "compile: 2 replayed / 1 recorded" in out
-        assert "accounted" in out
-
     def test_profile_json_dump(self, tmp_path, capsys):
         dest = tmp_path / "profile.json"
         code = main(

@@ -189,35 +189,3 @@ class TestModelZoo:
         assert model._cached is not None
         model.pairwise_loss(np.array([0]), np.array([0]), np.array([1]))
         assert model._cached is None
-
-
-class TestParallelEngine:
-    def test_bpr_through_engine_matches_in_process(self, tiny_dataset):
-        from repro.training import parallel
-
-        states = []
-        for workers in (1, 4):
-            if workers > 1 and not parallel.shared_memory_available():
-                pytest.skip("platform lacks POSIX shared memory")
-            model = CGKGR(
-                tiny_dataset,
-                CGKGRConfig(dim=8, depth=1, n_heads=2, kg_sample_size=2, batch_size=32),
-                seed=7,
-            )
-            trainer = Trainer(
-                model,
-                TrainerConfig(
-                    epochs=2,
-                    eval_task="none",
-                    seed=7,
-                    num_workers=workers,
-                    objective="bpr",
-                ),
-            )
-            try:
-                trainer.fit()
-            finally:
-                trainer.close()
-            states.append(model.state_dict())
-        for key in states[0]:
-            np.testing.assert_array_equal(states[0][key], states[1][key])

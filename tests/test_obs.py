@@ -181,7 +181,7 @@ class TestTracer:
         assert record["pid"] == os.getpid()
         assert record["tid"] == threading.get_ident()
         assert record["attrs"] == {"cat": "op", "phase": "fwd"}
-        # Re-emitting worker telemetry overrides the lane identity.
+        # Re-emitting another process's telemetry overrides the lane identity.
         tracer.complete("worker.compute", dur=0.1, t0=123.0, pid=999, tid=7)
         record = tracer.events[-1]
         assert (record["pid"], record["tid"], record["t0"]) == (999, 7, 123.0)
@@ -545,116 +545,3 @@ class TestTrainerTelemetry:
         finally:
             logger.removeHandler(handler)
         assert any("loss=" in line for line in records)
-
-
-# ----------------------------------------------------------------------
-# Compiled replay profiling (`repro profile --compile`)
-# ----------------------------------------------------------------------
-class TestCompiledProfiling:
-    """Replayed steps must stay *observable*: the replay self-attributes
-    every out= kernel and backward sweep into the active profiler, and
-    the residual dispatch cost lands in a ``compile.overhead`` section —
-    so the accounting contract (>=90% of step wall explained) holds for
-    compiled training exactly as it does for eager (PR 8)."""
-
-    def _compiled_profile(self, dataset, steps=6, dim=32):
-        from repro.autograd.compile import EpochCompiler
-        from repro.autograd.optim import Adam
-        from repro.data.negative_sampling import sample_training_negatives
-
-        cfg = CGKGRConfig(dim=dim, depth=2, n_heads=2, kg_sample_size=4)
-        model = CGKGR(dataset, cfg, seed=0)
-        optimizer = Adam(model.parameters(), lr=1e-3)
-        train = dataset.train
-        rng = np.random.default_rng(0)
-        negatives = sample_training_negatives(
-            train, dataset.all_positive_items(), dataset.n_items, rng
-        )
-        users, pos = train.users, train.items
-        batch_size = min(model.batch_size, len(users))
-        order = rng.permutation(len(users))
-        compiler = EpochCompiler()
-
-        def one_step(step):
-            lo = (step * batch_size) % max(1, len(users) - batch_size + 1)
-            batch = order[lo : lo + batch_size]
-
-            def unit():
-                loss = model.training_loss(users[batch], pos[batch], negatives[batch])
-                optimizer.zero_grad()
-                loss.backward()
-
-            compiler.run(("batch", len(batch)), unit, rng=model.rng)
-            optimizer.step()
-
-        one_step(0)  # records the trace outside the profiled window
-        with profile() as prof:
-            sampler = model.sampler
-            for method in (
-                "user_neighborhood", "item_neighborhood", "kg_node_flow"
-            ):
-                if hasattr(sampler, method):
-                    prof.patch(sampler, method, f"sampler.{method}")
-            prof.patch(optimizer, "step", "optimizer.step")
-            for step in range(1, steps + 1):
-                one_step(step)
-        return prof.report(), compiler
-
-    def test_compiled_steps_account_90pct_of_wall(self, tiny_dataset):
-        report, compiler = self._compiled_profile(tiny_dataset)
-        assert compiler.stats["replayed"] == 6  # all profiled steps replayed
-        assert report.wall_s > 0
-        assert report.accounted_fraction >= 0.9, (
-            f"compiled profile accounts only "
-            f"{100 * report.accounted_fraction:.1f}% of wall:\n{report.render()}"
-        )
-        section_names = {s["name"] for s in report.sections}
-        assert "compile.overhead" in section_names
-        assert "optimizer.step" in section_names
-
-    def test_replay_attributes_ops_and_backward(self, tiny_dataset):
-        report, _ = self._compiled_profile(tiny_dataset, steps=3)
-        rows = {row["op"]: row for row in report.rows}
-        # The CG-KGR hot path must be visible from inside the replay.
-        for op in ("gather_rows", "masked_softmax", "relation_scores"):
-            assert op in rows, f"{op} missing from compiled profile"
-            assert rows[op]["calls"] > 0
-        assert any(row["bwd_calls"] > 0 for row in rows.values())
-        # Never over-account: double-counting fused kernels or nested
-        # sections would push this past 1 (plus timing jitter).
-        assert report.accounted_fraction <= 1.1
-
-    def test_replay_allocates_less_than_eager(self, tiny_dataset):
-        """The point of the arena: a replayed step materializes (almost)
-        no fresh tape tensors, where eager allocates one per op."""
-        from repro.autograd.compile import EpochCompiler
-        from repro.obs import MemoryTracker
-
-        cfg = CGKGRConfig(dim=8, depth=1, n_heads=2, kg_sample_size=2)
-        model = CGKGR(tiny_dataset, cfg, seed=0)
-        users = tiny_dataset.train.users[:32]
-        items = tiny_dataset.train.items[:32]
-
-        def unit():
-            model.zero_grad()
-            model.loss(users, items, items).backward()
-
-        compiler = EpochCompiler()
-        compiler.run(("b", 32), unit, rng=model.rng)  # record
-        compiler.run(("b", 32), unit, rng=model.rng)  # warm replay
-
-        def count_allocs(fn):
-            tracker = MemoryTracker()
-            with tracker:
-                fn()
-            return tracker.n_allocs
-
-        eager = count_allocs(unit)
-        compiled = count_allocs(
-            lambda: compiler.run(("b", 32), unit, rng=model.rng)
-        )
-        assert compiler.stats["replayed"] >= 2
-        assert compiled < eager / 2, (
-            f"replay allocated {compiled} tensors vs {eager} eager — the "
-            f"arena is not suppressing per-op allocation"
-        )

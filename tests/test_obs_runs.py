@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from repro.obs.runs import (
     distill_trace,
 )
 from repro.training import Trainer, TrainerConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_record(run_id="", metrics=None, kind="train", **overrides) -> RunRecord:
@@ -456,6 +459,38 @@ class TestRunsCli:
             "--runs-dir", store_dir,
         ])
         assert code == 1  # latest is the regressed ccc-bad run
+        capsys.readouterr()
+
+    def test_records_with_removed_trainer_fields_load_and_check(
+        self, store_dir, tmp_path, capsys
+    ):
+        """Records written while the trainer still had a worker pool and an
+        epoch compiler carry a ``parallel`` section and ``num_workers`` /
+        ``grad_shards`` / ``compile_epoch`` trainer knobs; they must still
+        load and gate."""
+        committed = ROOT / "benchmarks" / "baselines" / "ci-smoke.json"
+        assert "parallel" in json.loads(committed.read_text())
+        legacy = make_record(metrics={"recall@20": 0.10}).to_json()
+        legacy["parallel"] = {"mode": "process", "num_workers": 2, "wall_s": 1.5}
+        legacy["config"]["trainer"].update(
+            num_workers=2, grad_shards=4, compile_epoch=True
+        )
+        legacy_file = tmp_path / "legacy.json"
+        legacy_file.write_text(json.dumps(legacy))
+        record = RunRecord.from_json(json.loads(legacy_file.read_text()))
+        assert record.config["trainer"]["grad_shards"] == 4
+        assert record.metric_value("recall@20") == pytest.approx(0.10)
+        for baseline in (committed, legacy_file):
+            code = cli_main([
+                "runs", "check", "--baseline", str(baseline), "--run", "bbb-good",
+                "--runs-dir", store_dir,
+            ])
+            assert code == 0
+        code = cli_main([
+            "runs", "check", "--baseline", str(legacy_file), "--run", "ccc-bad",
+            "--runs-dir", store_dir,
+        ])
+        assert code == 1  # the legacy baseline still gates recall@20
         capsys.readouterr()
 
     def test_compare_exit_codes(self, store_dir, capsys):

@@ -1,7 +1,7 @@
 """Tests for the performance-timeline layer: Chrome trace export
 (repro.obs.timeline), the tensor memory tracker (repro.obs.memory), the
 epoch-anatomy report, the memory-growth health anomaly, and the profiler
-wall-time accounting contract under the parallel engine."""
+wall-time accounting contract over the trainer's epoch loop."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-import repro.training.parallel as parallel
+import repro.training.trainer as trainer_mod
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor
 from repro.core import CGKGR
@@ -92,10 +92,8 @@ class TestTimelineExport:
     def test_worker_events_land_on_their_own_lane(self):
         tracer = Tracer()
         with tracer.span("epoch", epoch=0):
-            # Re-emitted worker telemetry carries the worker's own pid/tid.
-            tracer.complete(
-                "worker.compute", dur=0.003, t0=1.0, pid=4242, tid=7, worker=1
-            )
+            # Re-emitted telemetry of another process carries its own pid/tid.
+            tracer.complete("worker.compute", dur=0.003, t0=1.0, pid=4242, tid=7)
             tracer.counter("memory", t0=1.001, pid=4242, tid=7, live_bytes=99)
         trace = build_timeline(tracer.events)
         assert validate_timeline(trace) == []
@@ -109,13 +107,13 @@ class TestTimelineExport:
             for m in records
             if m["ph"] == "M" and m["name"] == "process_name"
         }
-        assert names[4242] == "worker 1"
+        assert names[4242] == "process 4242"
         sort = {
             m["pid"]: m["args"]["sort_index"]
             for m in records
             if m["ph"] == "M" and m["name"] == "process_sort_index"
         }
-        # The driver sorts above the worker lanes.
+        # The driver sorts above the other processes' lanes.
         assert sort[tracer._pid] == 0 and sort[4242] > 0
 
     def test_counter_drops_non_numeric_series(self):
@@ -314,66 +312,49 @@ class TestMemoryGrowthAnomaly:
 
 
 # ----------------------------------------------------------------------
-# Profiler accounting under the parallel engine + epoch anatomy
+# Profiler accounting over the eager epoch loop + epoch anatomy
 # ----------------------------------------------------------------------
-def _parallel_trainer(dataset, tracer=None, dim=8, depth=1, kg_sample_size=2,
-                      **overrides):
+def _trainer(dataset, tracer=None, dim=8, depth=1, kg_sample_size=2, **overrides):
     cfg = CGKGRConfig(dim=dim, depth=depth, n_heads=2, kg_sample_size=kg_sample_size)
     model = CGKGR(dataset, cfg, seed=0)
     kwargs = dict(
-        epochs=2, num_workers=2, eval_task="topk", eval_metric="recall@10",
+        epochs=2, eval_task="topk", eval_metric="recall@10",
         eval_k=10, eval_max_users=5, tracer=tracer,
     )
     kwargs.update(overrides)
     return Trainer(model, TrainerConfig(**kwargs))
 
 
-class TestParallelAccounting:
-    def test_profiler_accounts_90pct_of_parallel_epoch_wall(
-        self, tiny_dataset, monkeypatch
-    ):
-        # num_workers=2 through the in-process fallback: every shard runs
-        # on this process, so the op patches see the whole epoch.
-        monkeypatch.setattr(parallel, "shared_memory_available", lambda: False)
+class TestEpochAccounting:
+    def test_profiler_accounts_90pct_of_epoch_wall(self, tiny_dataset):
         # Big enough that per-op compute dominates the fixed per-epoch loop
         # overhead — the regime the >=90% accounting contract is about.
-        trainer = _parallel_trainer(tiny_dataset, dim=32, depth=2, kg_sample_size=4)
-        try:
-            with profile() as prof:
-                # Pull the engine's non-op phases into the accounting the
-                # way `repro profile` does for the serial step.
-                prof.patch(parallel, "prepare_model_epoch", "epoch.prepare")
-                prof.patch(parallel, "_epoch_plan", "epoch.plan")
-                prof.patch(parallel, "_merge_param", "reduce.merge")
-                prof.patch(parallel, "_extract_grad", "reduce.extract")
-                engine = trainer._ensure_engine()
-                assert engine.mode == "inprocess"
-                prof.patch(engine, "_apply", "optimizer.apply")
-                sampler = trainer.model.sampler
-                for method in (
-                    "user_neighborhood", "item_neighborhood", "kg_node_flow"
-                ):
-                    if hasattr(sampler, method):
-                        prof.patch(sampler, method, f"sampler.{method}")
-                for epoch in range(5):
-                    trainer.train_epoch(epoch)
-        finally:
-            trainer.close()
+        trainer = _trainer(tiny_dataset, dim=32, depth=2, kg_sample_size=4)
+        with profile() as prof:
+            # Pull the loop's non-op phases into the accounting the way
+            # `repro profile` does for the optimizer step.
+            prof.patch(trainer.model, "begin_epoch", "epoch.begin")
+            prof.patch(trainer_mod, "sample_training_negatives", "epoch.negatives")
+            prof.patch(trainer.optimizer, "step", "optimizer.step")
+            prof.patch(trainer.optimizer, "flush", "optimizer.flush")
+            sampler = trainer.model.sampler
+            for method in ("user_neighborhood", "item_neighborhood", "kg_node_flow"):
+                if hasattr(sampler, method):
+                    prof.patch(sampler, method, f"sampler.{method}")
+            for epoch in range(5):
+                trainer.train_epoch(epoch)
         report = prof.report()
         assert report.wall_s > 0
         assert report.accounted_fraction >= 0.9
-        # Sanity: both op time and engine sections contributed.
+        # Sanity: both op time and loop sections contributed.
         assert report.rows and report.rows[0]["total_s"] > 0
         assert {s["name"] for s in report.sections} >= {
-            "epoch.prepare", "epoch.plan", "reduce.merge", "optimizer.apply",
+            "epoch.begin", "epoch.negatives", "optimizer.step",
         }
 
-    def test_epoch_anatomy_accounts_wall_and_allocation(
-        self, tiny_dataset, monkeypatch
-    ):
-        monkeypatch.setattr(parallel, "shared_memory_available", lambda: False)
+    def test_epoch_anatomy_accounts_wall_and_allocation(self, tiny_dataset):
         tracer = Tracer()
-        trainer = _parallel_trainer(tiny_dataset, tracer=tracer, track_memory=True)
+        trainer = _trainer(tiny_dataset, tracer=tracer, track_memory=True)
         trainer.fit()
         report = epoch_anatomy(tracer.events)
         assert report.epochs == 2
@@ -386,22 +367,27 @@ class TestParallelAccounting:
         # Eval runs in its own span *outside* the epoch bracket (Table VI
         # methodology), so only in-epoch phases appear in the ranking.
         names = {row["name"] for row in report.rows}
-        assert "worker.compute" in names and "parallel.merge" in names
+        assert names >= {"epoch.prepare", "forward", "backward", "optimizer.step"}
+        assert "eval" not in names
         payload = report.to_json()
         json.dumps(payload)
         text = report.render()
-        assert "wall accounted" in text and "worker.compute" in text
+        assert "wall accounted" in text and "forward" in text
         html = report.to_html()
-        assert html.startswith("<!doctype html>") and "worker.compute" in html
+        assert html.startswith("<!doctype html>") and "backward" in html
 
-    def test_run_record_and_timeline_from_tracked_fit(
-        self, tiny_dataset, tmp_path, monkeypatch
-    ):
+    def test_untraced_epoch_times_no_phases(self, tiny_dataset, monkeypatch):
+        def fail(*args):
+            raise AssertionError("untraced epoch timed a phase")
+
+        monkeypatch.setattr(Trainer, "_phase", fail)
+        _trainer(tiny_dataset).train_epoch(1)
+
+    def test_run_record_and_timeline_from_tracked_fit(self, tiny_dataset, tmp_path):
         from repro.obs.runs import RunStore
 
-        monkeypatch.setattr(parallel, "shared_memory_available", lambda: False)
         tracer = Tracer()
-        trainer = _parallel_trainer(
+        trainer = _trainer(
             tiny_dataset, tracer=tracer, track_memory=True,
             run_store=RunStore(str(tmp_path / "runs")),
         )

@@ -1,13 +1,12 @@
-"""Property tests on optimizer update rules and the data-parallel
-row-gradient reduction (:func:`repro.autograd.optim.merge_row_grads`)."""
+"""Property tests on optimizer update rules."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.autograd import Tensor, ops
+from repro.autograd import ops
 from repro.autograd.nn import Parameter
-from repro.autograd.optim import SGD, Adam, merge_dense_grads, merge_row_grads
+from repro.autograd.optim import SGD, Adam
 
 settings.register_profile("ci", max_examples=20, deadline=None)
 settings.load_profile("ci")
@@ -96,118 +95,3 @@ class TestSGDProperties:
             steps.append(float((prev - p.data)[0]))
             prev = p.data.copy()
         assert steps[-1] == pytest.approx(1.0 / (1.0 - 0.5), rel=1e-3)
-
-
-# ----------------------------------------------------------------------
-# Row-union gradient merge (the data-parallel deterministic reduction)
-# ----------------------------------------------------------------------
-N_ROWS_TOTAL = 7  # parameter "table height" the row indices address
-N_COLS = 3
-
-
-def _row_part(values_strategy):
-    """One shard's (rows, vals) contribution; rows may repeat."""
-
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(min_value=0, max_value=5))
-        rows = np.asarray(
-            draw(
-                st.lists(
-                    st.integers(0, N_ROWS_TOTAL - 1), min_size=n, max_size=n
-                )
-            ),
-            dtype=np.int64,
-        )
-        vals = np.asarray(
-            draw(
-                st.lists(
-                    st.lists(values_strategy, min_size=N_COLS, max_size=N_COLS),
-                    min_size=n,
-                    max_size=n,
-                )
-            ),
-            dtype=np.float64,
-        ).reshape(n, N_COLS)
-        return rows, vals
-
-    return build()
-
-
-def _parts(values_strategy, max_parts=4):
-    return st.lists(_row_part(values_strategy), min_size=1, max_size=max_parts)
-
-
-def _densify(parts):
-    """Reference scatter-add of row parts into a dense table."""
-    dense = np.zeros((N_ROWS_TOTAL, N_COLS))
-    for rows, vals in parts:
-        np.add.at(dense, rows, vals)
-    return dense
-
-
-exact_floats = st.integers(-8, 8).map(float)  # addition exact in any order
-finite_floats = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-
-
-class TestRowMergeProperties:
-    @given(parts=_parts(exact_floats))
-    def test_duplicate_rows_sum_exactly(self, parts):
-        """Rows repeated within and across shards accumulate to the exact
-        scatter-add total (values chosen so float addition is exact)."""
-        rows, vals = merge_row_grads(parts, N_COLS)
-        merged = np.zeros((N_ROWS_TOTAL, N_COLS))
-        merged[rows] = vals
-        np.testing.assert_array_equal(merged, _densify(parts))
-
-    @given(parts=_parts(finite_floats), seed=st.integers(0, 2**16))
-    def test_merge_order_never_changes_result(self, parts, seed):
-        """Any permutation of the shards is bit-identical — the property
-        that makes the reduction worker-count invariant."""
-        base_rows, base_vals = merge_row_grads(parts, N_COLS)
-        perm = np.random.default_rng(seed).permutation(len(parts))
-        perm_rows, perm_vals = merge_row_grads([parts[i] for i in perm], N_COLS)
-        assert np.array_equal(base_rows, perm_rows)
-        assert np.array_equal(base_vals, perm_vals)
-
-    @given(parts=_parts(finite_floats))
-    def test_empty_shards_are_identity(self, parts):
-        """None shards and zero-row shards contribute nothing, bitwise."""
-        empty = (np.empty(0, dtype=np.int64), np.zeros((0, N_COLS)))
-        padded = [None, empty] + list(parts) + [None, empty]
-        base = merge_row_grads(parts, N_COLS)
-        with_empties = merge_row_grads(padded, N_COLS)
-        assert np.array_equal(base[0], with_empties[0])
-        assert np.array_equal(base[1], with_empties[1])
-
-    @given(parts=_parts(finite_floats))
-    def test_demotion_to_dense_matches_dense_merge(self, parts):
-        """Scattering each shard densely and merging with
-        ``merge_dense_grads`` is bit-identical to the row-union merge —
-        so a parameter demoted to dense grads mid-run cannot change the
-        reduction's numerics."""
-        dense_parts = []
-        for rows, vals in parts:
-            dense = np.zeros((N_ROWS_TOTAL, N_COLS))
-            np.add.at(dense, rows, vals)
-            dense_parts.append(dense)
-        via_dense = merge_dense_grads(dense_parts)
-
-        rows, vals = merge_row_grads(parts, N_COLS)
-        via_rows = np.zeros((N_ROWS_TOTAL, N_COLS))
-        via_rows[rows] = vals
-        assert np.array_equal(via_dense, via_rows)
-
-    @given(part=_row_part(finite_floats))
-    def test_single_part_roundtrips(self, part):
-        """One shard merges to its own canonicalized (sorted, deduped)
-        form without value changes."""
-        rows, vals = merge_row_grads([part], N_COLS)
-        assert np.array_equal(np.sort(np.unique(part[0])), rows)
-
-    def test_column_mismatch_raises(self):
-        part = (np.array([0], dtype=np.int64), np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            merge_row_grads([part], N_COLS)

@@ -126,6 +126,27 @@ class TestTrainer:
         result = trainer.fit()
         assert len(result.history) == 2
 
+    def test_one_batch_tape_alive_at_a_time(self, tiny_dataset):
+        """Each forward starts with the previous batch's tape already
+        freed, so live tensor bytes at forward entry stay flat."""
+        from repro.obs import MemoryTracker
+
+        cfg = CGKGRConfig(dim=8, depth=1, n_heads=2, kg_sample_size=2, batch_size=32)
+        model = CGKGR(tiny_dataset, cfg, seed=0)
+        trainer = Trainer(model, TrainerConfig(epochs=1, eval_task="none", seed=0))
+        forward = model.training_loss
+        entry_bytes = []
+        with MemoryTracker() as tracker:
+
+            def training_loss(*args):
+                entry_bytes.append(tracker.live_bytes)
+                return forward(*args)
+
+            model.training_loss = training_loss
+            trainer.train_epoch(1)
+        assert len(entry_bytes) >= 3
+        assert max(entry_bytes) == entry_bytes[0]
+
 
 class TestRunSingle:
     def test_produces_topk_and_ctr(self, tiny_dataset):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils import format_series, format_table, spawn_rngs
+from repro.utils import derive_rng, format_series, format_table, spawn_rngs
 
 
 class TestFormatTable:
@@ -56,3 +56,20 @@ class TestSpawnRngs:
         a1 = spawn_rngs(7, 2)[0].random(5)
         a2 = spawn_rngs(7, 2)[0].random(5)
         np.testing.assert_array_equal(a1, a2)
+
+
+class TestDeriveRng:
+    def test_same_keys_same_draws(self):
+        np.testing.assert_array_equal(
+            derive_rng(3, 1, 5).random(8), derive_rng(3, 1, 5).random(8)
+        )
+
+    @pytest.mark.parametrize("keys", [(4, 1, 5), (3, 2, 5), (3, 1, 6)])
+    def test_changing_any_key_changes_stream(self, keys):
+        base = derive_rng(3, 1, 5).random(8)
+        assert not np.array_equal(base, derive_rng(*keys).random(8))
+
+    def test_key_order_matters(self):
+        assert not np.array_equal(
+            derive_rng(1, 2, 3).random(8), derive_rng(3, 2, 1).random(8)
+        )
