@@ -14,9 +14,13 @@ Public surface:
 * :mod:`repro.autograd.optim` — ``SGD`` and ``Adam``.
 * :mod:`repro.autograd.init` — Xavier and friends.
 * :func:`~repro.autograd.gradcheck.gradcheck` — numerical gradient checking.
+* :class:`~repro.autograd.tensor.Observer` with :func:`add_observer` /
+  :func:`remove_observer` — hooks on op calls, tensor construction and
+  backward walks (ops declare themselves with :func:`differentiable`).
 """
 
 from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled
+from repro.autograd.tensor import Observer, add_observer, differentiable, remove_observer
 from repro.autograd.ops import (
     add,
     concat,
@@ -53,6 +57,7 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
+    "Observer", "add_observer", "remove_observer", "differentiable",
     "add",
     "sub",
     "mul",

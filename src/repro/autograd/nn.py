@@ -126,8 +126,8 @@ def _identity(x: Tensor) -> Tensor:
 
 
 # Late-bound thin wrappers, not direct references to the ops functions:
-# the profiler patches ops *module attributes*, so activations must reach
-# them through attribute lookup at call time.
+# tools that wrap ops *module attributes* (call counters) must see
+# activations, so they reach the ops through attribute lookup at call time.
 def _relu(x: Tensor) -> Tensor:
     return ops.relu(x)
 

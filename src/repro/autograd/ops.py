@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.tensor import ArrayLike, Tensor, ensure_tensor, unbroadcast
+from repro.autograd.tensor import ArrayLike, Tensor, differentiable, ensure_tensor, unbroadcast
 
 TensorLike = Union[Tensor, ArrayLike]
 
@@ -24,6 +24,7 @@ TensorLike = Union[Tensor, ArrayLike]
 # ----------------------------------------------------------------------
 # Elementwise binary ops
 # ----------------------------------------------------------------------
+@differentiable
 def add(a: TensorLike, b: TensorLike) -> Tensor:
     """Elementwise ``a + b`` with broadcasting."""
     a, b = ensure_tensor(a), ensure_tensor(b)
@@ -39,6 +40,7 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
     )
 
 
+@differentiable
 def sub(a: TensorLike, b: TensorLike) -> Tensor:
     """Elementwise ``a - b`` with broadcasting."""
     a, b = ensure_tensor(a), ensure_tensor(b)
@@ -54,6 +56,7 @@ def sub(a: TensorLike, b: TensorLike) -> Tensor:
     )
 
 
+@differentiable
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
     """Elementwise ``a * b`` with broadcasting."""
     a, b = ensure_tensor(a), ensure_tensor(b)
@@ -69,6 +72,7 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
     )
 
 
+@differentiable
 def div(a: TensorLike, b: TensorLike) -> Tensor:
     """Elementwise ``a / b`` with broadcasting."""
     a, b = ensure_tensor(a), ensure_tensor(b)
@@ -86,6 +90,7 @@ def div(a: TensorLike, b: TensorLike) -> Tensor:
     )
 
 
+@differentiable
 def maximum(a: TensorLike, b: TensorLike) -> Tensor:
     """Elementwise maximum; on ties the gradient flows to the first input."""
     a, b = ensure_tensor(a), ensure_tensor(b)
@@ -102,6 +107,7 @@ def maximum(a: TensorLike, b: TensorLike) -> Tensor:
     )
 
 
+@differentiable
 def where(condition: ArrayLike, a: TensorLike, b: TensorLike) -> Tensor:
     """Select elementwise from ``a`` where ``condition`` else ``b``."""
     cond = np.asarray(condition, dtype=bool)
@@ -118,11 +124,13 @@ def where(condition: ArrayLike, a: TensorLike, b: TensorLike) -> Tensor:
     )
 
 
+@differentiable
 def neg(a: TensorLike) -> Tensor:
     a = ensure_tensor(a)
     return Tensor._make(-a.data, (a,), (lambda g: -g,), "neg")
 
 
+@differentiable
 def power(a: TensorLike, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a constant exponent."""
     a = ensure_tensor(a)
@@ -139,30 +147,35 @@ def power(a: TensorLike, exponent: float) -> Tensor:
 # ----------------------------------------------------------------------
 # Elementwise unary ops
 # ----------------------------------------------------------------------
+@differentiable
 def exp(a: TensorLike) -> Tensor:
     a = ensure_tensor(a)
     out = np.exp(a.data)
     return Tensor._make(out, (a,), (lambda g, o=out: g * o,), "exp")
 
 
+@differentiable
 def log(a: TensorLike) -> Tensor:
     a = ensure_tensor(a)
     out = np.log(a.data)
     return Tensor._make(out, (a,), (lambda g, ad=a.data: g / ad,), "log")
 
 
+@differentiable
 def sqrt(a: TensorLike) -> Tensor:
     a = ensure_tensor(a)
     out = np.sqrt(a.data)
     return Tensor._make(out, (a,), (lambda g, o=out: g / (2.0 * o),), "sqrt")
 
 
+@differentiable
 def tanh(a: TensorLike) -> Tensor:
     a = ensure_tensor(a)
     out = np.tanh(a.data)
     return Tensor._make(out, (a,), (lambda g, o=out: g * (1.0 - o * o),), "tanh")
 
 
+@differentiable
 def sigmoid(a: TensorLike) -> Tensor:
     """Numerically stable logistic sigmoid."""
     a = ensure_tensor(a)
@@ -171,6 +184,7 @@ def sigmoid(a: TensorLike) -> Tensor:
     return Tensor._make(out, (a,), (lambda g, o=out: g * o * (1.0 - o),), "sigmoid")
 
 
+@differentiable
 def log_sigmoid(a: TensorLike) -> Tensor:
     """``log(sigmoid(a))`` computed stably as ``-softplus(-a)``."""
     a = ensure_tensor(a)
@@ -184,6 +198,7 @@ def log_sigmoid(a: TensorLike) -> Tensor:
     return Tensor._make(out, (a,), (lambda g, s=sig: g * (1.0 - s),), "log_sigmoid")
 
 
+@differentiable
 def softplus(a: TensorLike) -> Tensor:
     """``log(1 + exp(a))`` computed stably."""
     a = ensure_tensor(a)
@@ -197,6 +212,7 @@ def softplus(a: TensorLike) -> Tensor:
     return Tensor._make(out, (a,), (lambda g, s=sig: g * s,), "softplus")
 
 
+@differentiable
 def relu(a: TensorLike) -> Tensor:
     a = ensure_tensor(a)
     mask = a.data > 0
@@ -204,6 +220,7 @@ def relu(a: TensorLike) -> Tensor:
     return Tensor._make(out, (a,), (lambda g, m=mask: g * m,), "relu")
 
 
+@differentiable
 def leaky_relu(a: TensorLike, negative_slope: float = 0.2) -> Tensor:
     a = ensure_tensor(a)
     mask = a.data > 0
@@ -213,6 +230,7 @@ def leaky_relu(a: TensorLike, negative_slope: float = 0.2) -> Tensor:
     return Tensor._make(out, (a,), (lambda g, s=scale: g * s,), "leaky_relu")
 
 
+@differentiable
 def dropout(a: TensorLike, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout: zero a fraction ``rate`` and rescale survivors."""
     a = ensure_tensor(a)
@@ -235,6 +253,7 @@ def _normalize_axis(axis, ndim: int) -> Optional[Tuple[int, ...]]:
     return tuple(ax % ndim for ax in axis)
 
 
+@differentiable
 def sum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     """Sum over ``axis`` (all axes if ``None``)."""
     a = ensure_tensor(a)
@@ -251,6 +270,7 @@ def sum(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A0
     return Tensor._make(np.asarray(out), (a,), (backward,), "sum")
 
 
+@differentiable
 def mean(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
     """Arithmetic mean over ``axis``."""
     a = ensure_tensor(a)
@@ -271,6 +291,7 @@ def mean(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor._make(np.asarray(out), (a,), (backward,), "mean")
 
 
+@differentiable
 def max(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     """Maximum over ``axis``; gradient flows to (all) argmax positions."""
     a = ensure_tensor(a)
@@ -290,6 +311,7 @@ def max(a: TensorLike, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A0
     return Tensor._make(np.asarray(out), (a,), (backward,), "max")
 
 
+@differentiable
 def logsumexp(a: TensorLike, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Stable ``log(sum(exp(a)))`` along one axis."""
     a = ensure_tensor(a)
@@ -310,6 +332,7 @@ def logsumexp(a: TensorLike, axis: int = -1, keepdims: bool = False) -> Tensor:
     return Tensor._make(out, (a,), (backward,), "logsumexp")
 
 
+@differentiable
 def softmax(a: TensorLike, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis``."""
     a = ensure_tensor(a)
@@ -325,6 +348,7 @@ def softmax(a: TensorLike, axis: int = -1) -> Tensor:
     return Tensor._make(out, (a,), (backward,), "softmax")
 
 
+@differentiable
 def masked_softmax(a: TensorLike, mask: ArrayLike, axis: int = -1) -> Tensor:
     """Softmax over positions where ``mask`` is truthy.
 
@@ -355,6 +379,7 @@ def masked_softmax(a: TensorLike, mask: ArrayLike, axis: int = -1) -> Tensor:
 # ----------------------------------------------------------------------
 # Linear algebra
 # ----------------------------------------------------------------------
+@differentiable
 def matmul(a: TensorLike, b: TensorLike) -> Tensor:
     """Matrix product following numpy ``@`` semantics (incl. batching)."""
     a, b = ensure_tensor(a), ensure_tensor(b)
@@ -498,6 +523,7 @@ def _fast_einsum(subscripts: str, *arrays) -> np.ndarray:
     return np.einsum(subscripts, *arrays, optimize=plan)
 
 
+@differentiable
 def einsum(subscripts: str, *operands: TensorLike) -> Tensor:
     """Differentiable ``numpy.einsum`` with explicit output subscripts.
 
@@ -537,6 +563,7 @@ def einsum(subscripts: str, *operands: TensorLike) -> Tensor:
 # ----------------------------------------------------------------------
 # Shape manipulation
 # ----------------------------------------------------------------------
+@differentiable
 def reshape(a: TensorLike, shape: Tuple[int, ...]) -> Tensor:
     a = ensure_tensor(a)
     out = a.data.reshape(shape)
@@ -545,6 +572,7 @@ def reshape(a: TensorLike, shape: Tuple[int, ...]) -> Tensor:
     )
 
 
+@differentiable
 def transpose(a: TensorLike, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
     a = ensure_tensor(a)
     out = a.data.transpose(axes)
@@ -557,6 +585,7 @@ def transpose(a: TensorLike, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
     )
 
 
+@differentiable
 def concat(tensors: Sequence[TensorLike], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis``."""
     ts = [ensure_tensor(t) for t in tensors]
@@ -578,6 +607,7 @@ def concat(tensors: Sequence[TensorLike], axis: int = 0) -> Tensor:
     return Tensor._make(out, tuple(ts), tuple(backward_fns), "concat")
 
 
+@differentiable
 def stack(tensors: Sequence[TensorLike], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis``."""
     ts = [ensure_tensor(t) for t in tensors]
@@ -645,6 +675,7 @@ def _scatter_index(shape: Tuple[int, ...], idx, g: np.ndarray) -> np.ndarray:
     return grad
 
 
+@differentiable
 def index_select(a: TensorLike, index) -> Tensor:
     """Generic ``a[index]`` with scatter-add backward.
 
@@ -660,6 +691,7 @@ def index_select(a: TensorLike, index) -> Tensor:
     return Tensor._make(np.asarray(out), (a,), (backward,), "index_select")
 
 
+@differentiable
 def gather_rows(table: TensorLike, indices: ArrayLike) -> Tensor:
     """Row lookup ``table[indices]`` for an integer index array.
 
@@ -691,6 +723,7 @@ def gather_rows(table: TensorLike, indices: ArrayLike) -> Tensor:
 embedding_lookup = gather_rows
 
 
+@differentiable
 def l2_norm_squared(tensors: Sequence[Tensor]) -> Tensor:
     """Sum of squared entries across a list of tensors (L2 regularizer)."""
     total: Optional[Tensor] = None
@@ -702,6 +735,7 @@ def l2_norm_squared(tensors: Sequence[Tensor]) -> Tensor:
     return total
 
 
+@differentiable
 def scatter_rows(values: TensorLike, indices: ArrayLike, n_rows: int) -> Tensor:
     """Scatter-add ``(E, d)`` rows into an ``(n_rows, d)`` table.
 
@@ -724,6 +758,7 @@ def scatter_rows(values: TensorLike, indices: ArrayLike, n_rows: int) -> Tensor:
     return Tensor._make(out, (values,), (backward,), "scatter_rows")
 
 
+@differentiable
 def bpr_loss(pos_scores: TensorLike, neg_scores: TensorLike) -> Tensor:
     """Bayesian personalized ranking loss: ``-mean(log σ(ŷ⁺ - ŷ⁻))``.
 
@@ -733,6 +768,7 @@ def bpr_loss(pos_scores: TensorLike, neg_scores: TensorLike) -> Tensor:
     return neg(mean(log_sigmoid(sub(pos_scores, neg_scores))))
 
 
+@differentiable
 def emb_loss(tensors: Sequence[Tensor]) -> Tensor:
     """Embedding L2 over a batch's *gathered rows*: ``Σ_t ½‖t‖² / B``.
 

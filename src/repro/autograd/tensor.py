@@ -8,12 +8,19 @@ maps the output gradient to parent gradients.  Calling
 Gradients are dense numpy arrays with the same shape as their tensor.  All
 floating tensors default to ``float64`` so that numerical gradient checks
 are tight; model code may down-cast inputs if desired.
+
+Observers (:class:`Observer`, :func:`add_observer`) watch three points of
+the engine — :func:`differentiable` op calls, tensor construction, and
+:meth:`Tensor.backward` walks — without patching anything.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+import functools
+import threading
+import time
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +44,77 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
+
+
+# ----------------------------------------------------------------------
+# Observers
+# ----------------------------------------------------------------------
+#: Registered observers, in registration order.  Every hook site tests
+#: this list first, so with no observer a hook costs one truthiness check.
+_observers: List["Observer"] = []
+_observers_lock = threading.Lock()  # registration is check-then-act
+_op_depth = threading.local()
+
+
+class Observer:
+    """Base class of autograd observers; override the hooks you need.
+    Hooks run synchronously on the thread that triggered them."""
+
+    def on_op(self, name: str, t0: float, t1: float, depth: int, out: Any) -> None:
+        """Op ``name`` returned ``out``; ``t0``/``t1`` are ``perf_counter``
+        stamps, ``depth`` counts enclosing op calls on this thread."""
+
+    def on_tensor(self, tensor: "Tensor", op: str) -> None:
+        """``tensor`` was built by op ``op`` (``"leaf"`` if constructed directly)."""
+
+    def on_backward(self, t0: float, t1: float) -> None:
+        """A :meth:`Tensor.backward` walk ran from ``t0`` to ``t1``."""
+
+
+def add_observer(observer: Observer) -> None:
+    """Register ``observer``; registering one twice raises ``RuntimeError``."""
+    with _observers_lock:
+        if observer in _observers:
+            raise RuntimeError(f"{type(observer).__name__} is already observing autograd")
+        _observers.append(observer)
+
+
+def remove_observer(observer: Observer) -> None:
+    """Unregister ``observer`` (a no-op if it is not registered)."""
+    with _observers_lock:
+        if observer in _observers:
+            _observers.remove(observer)
+
+
+def differentiable(fn: Optional[Callable] = None, *, name: Optional[str] = None):
+    """Declare ``fn`` a differentiable op, reported to observers as ``name``
+    (default: the function's own name).  Use bare or as
+    ``@differentiable(name="label")``."""
+    if fn is None:
+        return functools.partial(differentiable, name=name)
+    label = name or fn.__name__
+
+    @functools.wraps(fn)
+    def op(*args, **kwargs):
+        if not _observers:
+            return fn(*args, **kwargs)
+        return _observed_call(label, fn, args, kwargs)
+
+    return op
+
+
+def _observed_call(name: str, fn: Callable, args: tuple, kwargs: dict) -> Any:
+    depth = getattr(_op_depth, "depth", 0)
+    _op_depth.depth = depth + 1
+    t0 = time.perf_counter()
+    try:
+        out = fn(*args, **kwargs)
+    finally:
+        _op_depth.depth = depth
+    t1 = time.perf_counter()
+    for observer in tuple(_observers):
+        observer.on_op(name, t0, t1, depth, out)
+    return out
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -90,20 +168,21 @@ class Tensor:
         "_sparse_touched",
         "_saw_dense_grad",
         "_refresh_hook",
-        # Weak referenceability is required by the allocation tracker
-        # (`repro.obs.memory` registers a weakref.finalize per tensor to
-        # observe buffer release); costs one pointer per instance.
+        # Weak referenceability lets observers watch buffer release
+        # (`repro.obs.memory` registers a weakref.finalize per tensor it
+        # sees constructed); costs one pointer per instance.
         "__weakref__",
     )
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False):
+    def __init__(self, data: ArrayLike, requires_grad: bool = False, _op: str = "leaf"):
         self.data: np.ndarray = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad) and is_grad_enabled()
         self._parents: Tuple[Tensor, ...] = ()
         self._backward_fns: Tuple[Optional[Callable[[np.ndarray], np.ndarray]], ...] = ()
-        self._op: str = "leaf"
+        #: Name of the op that produced this tensor (``"leaf"`` if direct).
+        self._op: str = _op
         #: When a sparse optimizer manages this tensor it sets this to a
         #: list; ``gather_rows`` backward appends the index array of every
         #: row-gather contribution (``None`` disables the bookkeeping).
@@ -116,6 +195,9 @@ class Tensor:
         #: ``gather_rows`` calls it before reading so deferred row updates
         #: are applied before the rows are observed.
         self._refresh_hook: Optional[Callable[[np.ndarray], None]] = None
+        if _observers:
+            for observer in tuple(_observers):
+                observer.on_tensor(self, _op)
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -129,11 +211,10 @@ class Tensor:
     ) -> "Tensor":
         """Build a non-leaf tensor recording its parents on the tape."""
         track = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=track)
+        out = Tensor(data, requires_grad=track, _op=op)
         if track:
             out._parents = tuple(parents)
             out._backward_fns = tuple(backward_fns)
-            out._op = op
         return out
 
     # ------------------------------------------------------------------
@@ -196,6 +277,17 @@ class Tensor:
             Seed gradient.  Defaults to 1 for scalar tensors; required for
             non-scalar outputs.
         """
+        if not _observers:
+            return self._walk(grad)
+        t0 = time.perf_counter()
+        try:
+            self._walk(grad)
+        finally:
+            t1 = time.perf_counter()
+            for observer in tuple(_observers):
+                observer.on_backward(t0, t1)
+
+    def _walk(self, grad: Optional[ArrayLike]) -> None:
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
         if grad is None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.autograd import init, ops
 from repro.autograd.nn import Module, Parameter
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, differentiable
 
 
 def _uniform_weights(mask: np.ndarray) -> np.ndarray:
@@ -64,6 +64,7 @@ def _scratch(name: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return buf
 
 
+@differentiable(name="relation_scores")
 def _guided_relation_scores(
     head_source: Tensor,
     guidance: Optional[Tensor],
@@ -178,6 +179,7 @@ def _guided_relation_scores(
     return Tensor._make(out, tuple(parents), tuple(backwards), "relation_scores")
 
 
+@differentiable(name="collab_scores")
 def _collab_scores(center: Tensor, relation_matrix: Tensor, neighbors: Tensor) -> Tensor:
     """Fused ``π[b,h,k] = Σ_de center[b,d] M^h[d,e] neighbors[b,k,e]``.
 

@@ -12,7 +12,9 @@ Pillars, shared by training, evaluation, benchmarking, and serving
   (:func:`profile`), surfaced as ``repro profile`` on the CLI;
 * :mod:`repro.obs.memory` — tensor allocation tracker
   (:class:`MemoryTracker`): live/peak bytes, per-op attribution,
-  epoch-boundary leak detection (``TrainerConfig.track_memory``);
+  epoch-boundary leak detection (``TrainerConfig.track_memory``); it and
+  the profiler are autograd observers (:class:`repro.autograd.Observer`),
+  registered for the length of a ``with`` block (both nest);
 * :mod:`repro.obs.timeline` — Chrome trace-event export of a JSONL trace
   (:func:`build_timeline`; ``repro obs timeline``, opens in Perfetto);
 * :mod:`repro.obs.hooks` — CG-KGR guidance-attention capture

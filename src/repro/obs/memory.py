@@ -1,18 +1,17 @@
 """Tensor allocation tracking: live bytes, watermarks, leak detection.
 
-numpy has no allocator hooks, so :class:`MemoryTracker` instruments the
-one place every array the training stack owns passes through:
-:class:`~repro.autograd.tensor.Tensor` construction.  While active it
+numpy has no allocator hooks, so :class:`MemoryTracker` watches the one
+place every array the training stack owns passes through:
+:class:`~repro.autograd.tensor.Tensor` construction, which autograd
+reports to its registered observers.  While active it
 
-* patches ``Tensor.__init__`` to add each tensor's ``data.nbytes`` to a
-  live-byte counter and register a :func:`weakref.finalize` that
-  subtracts them again when the buffer is released (for tape tensors
-  that is when ``backward()``'s topological sweep drops the last
-  reference — so live bytes track the autograd tape, not just Python
-  garbage);
-* patches ``Tensor._make`` to attribute every allocation to the op that
-  produced it (``matmul``, ``einsum``, ...; direct constructions count
-  as ``leaf``);
+* adds each new tensor's ``data.nbytes`` to a live-byte counter and
+  registers a :func:`weakref.finalize` that subtracts them again when the
+  buffer is released (for tape tensors that is when ``backward()``'s
+  topological sweep drops the last reference — so live bytes track the
+  autograd tape, not just Python garbage);
+* attributes every allocation to the op that produced it (``matmul``,
+  ``einsum``, ...; direct constructions count as ``leaf``);
 * maintains per-phase watermarks via :meth:`phase` and an epoch-boundary
   ledger via :meth:`begin_epoch`/:meth:`epoch_boundary` — a tensor that
   was born in a previous epoch and is still alive at an epoch boundary
@@ -23,8 +22,7 @@ one place every array the training stack owns passes through:
   plus at phase/epoch boundaries, which ``repro obs timeline`` renders
   as a Chrome counter track.
 
-Exactly one tracker may be active per process (same rationale as the
-profiler: stacked patches corrupt each other's originals).  Usage::
+Trackers nest: each active one sees every construction.  Usage::
 
     tracker = MemoryTracker(tracer=tracer)
     tracker.register_persistent(model.parameters())
@@ -43,18 +41,10 @@ import time
 import weakref
 from typing import Any, Dict, List, Optional
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Observer, Tensor, add_observer, remove_observer
 from repro.obs.events import NULL_TRACER
 
-__all__ = ["MemoryTracker", "track_memory", "active_tracker"]
-
-_ACTIVE_LOCK = threading.Lock()
-_ACTIVE_TRACKER: Optional["MemoryTracker"] = None
-
-
-def active_tracker() -> Optional["MemoryTracker"]:
-    """The tracker currently patching Tensor construction, if any."""
-    return _ACTIVE_TRACKER
+__all__ = ["MemoryTracker", "track_memory"]
 
 
 class _PhaseFrame:
@@ -84,7 +74,7 @@ class _Phase:
         return False
 
 
-class MemoryTracker:
+class MemoryTracker(Observer):
     """Track live/peak tensor bytes with per-op and per-phase attribution."""
 
     def __init__(self, tracer: Any = None, counter_every: int = 200):
@@ -102,10 +92,9 @@ class MemoryTracker:
         #: one entry per :meth:`epoch_boundary` call.
         self.epoch_log: List[Dict[str, Any]] = []
         # RLock: a cyclic-GC pass can run a tensor's finalize callback at
-        # an allocation point *inside* _on_alloc's critical section on the
+        # an allocation point *inside* on_tensor's critical section on the
         # same thread; a plain Lock would deadlock there.
         self._lock = threading.RLock()
-        self._local = threading.local()
         self._phase_stack: List[_PhaseFrame] = []
         self._seq = 0
         self._epoch = 0
@@ -113,59 +102,22 @@ class MemoryTracker:
         self._live: Dict[int, tuple] = {}
         self._id2seq: Dict[int, int] = {}
         self._persistent: set = set()
-        self._persistent_ids: set = set()
-        self._orig_init: Optional[Any] = None
-        self._orig_make: Optional[Any] = None
         self._started = False
 
     # ------------------------------------------------------------------
-    # Patching
+    # Observer registration
     # ------------------------------------------------------------------
     def start(self) -> "MemoryTracker":
-        global _ACTIVE_TRACKER
-        with _ACTIVE_LOCK:
-            if _ACTIVE_TRACKER is not None:
-                raise RuntimeError(
-                    "memory tracker already active in this process; nesting "
-                    "would double-patch Tensor construction"
-                )
-            _ACTIVE_TRACKER = self
-        tracker = self
-        orig_init = Tensor.__init__
-        orig_make = Tensor._make
-        self._orig_init = orig_init
-        self._orig_make = orig_make
-
-        def tracked_init(tensor, data, requires_grad=False):
-            orig_init(tensor, data, requires_grad)
-            tracker._on_alloc(tensor)
-
-        def tracked_make(data, parents, backward_fns, op):
-            # Attribution flows through a thread-local: the Tensor() call
-            # inside the original _make lands in tracked_init above, which
-            # reads the op currently being constructed.
-            tracker._local.op = op
-            try:
-                return orig_make(data, parents, backward_fns, op)
-            finally:
-                tracker._local.op = None
-
-        Tensor.__init__ = tracked_init
-        Tensor._make = staticmethod(tracked_make)
+        add_observer(self)  # raises if this tracker is already started
         self._started = True
         self._sample_counter()
         return self
 
     def stop(self) -> None:
-        global _ACTIVE_TRACKER
         if not self._started:
             return
-        Tensor.__init__ = self._orig_init
-        Tensor._make = staticmethod(self._orig_make)
+        remove_observer(self)
         self._started = False
-        with _ACTIVE_LOCK:
-            if _ACTIVE_TRACKER is self:
-                _ACTIVE_TRACKER = None
         self._sample_counter()
         if self.tracer.enabled:
             self.tracer.event("memory_summary", **self.summary())
@@ -179,9 +131,8 @@ class MemoryTracker:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def _on_alloc(self, tensor: Tensor) -> None:
+    def on_tensor(self, tensor: Tensor, op: str) -> None:
         nbytes = int(tensor.data.nbytes)
-        op = getattr(self._local, "op", None) or "leaf"
         with self._lock:
             self._seq += 1
             seq = self._seq
@@ -261,7 +212,6 @@ class MemoryTracker:
                 seq = self._id2seq.get(id(t))
                 if seq is not None:
                     self._persistent.add(seq)
-                self._persistent_ids.add(id(t))
 
     def begin_epoch(self, epoch: int) -> None:
         """Mark tensors allocated from here on as born in ``epoch``."""

@@ -1,10 +1,11 @@
 """Autograd profiler: per-op forward/backward timing and memory.
 
-:func:`profile` patches every differentiable op in
-:mod:`repro.autograd.ops` with a timing wrapper for the duration of a
-``with`` block.  Model code reaches ops through dynamic module-attribute
-lookup (``ops.matmul(...)``), so no call sites change.  For each op the
-profiler records:
+:func:`profile` registers a :class:`~repro.autograd.tensor.Observer` for
+the duration of a ``with`` block.  Every differentiable op — the
+functions in :mod:`repro.autograd.ops` and the fused attention kernels,
+all declared with :func:`~repro.autograd.tensor.differentiable` — reports
+its calls to it, so no call sites change.  For each op the profiler
+records:
 
 * forward call count and exclusive wall time (nested op calls — e.g.
   ``l2_norm_squared`` calling ``sum`` — are attributed to the outermost
@@ -13,11 +14,12 @@ profiler records:
   every tensor the op produced inside the block;
 * output bytes (cumulative) and the peak single-output allocation.
 
-``Tensor.backward`` is also patched so the topological-sweep overhead
-(graph walk minus the attributed per-op closure time) appears as its own
-line.  Arbitrary non-op phases (optimizer step, neighbor sampling) can be
-pulled into the accounting with :meth:`Profiler.section` or by patching a
-callable via :meth:`Profiler.patch`.
+``Tensor.backward`` walks are timed too, so the topological-sweep
+overhead (graph walk minus the attributed per-op closure time) appears as
+its own line.  Arbitrary non-op phases (optimizer step, neighbor
+sampling) can be pulled into the accounting with :meth:`Profiler.section`
+or by patching a callable via :meth:`Profiler.patch`.  Profilers nest:
+each active one records every op.
 
     with profile() as prof:
         loss = model.loss(u, i, j)
@@ -28,33 +30,12 @@ callable via :meth:`Profiler.patch`.
 
 from __future__ import annotations
 
-import importlib
-import inspect
 import time
-import threading
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.autograd import ops as _ops_module
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Observer, Tensor, add_observer, remove_observer
 
-__all__ = ["Profiler", "ProfileReport", "profile", "active_profiler"]
-
-#: Differentiable ops that live outside :mod:`repro.autograd.ops` (fused
-#: model kernels); patched alongside the ops module so their forward and
-#: tape-closure time lands in the per-op table instead of the
-#: ``[backward overhead]`` line.  (module path, attribute, report label)
-_EXTRA_OPS = (
-    ("repro.core.attention", "_guided_relation_scores", "relation_scores"),
-    ("repro.core.attention", "_collab_scores", "collab_scores"),
-)
-
-# Exactly one profiler may patch the ops module at a time, process-wide.
-# Two live instances would wrap each other's wrappers: the inner one's
-# depth guard hides every call from the outer, and on exit the outer
-# restores *wrapped* functions as "originals", corrupting attribution for
-# the rest of the process.
-_ACTIVE_LOCK = threading.Lock()
-_ACTIVE_PROFILER: Optional["Profiler"] = None
+__all__ = ["Profiler", "ProfileReport", "profile"]
 
 
 class _OpStat:
@@ -69,7 +50,7 @@ class _OpStat:
         self.peak_bytes = 0
 
 
-class Profiler:
+class Profiler(Observer):
     """Collects op/section timings between ``__enter__`` and ``__exit__``."""
 
     def __init__(self, tracer: Any = None):
@@ -78,19 +59,17 @@ class Profiler:
         self.backward_walk_time = 0.0
         self.backward_calls = 0
         self.wall_time = 0.0
-        self._local = threading.local()
-        self._saved_ops: Dict[str, Callable] = {}
-        self._saved_extra: List[tuple] = []
-        self._saved_patches: List[tuple] = []
-        self._saved_backward: Optional[Callable] = None
+        self._patches: List[tuple] = []
         self._t0 = 0.0
-        self._active = False
         # Optional event sink: when set (and enabled), every outermost op
         # call, backward walk, and section additionally emits a timestamped
         # `complete` interval, so `repro obs timeline` can place individual
         # slices instead of only accumulated totals.
         self._tracer = tracer
         self._emit_events = bool(tracer is not None and getattr(tracer, "enabled", False))
+        # time.time() - time.perf_counter(): turns the observer hooks'
+        # perf_counter stamps into the wall-clock starts events carry.
+        self._wall_offset = 0.0
 
     # ------------------------------------------------------------------
     # Recording
@@ -101,12 +80,19 @@ class Profiler:
             stat = self.op_stats[name] = _OpStat()
         return stat
 
-    def _record_section(self, name: str, seconds: float) -> None:
+    def _record_section(self, name: str, t0: float, t1: float) -> None:
         entry = self.sections.get(name)
         if entry is None:
             entry = self.sections[name] = [0, 0.0]
         entry[0] += 1
-        entry[1] += seconds
+        entry[1] += t1 - t0
+        if self._emit_events:
+            self._emit(name, t0, t1, "section")
+
+    def _emit(self, name: str, t0: float, t1: float, cat: str, **attrs: Any) -> None:
+        self._tracer.complete(
+            name, dur=t1 - t0, t0=t0 + self._wall_offset, cat=cat, **attrs
+        )
 
     def section(self, name: str):
         """Context manager adding a named non-op phase to the accounting."""
@@ -119,24 +105,20 @@ class Profiler:
 
         def wrapped(*args, **kwargs):
             t0 = time.perf_counter()
-            w0 = time.time() if self._emit_events else 0.0
             try:
                 return original(*args, **kwargs)
             finally:
-                elapsed = time.perf_counter() - t0
-                self._record_section(label, elapsed)
-                if self._emit_events:
-                    self._tracer.complete(label, dur=elapsed, t0=w0, cat="section")
+                self._record_section(label, t0, time.perf_counter())
 
         # Remember whether the attr lived on the object itself (vs its
         # class), so restore removes the shadow instead of pinning a
         # bound method onto the instance.
         shadowed = attr in getattr(owner, "__dict__", {})
-        self._saved_patches.append((owner, attr, original, shadowed))
+        self._patches.append((owner, attr, original, shadowed))
         setattr(owner, attr, wrapped)
 
     # ------------------------------------------------------------------
-    # Op instrumentation
+    # Observer hooks
     # ------------------------------------------------------------------
     def _wrap_backward(self, name: str, fn: Optional[Callable]) -> Optional[Callable]:
         if fn is None:
@@ -144,128 +126,58 @@ class Profiler:
 
         def wrapped(grad):
             t0 = time.perf_counter()
-            w0 = time.time() if self._emit_events else 0.0
             try:
                 return fn(grad)
             finally:
-                elapsed = time.perf_counter() - t0
+                t1 = time.perf_counter()
                 stat = self._stat(name)
                 stat.calls_bwd += 1
-                stat.time_bwd += elapsed
+                stat.time_bwd += t1 - t0
                 if self._emit_events:
-                    self._tracer.complete(name, dur=elapsed, t0=w0, cat="op", phase="bwd")
+                    self._emit(name, t0, t1, "op", phase="bwd")
 
         return wrapped
 
-    def _wrap_op(self, fn: Callable, name: Optional[str] = None) -> Callable:
-        name = name or fn.__name__
-        local = self._local
+    def on_op(self, name: str, t0: float, t1: float, depth: int, out: Any) -> None:
+        if depth:  # nested op: the outermost call owns its time
+            return
+        stat = self._stat(name)
+        stat.calls += 1
+        stat.time_fwd += t1 - t0
+        if self._emit_events:
+            self._emit(name, t0, t1, "op", phase="fwd")
+        if isinstance(out, Tensor):
+            nbytes = out.data.nbytes
+            stat.bytes_out += nbytes
+            if nbytes > stat.peak_bytes:
+                stat.peak_bytes = nbytes
+            if out._backward_fns:
+                out._backward_fns = tuple(
+                    self._wrap_backward(name, bwd) for bwd in out._backward_fns
+                )
 
-        def wrapped(*args, **kwargs):
-            if getattr(local, "depth", 0) > 0:  # nested op: outermost owns it
-                return fn(*args, **kwargs)
-            local.depth = 1
-            t0 = time.perf_counter()
-            w0 = time.time() if self._emit_events else 0.0
-            try:
-                out = fn(*args, **kwargs)
-            finally:
-                local.depth = 0
-                elapsed = time.perf_counter() - t0
-            stat = self._stat(name)
-            stat.calls += 1
-            stat.time_fwd += elapsed
-            if self._emit_events:
-                self._tracer.complete(name, dur=elapsed, t0=w0, cat="op", phase="fwd")
-            if isinstance(out, Tensor):
-                nbytes = out.data.nbytes
-                stat.bytes_out += nbytes
-                if nbytes > stat.peak_bytes:
-                    stat.peak_bytes = nbytes
-                if out._backward_fns:
-                    out._backward_fns = tuple(
-                        self._wrap_backward(name, bwd) for bwd in out._backward_fns
-                    )
-            return out
-
-        wrapped.__name__ = name
-        return wrapped
-
-    def _op_names(self) -> List[str]:
-        return [
-            attr
-            for attr, value in vars(_ops_module).items()
-            if not attr.startswith("_")
-            and inspect.isfunction(value)
-            and value.__module__ == _ops_module.__name__
-        ]
+    def on_backward(self, t0: float, t1: float) -> None:
+        self.backward_walk_time += t1 - t0
+        self.backward_calls += 1
+        if self._emit_events:
+            self._emit("backward_walk", t0, t1, "backward")
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Profiler":
-        global _ACTIVE_PROFILER
-        if self._active:
-            raise RuntimeError("profiler is not reentrant")
-        with _ACTIVE_LOCK:
-            if _ACTIVE_PROFILER is not None:
-                raise RuntimeError(
-                    "profiler is not reentrant: another profile() is already "
-                    "active in this process; nesting would double-patch "
-                    "autograd.ops and corrupt attribution"
-                )
-            _ACTIVE_PROFILER = self
-        self._active = True
-        for attr in self._op_names():
-            original = getattr(_ops_module, attr)
-            self._saved_ops[attr] = original
-            setattr(_ops_module, attr, self._wrap_op(original))
-        for module_name, attr, label in _EXTRA_OPS:
-            module = importlib.import_module(module_name)
-            original = getattr(module, attr)
-            self._saved_extra.append((module, attr, original))
-            setattr(module, attr, self._wrap_op(original, label))
-
-        profiler = self
-        original_backward = Tensor.backward
-        self._saved_backward = original_backward
-
-        def traced_backward(tensor, grad=None):
-            t0 = time.perf_counter()
-            w0 = time.time() if profiler._emit_events else 0.0
-            try:
-                return original_backward(tensor, grad)
-            finally:
-                elapsed = time.perf_counter() - t0
-                profiler.backward_walk_time += elapsed
-                profiler.backward_calls += 1
-                if profiler._emit_events:
-                    profiler._tracer.complete(
-                        "backward_walk", dur=elapsed, t0=w0, cat="backward"
-                    )
-
-        Tensor.backward = traced_backward
+        add_observer(self)  # raises if this profiler is already active
+        self._wall_offset = time.time() - time.perf_counter()
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE_PROFILER
         self.wall_time = time.perf_counter() - self._t0
-        for attr, original in self._saved_ops.items():
-            setattr(_ops_module, attr, original)
-        self._saved_ops.clear()
-        for module, attr, original in self._saved_extra:
-            setattr(module, attr, original)
-        self._saved_extra.clear()
-        Tensor.backward = self._saved_backward
-        for owner, attr, original, shadowed in reversed(self._saved_patches):
+        remove_observer(self)
+        for owner, attr, original, shadowed in reversed(self._patches):
             if shadowed:
                 setattr(owner, attr, original)
             else:
                 delattr(owner, attr)
-        self._saved_patches.clear()
-        self._active = False
-        with _ACTIVE_LOCK:
-            if _ACTIVE_PROFILER is self:
-                _ACTIVE_PROFILER = None
+        self._patches.clear()
 
     # ------------------------------------------------------------------
     def report(self, wall_time: Optional[float] = None) -> "ProfileReport":
@@ -274,7 +186,7 @@ class Profiler:
 
 
 class _Section:
-    __slots__ = ("_profiler", "_name", "_t0", "_w0")
+    __slots__ = ("_profiler", "_name", "_t0")
 
     def __init__(self, profiler: Profiler, name: str):
         self._profiler = profiler
@@ -282,16 +194,10 @@ class _Section:
 
     def __enter__(self) -> "_Section":
         self._t0 = time.perf_counter()
-        self._w0 = time.time() if self._profiler._emit_events else 0.0
         return self
 
     def __exit__(self, *exc) -> None:
-        elapsed = time.perf_counter() - self._t0
-        self._profiler._record_section(self._name, elapsed)
-        if self._profiler._emit_events:
-            self._profiler._tracer.complete(
-                self._name, dur=elapsed, t0=self._w0, cat="section"
-            )
+        self._profiler._record_section(self._name, self._t0, time.perf_counter())
 
 
 class ProfileReport:
@@ -414,19 +320,13 @@ class ProfileReport:
         }
 
 
-def active_profiler() -> Optional[Profiler]:
-    """The profiler currently patching the ops module, if any."""
-    return _ACTIVE_PROFILER
-
-
 def profile(tracer: Any = None) -> Profiler:
     """``with profile() as prof: ...`` — see the module docstring.
 
     Passing an enabled :class:`~repro.obs.events.Tracer` (or any object
     with its ``complete()`` surface) additionally emits a timestamped
     ``complete`` interval per outermost op / backward walk / section, for
-    timeline export.  At most one profiler may be active per process;
-    nesting raises ``RuntimeError`` instead of silently double-patching
-    the ops module.
+    timeline export.  Profilers nest; re-entering the same one raises
+    ``RuntimeError``.
     """
     return Profiler(tracer=tracer)

@@ -104,15 +104,23 @@ def dataset_fingerprint(dataset) -> Dict[str, Any]:
 
 
 def capture_env() -> Dict[str, Any]:
-    """Reproducibility-relevant environment: REPRO_* knobs + versions."""
+    """Reproducibility-relevant environment: REPRO_* knobs, versions, and
+    the host's CPU and BLAS-thread fingerprint (unset thread vars are None)."""
     import numpy
 
     knobs = {k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")}
+    affinity = getattr(os, "sched_getaffinity", None)
     return {
         "repro_env": knobs,
         "numpy": numpy.__version__,
         "python": platform.python_version(),
         "platform": sys.platform,
+        "cpu_count": os.cpu_count(),
+        "usable_cpus": len(affinity(0)) if affinity else os.cpu_count(),
+        "threads": {
+            name: os.environ.get(name)
+            for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        },
     }
 
 

@@ -3,13 +3,17 @@ autograd profiling, attention capture, and the trainer wiring."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.autograd import ops
+from repro.autograd import tensor as tensor_mod
 from repro.autograd.tensor import Tensor
 from repro.core import CGKGR
 from repro.core.config import CGKGRConfig
@@ -23,6 +27,7 @@ from repro.obs import (
     default_tracer,
     profile,
     set_default_tracer,
+    track_memory,
 )
 from repro.training import Trainer, TrainerConfig
 
@@ -284,12 +289,18 @@ class TestProfiler:
         assert "sum" not in prof.op_stats
 
     def test_ops_and_backward_restored_after_exit(self):
+        # The profiler observes through autograd's observer list: it is
+        # registered while active, and nothing it touched is replaced.
         original_add = ops.add
         original_backward = Tensor.backward
-        with profile():
-            assert ops.add is not original_add
+        with profile() as prof:
+            assert tensor_mod._observers == [prof]
+            assert ops.add is original_add
+            assert Tensor.backward is original_backward
+        assert tensor_mod._observers == []
         assert ops.add is original_add
         assert Tensor.backward is original_backward
+        assert ops.add.__module__ == "repro.autograd.ops"
 
     def test_patch_section_and_instance_restore(self):
         class Thing:
@@ -343,18 +354,105 @@ class TestProfiler:
             with pytest.raises(RuntimeError):
                 prof.__enter__()
 
-    def test_not_reentrant_across_instances(self):
-        # A *different* Profiler would wrap the first one's wrappers and
-        # then restore the wrapped functions as "originals" — refuse it.
-        with profile():
-            with pytest.raises(RuntimeError, match="not reentrant"):
-                profile().__enter__()
-        # The guard releases on exit: profiling works again, and the op
-        # table is restored to the raw functions.
-        with profile() as prof:
-            a = Tensor(np.ones((2, 2)))
+    def test_nested_profilers_each_count_every_op(self):
+        a = Tensor(np.ones((3, 3)), requires_grad=True)
+        with profile() as outer:
             ops.add(a, a)
+            with profile() as inner:
+                ops.sum(ops.matmul(a, a)).backward()
+                ops.l2_norm_squared([a])  # nested mul/sum stay hidden
+            # The inner exit leaves the outer one recording.
+            assert tensor_mod._observers == [outer]
+            ops.add(a, a)
+        for prof in (outer, inner):
+            assert prof.op_stats["matmul"].calls == 1
+            assert prof.op_stats["matmul"].calls_bwd == 2
+            assert prof.op_stats["sum"].calls == 1
+            assert prof.op_stats["sum"].calls_bwd == 1
+            assert prof.op_stats["l2_norm_squared"].calls == 1
+            assert "mul" not in prof.op_stats
+            assert prof.backward_calls == 1
+        assert outer.op_stats["add"].calls == 2
+        assert "add" not in inner.op_stats
+
+    def test_exception_leaves_no_observer(self):
+        a = Tensor(np.ones(2))
+        with pytest.raises(ValueError, match="boom"):
+            with profile() as prof:
+                with pytest.raises(TypeError):
+                    ops.gather_rows(a, np.array([0.5]))  # raises inside an op
+                ops.add(a, a)  # depth was restored: still an outermost call
+                raise ValueError("boom")
+        assert tensor_mod._observers == []
         assert prof.op_stats["add"].calls == 1
+        ops.add(a, a)
+        Tensor(np.ones(2), requires_grad=True).sum().backward()
+        assert prof.op_stats["add"].calls == 1
+        assert "sum" not in prof.op_stats
+        assert prof.backward_calls == 0
+
+    def test_concurrent_profilers_register_and_unregister(self):
+        # Many threads entering and leaving profilers at once: the shared
+        # observer list ends empty, and each profiler saw its own thread's
+        # op while it was registered.
+        a = Tensor(np.ones(2))
+        seen, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(50):
+                    with profile() as prof:
+                        ops.add(a, a)
+                    seen.append(prof.op_stats["add"].calls)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(seen) == 8 * 50 and min(seen) >= 1
+        assert tensor_mod._observers == []
+
+    def test_profiler_and_tracker_together_match_each_alone(self, tiny_dataset):
+        def cgkgr_step(*observers):
+            cfg = CGKGRConfig(dim=8, depth=2, n_heads=2, kg_sample_size=3)
+            model = CGKGR(tiny_dataset, cfg, seed=0)
+            users = tiny_dataset.train.users[:16]
+            items = tiny_dataset.train.items[:16]
+            with contextlib.ExitStack() as stack:
+                for observer in observers:
+                    stack.enter_context(observer)
+                model.loss(users, items, items).backward()
+
+        def op_table(prof):
+            return {
+                name: (stat.calls, stat.calls_bwd, stat.bytes_out)
+                for name, stat in prof.op_stats.items()
+            }
+
+        def alloc_table(mem):
+            summary = mem.summary()
+            return summary["by_op"], summary["n_allocs"]
+
+        prof_alone, mem_alone = profile(), track_memory()
+        cgkgr_step(prof_alone)
+        cgkgr_step(mem_alone)
+        assert "relation_scores" in op_table(prof_alone)
+        assert "collab_scores" in alloc_table(mem_alone)[0]
+        for order in ((0, 1), (1, 0)):
+            pair = (profile(), track_memory())
+            cgkgr_step(*(pair[i] for i in order))
+            assert op_table(pair[0]) == op_table(prof_alone)
+            assert alloc_table(pair[1]) == alloc_table(mem_alone)
 
     def test_emits_complete_events_through_tracer(self):
         tracer = Tracer()

@@ -4,6 +4,7 @@ sentinel / health / report) and its Trainer, CLI, and run_all wiring."""
 from __future__ import annotations
 
 import json
+import os
 import sys
 import types
 from pathlib import Path
@@ -135,9 +136,22 @@ class TestRunStore:
 
     def test_capture_env_records_repro_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_SEEDS", "7")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         env = capture_env()
         assert env["repro_env"]["REPRO_SEEDS"] == "7"
         assert env["numpy"] == np.__version__
+        # Host fingerprint: CPU counts and the BLAS thread knobs.
+        assert env["cpu_count"] == os.cpu_count()
+        assert 1 <= env["usable_cpus"] <= env["cpu_count"]
+        if hasattr(os, "sched_getaffinity"):
+            assert env["usable_cpus"] == len(os.sched_getaffinity(0))
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        assert set(env["threads"]) == {
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
+        }
+        json.dumps(env)  # stored verbatim in run records
 
     def test_distill_trace_from_jsonl(self, tmp_path):
         path = tmp_path / "trace.jsonl"

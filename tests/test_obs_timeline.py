@@ -13,13 +13,13 @@ import pytest
 
 import repro.training.trainer as trainer_mod
 from repro.autograd import ops
+from repro.autograd import tensor as tensor_mod
 from repro.autograd.tensor import Tensor
 from repro.core import CGKGR
 from repro.core.config import CGKGRConfig
 from repro.obs import (
     HealthConfig,
     HealthMonitor,
-    MemoryTracker,
     Tracer,
     build_timeline,
     epoch_anatomy,
@@ -259,19 +259,46 @@ class TestMemoryTracker:
         assert counters[-1]["attrs"]["peak_bytes"] > 0
         assert any(e["name"] == "memory_summary" for e in tracer.events)
 
-    def test_single_active_tracker_per_process(self):
-        with track_memory():
-            with pytest.raises(RuntimeError, match="already active"):
-                MemoryTracker().start()
-        # Released on exit: a fresh tracker starts fine.
-        with track_memory():
-            pass
+    def test_nested_trackers_both_record(self):
+        with track_memory() as outer:
+            Tensor(np.zeros(8))
+            with track_memory() as inner:
+                # Same-instance re-entry still raises.
+                with pytest.raises(RuntimeError, match="already observing"):
+                    inner.start()
+                ops.matmul(Tensor(np.ones((4, 4))), Tensor(np.ones((4, 4))))
+            assert tensor_mod._observers == [outer]
+            Tensor(np.zeros(8))
+        assert inner.summary()["by_op"] == {
+            "leaf": {"count": 2, "bytes": 256},
+            "matmul": {"count": 1, "bytes": 128},
+        }
+        assert outer.summary()["by_op"] == {
+            "leaf": {"count": 4, "bytes": 384},
+            "matmul": {"count": 1, "bytes": 128},
+        }
 
     def test_tensor_construction_restored_after_stop(self):
-        original_init = Tensor.__init__
-        with track_memory():
-            assert Tensor.__init__ is not original_init
+        # The tracker observes through autograd's observer list: it is
+        # registered while active, and Tensor construction is never replaced.
+        original_init, original_make = Tensor.__init__, Tensor._make
+        with track_memory() as mem:
+            assert tensor_mod._observers == [mem]
+            assert Tensor.__init__ is original_init
+            assert Tensor._make is original_make
+        assert tensor_mod._observers == []
         assert Tensor.__init__ is original_init
+        assert Tensor._make is original_make
+
+    def test_exception_leaves_no_observer(self):
+        with pytest.raises(ValueError, match="boom"):
+            with track_memory() as mem:
+                Tensor(np.zeros(8))
+                raise ValueError("boom")
+        assert tensor_mod._observers == []
+        n_allocs = mem.summary()["n_allocs"]
+        ops.add(Tensor(np.zeros(8)), Tensor(np.zeros(8)))
+        assert mem.summary()["n_allocs"] == n_allocs == 1
 
 
 # ----------------------------------------------------------------------

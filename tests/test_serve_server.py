@@ -180,19 +180,34 @@ class TestRequestTracing:
         assert body["request_id"]
 
     def test_debug_slow_returns_span_trees(self, served_checkpoint):
-        base, _ = served_checkpoint
-        for user in (0, 1, 2):
-            _get(base + f"/recommend?user={user}&k=3")
-        status, payload = _get(base + "/debug/slow")
+        # Its own server over the module's engine: traces left by earlier
+        # tests (e.g. a 404 /recommend) cannot rank among the slowest.
+        _, engine = served_checkpoint
+        server = create_server(engine, port=0, micro_batch=8, max_wait_ms=1.0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            base = f"http://127.0.0.1:{server.port}"
+            own_ids = {
+                _get(base + f"/recommend?user={user}&k=3")[1]["request_id"]
+                for user in (0, 1, 2)
+            }
+            status, payload = _get(base + "/debug/slow")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
         assert status == 200
         assert payload["count"] >= 3
         assert payload["count"] == len(payload["slowest"])
         durations = [t["dur_ms"] for t in payload["slowest"]]
         assert durations == sorted(durations, reverse=True)
-        # At least one retained trace is a /recommend with nested spans.
+        # At least one retained trace is one of this test's /recommend
+        # requests, with nested spans.
         recommends = [
             t for t in payload["slowest"]
             if t["path"] == "/recommend" and t["spans"]
+            and t["request_id"] in own_ids
         ]
         assert recommends
         trace = recommends[0]
