@@ -23,13 +23,14 @@ Scale knobs: ``REPRO_ANN_SCALES`` (comma list of catalogue sizes),
 ``REPRO_ANN_DIM`` (default 32), ``REPRO_ANN_QUERIES`` (default 64).
 """
 
+import math
 import os
 import time
 
 import numpy as np
 
 from benchmarks import harness
-from repro.obs.metrics import LatencyHistogram
+from repro.obs.metrics import SlidingWindowStats
 from repro.serve import IVFIndex
 from repro.serve.index import topk_from_scores
 from repro.utils import format_table
@@ -74,7 +75,7 @@ def synthetic_reps(n_items: int, n_users: int, dim: int, seed: int = 0):
 
 
 def _p50_ms(answer, queries: np.ndarray) -> float:
-    hist = LatencyHistogram(window=len(queries))
+    hist = SlidingWindowStats(window_s=math.inf, capacity=len(queries))
     for user in queries:
         tick = time.perf_counter()
         answer(int(user))

@@ -17,6 +17,7 @@ target, attained percentile, and error-budget consumption land in
 400), ``REPRO_EPOCHS``.
 """
 
+import math
 import os
 import time
 
@@ -28,7 +29,7 @@ from repro.baselines import BPRMF
 from repro.data import generate_profile
 from repro.eval.ranking import build_mask_table
 from repro.serve import ServingEngine, TopKIndex, topk_from_scores
-from repro.obs.metrics import LatencyHistogram
+from repro.obs.metrics import SlidingWindowStats
 from repro.obs.serving import SLOMonitor, SLOSpec
 from repro.training import Trainer, TrainerConfig
 from repro.utils import format_table
@@ -50,7 +51,7 @@ def _zipf_users(n_users: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _replay(answer, users: np.ndarray) -> dict:
-    hist = LatencyHistogram(window=len(users))
+    hist = SlidingWindowStats(window_s=math.inf, capacity=len(users))
     latencies = []
     start = time.perf_counter()
     for user in users:

@@ -152,12 +152,12 @@ def cmd_prep(args) -> int:
     return 0
 
 
-def _make_tracer(args):
+def _make_tracer(args, keep_events: bool = True):
     """Build a Tracer from ``--trace PATH`` / ``--timeline PATH``.
 
     ``--timeline`` needs the event stream even without ``--trace``: it
     gets an in-memory tracer (no JSONL file).  Returns None when neither
-    flag asked for tracing.
+    flag asked for tracing.  ``keep_events=False`` only writes the file.
     """
     if not getattr(args, "trace", None):
         if getattr(args, "timeline", None):
@@ -167,7 +167,7 @@ def _make_tracer(args):
         return None
     from repro.obs import Tracer
 
-    return Tracer(path=args.trace)
+    return Tracer(path=args.trace, keep_events=keep_events)
 
 
 def _close_tracer(tracer) -> None:
@@ -446,7 +446,8 @@ def cmd_serve(args) -> int:
             index, model=engine.model, cache_size=args.cache_size
         )
     _report_ann_index(engine.index)
-    tracer = _make_tracer(args)
+    # A long-running server must not keep every event in memory.
+    tracer = _make_tracer(args, keep_events=False)
     server = create_server(
         engine,
         host=args.host,
@@ -900,7 +901,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-batch", action="store_true", help="disable request micro-batching")
     p.add_argument(
         "--trace", "--log-jsonl", dest="trace", metavar="PATH", default=None,
-        help="write one span per HTTP request as JSONL to PATH",
+        help="write each HTTP request's span and its stage spans "
+        "(batch.wait, cache.lookup, index.query, ...) as JSONL to PATH",
     )
     p.add_argument(
         "--slo", action="append", metavar="SPEC", default=None,

@@ -6,8 +6,9 @@ Pillars, shared by training, evaluation, benchmarking, and serving
 
 * :mod:`repro.obs.events` — structured JSONL event log with nested spans
   (:class:`Tracer`, :data:`NULL_TRACER`, process default for benches);
-* :mod:`repro.obs.metrics` — counters / gauges / latency histograms
-  (:class:`MetricsRegistry`);
+* :mod:`repro.obs.metrics` — counters / gauges / latency summaries
+  (:class:`MetricsRegistry`), all latency numbers kept by one ring
+  buffer (:class:`SlidingWindowStats`);
 * :mod:`repro.obs.profiler` — autograd per-op forward/backward profiler
   (:func:`profile`), surfaced as ``repro profile`` on the CLI;
 * :mod:`repro.obs.memory` — tensor allocation tracker
@@ -30,7 +31,9 @@ Pillars, shared by training, evaluation, benchmarking, and serving
 * :mod:`repro.obs.report` — run tables, SVG sparklines, HTML reports
   (``repro runs report``), plus the live serving dashboard page;
 * :mod:`repro.obs.serving` — request-scoped tracing
-  (:class:`RequestContext`), sliding-window SLO/error-budget monitoring
+  (:class:`RequestContext`, an in-memory :class:`Tracer` per request;
+  :func:`current_request` is :data:`NULL_TRACER` outside one),
+  sliding-window SLO/error-budget monitoring
   (:class:`SLOSpec` / :class:`SLOMonitor`), slow-request exemplars
   (:class:`SlowRequestStore`), and the ``/metrics`` polling behind
   ``repro obs top`` / ``repro obs dashboard``.
@@ -51,7 +54,7 @@ from repro.obs.health import (
 )
 from repro.obs.hooks import GuidanceAttentionRecorder, capture_attention
 from repro.obs.memory import MemoryTracker, track_memory
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, SlidingWindowStats
 from repro.obs.profiler import Profiler, ProfileReport, profile
 from repro.obs.report import AnatomyReport, epoch_anatomy
 from repro.obs.runs import RunRecord, RunStore
@@ -62,11 +65,9 @@ from repro.obs.timeline import (
     write_timeline,
 )
 from repro.obs.serving import (
-    NULL_REQUEST,
     RequestContext,
     SLOMonitor,
     SLOSpec,
-    SlidingWindowStats,
     SlowRequestStore,
     current_request,
     fetch_metrics,
@@ -91,7 +92,7 @@ __all__ = [
     "default_tracer",
     "set_default_tracer",
     "MetricsRegistry",
-    "LatencyHistogram",
+    "SlidingWindowStats",
     "Profiler",
     "ProfileReport",
     "profile",
@@ -108,10 +109,8 @@ __all__ = [
     "RunStore",
     "RunRecord",
     "RequestContext",
-    "NULL_REQUEST",
     "current_request",
     "use_request",
-    "SlidingWindowStats",
     "SLOSpec",
     "SLOMonitor",
     "SlowRequestStore",

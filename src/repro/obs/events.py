@@ -213,6 +213,10 @@ class Tracer:
                 record["attrs"] = {k: _jsonable(v) for k, v in value.items()}
             else:
                 record[key] = _jsonable(value)
+        self._write(record)
+
+    def _write(self, record: Dict[str, Any]) -> None:
+        """Keep one finished record in memory and/or append it to the file."""
         with self._lock:
             if self._keep:
                 self.events.append(record)

@@ -1,13 +1,16 @@
-"""Counters, gauges, and latency histograms behind one registry.
+"""Counters, gauges, and latency windows behind one registry.
 
 Promoted from the old ``repro.serve.metrics`` location (the deprecated
-shim has been removed; ``repro.serve`` re-exports these classes) so the
+shim has been removed; ``repro.serve`` re-exports the registry) so the
 trainer, the benchmark harness, and the serving engine all feed the same
-registry type.  The surface is
-modeled on the Prometheus client (counters + gauges + summaries) with no
-external dependency: latency percentiles come from a bounded reservoir
-of recent samples, which is exact until the reservoir wraps and a
-sliding-window estimate after.
+registry type.  The surface is modeled on the Prometheus client
+(counters + gauges + summaries) with no external dependency.
+
+Every latency number comes from one ring buffer,
+:class:`SlidingWindowStats`: time-bounded for the serving SLO windows,
+count-bounded (``window_s=math.inf``) for the registry's summaries,
+whose percentiles are exact until the ring wraps and describe the most
+recent ``capacity`` samples after.
 
 Exported in two forms: :meth:`MetricsRegistry.snapshot` (a plain dict for
 JSON endpoints and tests) and :meth:`MetricsRegistry.render` (Prometheus
@@ -16,63 +19,150 @@ text exposition for ``GET /metrics``).
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, Iterable, List
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-__all__ = ["LatencyHistogram", "MetricsRegistry"]
+__all__ = ["WindowSnapshot", "SlidingWindowStats", "MetricsRegistry"]
 
 
-class LatencyHistogram:
-    """Bounded reservoir of latency samples with percentile queries."""
+@dataclass(frozen=True)
+class WindowSnapshot:
+    """Point-in-time view of one sliding window."""
 
-    def __init__(self, window: int = 4096):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self._samples: Deque[float] = deque(maxlen=window)
-        self.count = 0
-        self.total = 0.0
+    window_s: float
+    count: int
+    errors: int
+    qps: float
+    error_rate: float
+    p50: float
+    p95: float
+    p99: float
+    mean: float
+    _sorted: Tuple[float, ...] = ()
 
-    def observe(self, seconds: float) -> None:
-        value = float(seconds)
-        if value < 0:
-            raise ValueError("latency cannot be negative")
-        self._samples.append(value)
-        self.count += 1
-        self.total += value
+    @property
+    def availability(self) -> float:
+        return 1.0 - self.error_rate
 
     def percentile(self, q: float) -> float:
-        """q-th percentile (0-100) over the retained window.
+        """Linearly interpolated q-th percentile (0-100) of the window.
 
-        Total function on any window state: an empty window returns 0.0,
-        a single sample returns that sample for every q, and q is clamped
-        into [0, 100] — never raises.
+        Total on any window state: an empty window returns 0.0, a single
+        sample returns that sample for every q, and q is clamped into
+        [0, 100] — never raises.
         """
-        if not self._samples:
+        if not self._sorted:
             return 0.0
-        if len(self._samples) == 1:
-            return self._samples[0]
         q = min(100.0, max(0.0, float(q)))
-        return float(np.percentile(np.asarray(self._samples), q))
+        pos = q / 100.0 * (len(self._sorted) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(self._sorted) - 1)
+        frac = pos - lo
+        return self._sorted[lo] * (1 - frac) + self._sorted[hi] * frac
+
+    def fraction_over(self, threshold_s: float) -> float:
+        """Fraction of retained requests slower than ``threshold_s``."""
+        if not self._sorted:
+            return 0.0
+        idx = bisect.bisect_right(self._sorted, float(threshold_s))
+        return (len(self._sorted) - idx) / len(self._sorted)
+
+
+class SlidingWindowStats:
+    """Ring buffer of ``(t, latency, ok)`` over a bounded time window.
+
+    QPS, error rate, and percentiles all describe the last ``window_s``
+    seconds, which is what SLO burn rates are defined over.  ``capacity``
+    bounds memory under heavy traffic (the window degrades to the most
+    recent ``capacity`` observations); with ``window_s=math.inf`` the
+    ring is count-bounded only, which is how the registry keeps its
+    latency summaries.  ``total_count`` / ``total_errors`` / ``total``
+    (summed seconds) are cumulative over the ring's lifetime.
+    """
+
+    def __init__(self, window_s: float = 60.0, capacity: int = 16384):
+        if window_s <= 0:
+            raise ValueError("window_s must be positive")
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.window_s = float(window_s)
+        self._buf: deque = deque(maxlen=int(capacity))
+        self._lock = threading.Lock()
+        self._created = time.monotonic()
+        self.total_count = 0
+        self.total_errors = 0
+        self.total = 0.0
+
+    def observe(
+        self, latency_s: float, ok: bool = True, now: Optional[float] = None
+    ) -> None:
+        value = float(latency_s)
+        if value < 0:
+            raise ValueError("latency cannot be negative")
+        now = time.monotonic() if now is None else float(now)
+        with self._lock:
+            self._buf.append((now, value, bool(ok)))
+            self.total_count += 1
+            self.total += value
+            if not ok:
+                self.total_errors += 1
+
+    def _trim(self, now: float) -> None:
+        horizon = now - self.window_s
+        while self._buf and self._buf[0][0] < horizon:
+            self._buf.popleft()
+
+    def snapshot(self, now: Optional[float] = None) -> WindowSnapshot:
+        now = time.monotonic() if now is None else float(now)
+        with self._lock:
+            self._trim(now)
+            rows = list(self._buf)
+        count = len(rows)
+        errors = sum(1 for _, _, ok in rows if not ok)
+        latencies = tuple(sorted(value for _, value, _ in rows))
+        # Early in the process lifetime the window is not yet full; use
+        # the elapsed fraction so QPS is not underestimated at boot.
+        elapsed = min(self.window_s, max(1e-9, now - self._created))
+        snap = WindowSnapshot(
+            window_s=self.window_s,
+            count=count,
+            errors=errors,
+            qps=count / elapsed,
+            error_rate=(errors / count) if count else 0.0,
+            p50=0.0,
+            p95=0.0,
+            p99=0.0,
+            mean=(sum(latencies) / count) if count else 0.0,
+            _sorted=latencies,
+        )
+        # frozen dataclass: fill the percentile fields via object.__setattr__
+        object.__setattr__(snap, "p50", snap.percentile(50))
+        object.__setattr__(snap, "p95", snap.percentile(95))
+        object.__setattr__(snap, "p99", snap.percentile(99))
+        return snap
 
     def summary(self, quantiles: Iterable[float] = (50, 95, 99)) -> Dict[str, float]:
-        out = {"count": float(self.count), "sum": self.total}
+        """Cumulative count/sum plus windowed quantiles (``p50``, ...)."""
+        snap = self.snapshot()
+        out = {"count": float(self.total_count), "sum": self.total}
         for q in quantiles:
-            out[f"p{q:g}"] = self.percentile(q)
+            out[f"p{q:g}"] = snap.percentile(q)
         return out
 
 
 class MetricsRegistry:
-    """Named counters, gauges, and latency histograms behind one lock."""
+    """Named counters, gauges, and latency summaries behind one lock."""
 
     def __init__(self, window: int = 4096):
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, LatencyHistogram] = {}
+        self._histograms: Dict[str, SlidingWindowStats] = {}
         self._help: Dict[str, str] = {}
         self._window = window
 
@@ -103,7 +193,9 @@ class MetricsRegistry:
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
-                hist = self._histograms[name] = LatencyHistogram(self._window)
+                hist = self._histograms[name] = SlidingWindowStats(
+                    window_s=math.inf, capacity=self._window
+                )
             hist.observe(seconds)
 
     def time(self, name: str) -> "_Timer":

@@ -4,13 +4,14 @@ Three pillars behind the serving stack (``docs/observability.md``):
 
 * **request-scoped tracing** — every HTTP request gets a
   :class:`RequestContext` minted at the edge (a ``request_id`` echoed in
-  every response) that collects a tree of timed child spans
-  (``cache.lookup``, ``index.query``, ``ann.probe``) as the request
-  flows server → engine → cache → index.  The context is installed
-  per-thread via :func:`use_request` so deep layers (the IVF probe loop)
-  can attach spans without threading the object through every signature;
-* **SLO engine** — :class:`SlidingWindowStats` ring buffers give
-  windowed (not cumulative) latency/error accounting, and
+  every response): an in-memory :class:`~repro.obs.events.Tracer` that
+  records ordinary spans (``cache.lookup``, ``index.query``,
+  ``ann.probe``) as the request flows server → engine → cache → index.
+  The context is installed per-thread via :func:`use_request` so deep
+  layers (the IVF probe loop) can attach spans without threading the
+  object through every signature;
+* **SLO engine** — :class:`~repro.obs.metrics.SlidingWindowStats` ring
+  buffers give windowed (not cumulative) latency/error accounting, and
   :class:`SLOMonitor` evaluates declarative :class:`SLOSpec` objectives
   (``p99 < 25ms``, ``availability >= 99.9%``) into error-budget
   consumption and multi-rate burn rates, emitting structured
@@ -27,7 +28,6 @@ imports), so the serving layer can depend on it without cycles.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import heapq
 import re
@@ -35,19 +35,16 @@ import threading
 import time
 import urllib.request
 import uuid
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.events import NULL_TRACER
+from repro.obs.events import NULL_TRACER, Tracer
+from repro.obs.metrics import SlidingWindowStats, WindowSnapshot
 
 __all__ = [
     "RequestContext",
-    "NULL_REQUEST",
     "current_request",
     "use_request",
-    "WindowSnapshot",
-    "SlidingWindowStats",
     "SLOSpec",
     "SLOStatus",
     "SLOMonitor",
@@ -64,71 +61,50 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Request-scoped tracing
 # ----------------------------------------------------------------------
-class RequestContext:
-    """One request's identity plus its tree of timed child spans.
+class RequestContext(Tracer):
+    """One request's identity plus its timed spans.
 
-    Unlike :class:`repro.obs.events.Tracer` spans (a process-wide JSONL
-    stream), a request context is a self-contained in-memory record: the
-    server keeps the slowest ones (:class:`SlowRequestStore`) and echoes
-    ``request_id`` in every response, so a slow request is explainable
-    from its own trace alone.  Span nesting is LIFO per context and
-    lock-protected, so the micro-batcher thread can record spans into a
-    context owned by a blocked handler thread.
+    An in-memory :class:`~repro.obs.events.Tracer` whose ``run_id`` is
+    the ``request_id``; its spans are ordinary
+    :class:`~repro.obs.events.Span` objects nested per thread, so the
+    micro-batcher thread records into a context owned by a blocked
+    handler thread under its own roots.  When ``sink`` (the server's
+    tracer) is enabled every record is also written there, tagged with
+    the ``request_id``, so a ``--trace`` file shows each request's
+    stages.  The server keeps the slowest :meth:`to_dict` trees
+    (:class:`SlowRequestStore`) and echoes ``request_id`` in every
+    response, so a slow request is explainable from its own trace alone.
     """
-
-    __slots__ = (
-        "request_id", "method", "path", "status", "error",
-        "duration_s", "_wall", "_t0", "_spans", "_stack", "_lock",
-    )
 
     def __init__(
         self,
         method: str = "",
         path: str = "",
         request_id: Optional[str] = None,
+        sink=None,
     ):
-        self.request_id = request_id or uuid.uuid4().hex[:16]
+        super().__init__(run_id=request_id or uuid.uuid4().hex[:16])
+        self.request_id = self.run_id
         self.method = method
         self.path = path
         self.status: Optional[int] = None
         self.error: Optional[str] = None
         self.duration_s: Optional[float] = None
+        self._sink = sink if sink is not None and sink.enabled else None
         self._wall = time.time()
         self._t0 = time.perf_counter()
-        self._spans: List[Dict[str, Any]] = []  # root-level span records
-        self._stack: List[Dict[str, Any]] = []  # open spans, innermost last
-        self._lock = threading.Lock()
 
-    # -- span recording -------------------------------------------------
-    def span(self, name: str, **attrs: Any) -> "_CtxSpan":
-        """``with ctx.span("cache.lookup") as sp: ... sp.set(hit=True)``."""
-        return _CtxSpan(self, name, attrs)
+    def _write(self, record: Dict[str, Any]) -> None:
+        super()._write(record)
+        if self._sink is not None:
+            attrs = dict(record.get("attrs") or (), request_id=self.request_id)
+            self._sink._write(dict(record, run=self._sink.run_id, attrs=attrs))
 
-    def _open(self, record: Dict[str, Any]) -> None:
-        with self._lock:
-            parent = self._stack[-1] if self._stack else None
-            if parent is not None:
-                parent["children"].append(record)
-            else:
-                self._spans.append(record)
-            self._stack.append(record)
-
-    def _close(self, record: Dict[str, Any]) -> None:
-        with self._lock:
-            if record in self._stack:  # unwind past unbalanced exits too
-                del self._stack[self._stack.index(record):]
-
-    # -- lifecycle ------------------------------------------------------
-    def finish(
-        self, status: Optional[int] = None, error: Optional[str] = None
-    ) -> "RequestContext":
+    def finish(self, status: int) -> "RequestContext":
         """Stamp the final status/duration; idempotent on duration."""
         if self.duration_s is None:
             self.duration_s = time.perf_counter() - self._t0
-        if status is not None:
-            self.status = int(status)
-        if error:
-            self.error = str(error)
+        self.status = int(status)
         return self
 
     @property
@@ -141,9 +117,26 @@ class RequestContext:
         return 1e3 * elapsed
 
     def to_dict(self) -> Dict[str, Any]:
-        """Full span tree as plain JSON-able dicts (slowest-trace dumps)."""
+        """Span tree as plain JSON-able dicts (slowest-trace dumps), built
+        from the ``span_end`` records' ``span``/``parent`` ids; siblings
+        are in start order, and a span still open is left out."""
         with self._lock:
-            spans = [_copy_span(s) for s in self._spans]
+            ends = [e for e in self.events if e["kind"] == "span_end"]
+        ends.sort(key=lambda e: e["mono"] - e["dur"])
+        nodes = {
+            e["span"]: {
+                "name": e["name"],
+                "t_ms": round(1e3 * (e["mono"] - e["dur"] - self._t0), 3),
+                "dur_ms": round(1e3 * e["dur"], 3),
+                "attrs": e.get("attrs", {}),
+                "children": [],
+            }
+            for e in ends
+        }
+        spans: List[Dict[str, Any]] = []
+        for e in ends:
+            parent = nodes.get(e.get("parent"))
+            (parent["children"] if parent else spans).append(nodes[e["span"]])
         return {
             "request_id": self.request_id,
             "method": self.method,
@@ -156,89 +149,13 @@ class RequestContext:
         }
 
 
-def _copy_span(record: Dict[str, Any]) -> Dict[str, Any]:
-    out = {k: v for k, v in record.items() if k != "children"}
-    out["children"] = [_copy_span(c) for c in record["children"]]
-    return out
-
-
-class _CtxSpan:
-    """Context manager recording one timed span into a RequestContext."""
-
-    __slots__ = ("_ctx", "_record", "_t0")
-
-    def __init__(self, ctx: RequestContext, name: str, attrs: Dict[str, Any]):
-        self._ctx = ctx
-        self._record = {
-            "name": name,
-            "t_ms": 0.0,
-            "dur_ms": None,
-            "attrs": attrs,
-            "children": [],
-        }
-        self._t0 = 0.0
-
-    def set(self, **attrs: Any) -> "_CtxSpan":
-        self._record["attrs"].update(attrs)
-        return self
-
-    def __enter__(self) -> "_CtxSpan":
-        self._t0 = time.perf_counter()
-        self._record["t_ms"] = round(1e3 * (self._t0 - self._ctx._t0), 3)
-        self._ctx._open(self._record)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._record["dur_ms"] = round(1e3 * (time.perf_counter() - self._t0), 3)
-        if exc is not None:
-            self._record["attrs"]["error"] = repr(exc)
-        if not self._record["attrs"]:
-            self._record["attrs"] = {}
-        self._ctx._close(self._record)
-        return False
-
-
-class _NullCtxSpan:
-    __slots__ = ()
-
-    def set(self, **attrs: Any) -> "_NullCtxSpan":
-        return self
-
-    def __enter__(self) -> "_NullCtxSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_CTX_SPAN = _NullCtxSpan()
-
-
-class NullRequestContext:
-    """No-op stand-in so instrumented code never branches on ``None``."""
-
-    __slots__ = ()
-    request_id = None
-
-    def span(self, name: str, **attrs: Any) -> _NullCtxSpan:
-        return _NULL_CTX_SPAN
-
-    def finish(self, *a, **k) -> "NullRequestContext":
-        return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {}
-
-
-NULL_REQUEST = NullRequestContext()
-
 _ACTIVE = threading.local()
 
 
-def current_request() -> RequestContext:
-    """The request context installed on this thread (:data:`NULL_REQUEST`
+def current_request():
+    """The request context installed on this thread (:data:`NULL_TRACER`
     when none is active), so deep layers attach spans unconditionally."""
-    return getattr(_ACTIVE, "ctx", None) or NULL_REQUEST
+    return getattr(_ACTIVE, "ctx", None) or NULL_TRACER
 
 
 @contextlib.contextmanager
@@ -250,116 +167,6 @@ def use_request(ctx: Optional[RequestContext]):
         yield ctx
     finally:
         _ACTIVE.ctx = previous
-
-
-# ----------------------------------------------------------------------
-# Sliding-window accounting
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WindowSnapshot:
-    """Point-in-time view of one sliding window."""
-
-    window_s: float
-    count: int
-    errors: int
-    qps: float
-    error_rate: float
-    p50: float
-    p95: float
-    p99: float
-    mean: float
-    slow_fraction_cache: Dict[float, float] = field(default_factory=dict)
-    _sorted: Tuple[float, ...] = ()
-
-    @property
-    def availability(self) -> float:
-        return 1.0 - self.error_rate
-
-    def percentile(self, q: float) -> float:
-        if not self._sorted:
-            return 0.0
-        q = min(100.0, max(0.0, float(q)))
-        pos = q / 100.0 * (len(self._sorted) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(self._sorted) - 1)
-        frac = pos - lo
-        return self._sorted[lo] * (1 - frac) + self._sorted[hi] * frac
-
-    def fraction_over(self, threshold_s: float) -> float:
-        """Fraction of retained requests slower than ``threshold_s``."""
-        if not self._sorted:
-            return 0.0
-        idx = bisect.bisect_right(self._sorted, float(threshold_s))
-        return (len(self._sorted) - idx) / len(self._sorted)
-
-
-class SlidingWindowStats:
-    """Ring buffer of ``(t, latency, ok)`` over a bounded time window.
-
-    Unlike the cumulative :class:`~repro.obs.metrics.LatencyHistogram`
-    (whose reservoir is count-bounded), this is *time*-bounded: QPS,
-    error rate, and percentiles all describe the last ``window_s``
-    seconds, which is what SLO burn rates are defined over.  ``capacity``
-    bounds memory under heavy traffic (the window degrades to the most
-    recent ``capacity`` observations).
-    """
-
-    def __init__(self, window_s: float = 60.0, capacity: int = 16384):
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        self.window_s = float(window_s)
-        self._buf: deque = deque(maxlen=int(capacity))
-        self._lock = threading.Lock()
-        self._created = time.monotonic()
-        self.total_count = 0
-        self.total_errors = 0
-
-    def observe(
-        self, latency_s: float, ok: bool = True, now: Optional[float] = None
-    ) -> None:
-        value = float(latency_s)
-        if value < 0:
-            raise ValueError("latency cannot be negative")
-        now = time.monotonic() if now is None else float(now)
-        with self._lock:
-            self._buf.append((now, value, bool(ok)))
-            self.total_count += 1
-            if not ok:
-                self.total_errors += 1
-
-    def _trim(self, now: float) -> None:
-        horizon = now - self.window_s
-        while self._buf and self._buf[0][0] < horizon:
-            self._buf.popleft()
-
-    def snapshot(self, now: Optional[float] = None) -> WindowSnapshot:
-        now = time.monotonic() if now is None else float(now)
-        with self._lock:
-            self._trim(now)
-            rows = list(self._buf)
-        count = len(rows)
-        errors = sum(1 for _, _, ok in rows if not ok)
-        latencies = tuple(sorted(value for _, value, _ in rows))
-        # Early in the process lifetime the window is not yet full; use
-        # the elapsed fraction so QPS is not underestimated at boot.
-        elapsed = min(self.window_s, max(1e-9, now - self._created))
-        snap = WindowSnapshot(
-            window_s=self.window_s,
-            count=count,
-            errors=errors,
-            qps=count / elapsed,
-            error_rate=(errors / count) if count else 0.0,
-            p50=0.0,
-            p95=0.0,
-            p99=0.0,
-            mean=(sum(latencies) / count) if count else 0.0,
-            _sorted=latencies,
-        )
-        # frozen dataclass: fill the percentile fields via object.__setattr__
-        object.__setattr__(snap, "p50", snap.percentile(50))
-        object.__setattr__(snap, "p95", snap.percentile(95))
-        object.__setattr__(snap, "p99", snap.percentile(99))
-        return snap
 
 
 # ----------------------------------------------------------------------

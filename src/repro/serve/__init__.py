@@ -19,7 +19,7 @@ from repro.serve.checkpoint import (
 from repro.serve.engine import MicroBatcher, ServingEngine, engine_from_checkpoint
 from repro.serve.index import TopKIndex, load_index, topk_from_scores
 from repro.serve.ann import IVFIndex, ProductQuantizer, kmeans
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.server import RecommendationServer, create_server
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "MicroBatcher",
     "engine_from_checkpoint",
     "MetricsRegistry",
-    "LatencyHistogram",
     "RecommendationServer",
     "create_server",
 ]

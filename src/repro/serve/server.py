@@ -19,7 +19,8 @@ header and every JSON body — including 4xx/5xx error payloads, which
 carry ``{"error", "status", "request_id"}`` so a failing request is
 correlatable from the client side.  The id rides a
 :class:`~repro.obs.serving.RequestContext` through engine, cache, and
-index scoring, collecting child spans that ``/debug/slow`` exposes.
+index scoring, collecting the spans that ``/debug/slow`` exposes and,
+with a ``tracer``, the trace file records.
 
 Unknown users return 404 (unless the engine can fall back to the model),
 malformed requests 400, unexpected errors 500 — the process never dies
@@ -41,8 +42,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.serving import (
     RequestContext,
     SLOMonitor,
-    SLOSpec,
-    SlidingWindowStats,
     SlowRequestStore,
     use_request,
 )
@@ -81,27 +80,22 @@ class RecommendationServer(ThreadingHTTPServer):
         tracer=None,
         slo_specs: Optional[Sequence] = None,
         slow_capacity: int = 16,
-        window_s: float = 60.0,
     ):
         self.engine = engine
         self.metrics = engine.metrics
         self.batcher = batcher
         self.quiet = quiet
-        #: ``repro.obs.Tracer`` receiving one span per request (shares the
-        #: registry behind ``/metrics``); defaults to the no-op tracer.
+        #: ``repro.obs.Tracer`` receiving each request's ``http.request``
+        #: span and its stage spans; defaults to the no-op tracer.
         self.tracer = tracer or NULL_TRACER
         self.started_wall = time.time()
         self.started_mono = time.monotonic()
-        #: Sliding-window request accounting feeding /metrics gauges.
-        self.request_stats = SlidingWindowStats(window_s=window_s)
         #: N slowest request traces, dumped at GET /debug/slow.
         self.slow_store = SlowRequestStore(capacity=slow_capacity)
-        specs = DEFAULT_SLOS if slo_specs is None else slo_specs
         self.slo = SLOMonitor(
-            [SLOSpec.parse(s) if isinstance(s, str) else s for s in specs],
+            DEFAULT_SLOS if slo_specs is None else slo_specs,
             metrics=self.metrics,
             tracer=self.tracer,
-            burn_windows=(min(window_s, 60.0), 300.0),
             on_violation=self._dump_exemplars,
         )
         for name, text in _METRIC_HELP.items():
@@ -118,11 +112,10 @@ class RecommendationServer(ThreadingHTTPServer):
     # ------------------------------------------------------------------
     def observe_request(self, ctx: RequestContext) -> None:
         """Fold one finished request into windows, SLOs, and exemplars."""
-        latency = (ctx.duration_s or 0.0)
-        ok = (ctx.status or 500) < 500
-        self.request_stats.observe(latency, ok=ok)
-        self.slo.observe(latency, ok=ok)
-        self.slow_store.offer(ctx.to_dict())
+        self.slo.observe(ctx.duration_s or 0.0, ok=(ctx.status or 500) < 500)
+        # Only a request the store would keep pays for building its tree.
+        if ctx.duration_ms > self.slow_store.threshold_ms:
+            self.slow_store.offer(ctx.to_dict())
 
     def _dump_exemplars(self, status) -> None:
         """On an SLO violation, attach the slowest traces to the event
@@ -144,7 +137,7 @@ class RecommendationServer(ThreadingHTTPServer):
 
     def refresh_gauges(self) -> None:
         """Recompute window/SLO gauges (called on each /metrics scrape)."""
-        snap = self.request_stats.snapshot()
+        snap = self.slo.window(60.0).snapshot()
         self.metrics.set_gauge("window_qps", snap.qps)
         self.metrics.set_gauge("window_p50_ms", 1e3 * snap.p50)
         self.metrics.set_gauge("window_p95_ms", 1e3 * snap.p95)
@@ -269,6 +262,7 @@ class _Handler(BaseHTTPRequestHandler):
             method=method,
             path=url.path,
             request_id=self.headers.get("X-Request-Id"),
+            sink=server.tracer,
         )
         span = server.tracer.span(
             "http.request", method=method, path=url.path, request_id=ctx.request_id

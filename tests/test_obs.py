@@ -20,8 +20,8 @@ from repro.core.config import CGKGRConfig
 from repro.obs import (
     NULL_TRACER,
     GuidanceAttentionRecorder,
-    LatencyHistogram,
     MetricsRegistry,
+    SlidingWindowStats,
     Tracer,
     capture_attention,
     default_tracer,
@@ -231,23 +231,23 @@ class TestMetrics:
         assert serve.MetricsRegistry is MetricsRegistry
 
     def test_percentile_empty_window_returns_zero(self):
-        hist = LatencyHistogram()
-        assert hist.percentile(50) == 0.0
-        assert hist.percentile(-10) == 0.0
+        hist = SlidingWindowStats(capacity=4096)
+        assert hist.snapshot().percentile(50) == 0.0
+        assert hist.snapshot().percentile(-10) == 0.0
         assert hist.summary()["p99"] == 0.0
 
     def test_percentile_single_sample_returns_sample(self):
-        hist = LatencyHistogram()
+        hist = SlidingWindowStats(capacity=4096)
         hist.observe(0.25)
         for q in (-5, 0, 50, 99, 150):
-            assert hist.percentile(q) == 0.25
+            assert hist.snapshot().percentile(q) == 0.25
 
     def test_percentile_clamps_out_of_range_q(self):
-        hist = LatencyHistogram()
+        hist = SlidingWindowStats(capacity=4096)
         for value in (1.0, 2.0, 3.0):
             hist.observe(value)
-        assert hist.percentile(150) == 3.0
-        assert hist.percentile(-1) == 1.0
+        assert hist.snapshot().percentile(150) == 3.0
+        assert hist.snapshot().percentile(-1) == 1.0
 
     def test_gauges_snapshot_and_render(self):
         registry = MetricsRegistry()

@@ -7,13 +7,12 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.events import NULL_TRACER
+from repro.obs.metrics import MetricsRegistry, SlidingWindowStats
 from repro.obs.report import serving_dashboard_html, sparkline_svg
 from repro.obs.serving import (
-    NULL_REQUEST,
     RequestContext,
     ServingSample,
-    SlidingWindowStats,
     SLOMonitor,
     SLOSpec,
     SlowRequestStore,
@@ -81,20 +80,22 @@ class TestRequestContext:
         assert span["dur_ms"] is not None
 
     def test_use_request_installs_and_restores(self):
-        assert current_request() is NULL_REQUEST
+        assert current_request() is NULL_TRACER
         ctx = RequestContext()
         with use_request(ctx):
             assert current_request() is ctx
             with current_request().span("cache.lookup"):
                 pass
-        assert current_request() is NULL_REQUEST
+        assert current_request() is NULL_TRACER
         assert ctx.to_dict()["spans"][0]["name"] == "cache.lookup"
 
     def test_null_context_is_inert(self):
-        with NULL_REQUEST.span("anything", a=1) as sp:
+        # Outside a request the context is the no-op tracer: it records
+        # nothing and, like a request's run_id, has no id.
+        with NULL_TRACER.span("anything", a=1) as sp:
             sp.set(b=2)
-        assert NULL_REQUEST.to_dict() == {}
-        assert NULL_REQUEST.request_id is None
+        assert NULL_TRACER.events == [] and NULL_TRACER.summary() == {}
+        assert NULL_TRACER.run_id is None
 
     def test_cross_thread_span_recording(self):
         """The batcher thread records into a context the handler owns."""

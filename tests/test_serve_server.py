@@ -5,6 +5,7 @@ ephemeral port, and the JSON endpoints answer.
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -192,7 +193,15 @@ class TestRequestTracing:
                 _get(base + f"/recommend?user={user}&k=3")[1]["request_id"]
                 for user in (0, 1, 2)
             }
-            status, payload = _get(base + "/debug/slow")
+            # The response is written before the server files the trace,
+            # so poll until all three requests are in the store.
+            deadline = time.monotonic() + 5.0
+            while True:
+                status, payload = _get(base + "/debug/slow")
+                seen = {t["request_id"] for t in payload["slowest"]}
+                if own_ids <= seen or time.monotonic() > deadline:
+                    break
+                time.sleep(0.02)
         finally:
             server.shutdown()
             server.server_close()
@@ -223,6 +232,54 @@ class TestRequestTracing:
         all_names = {s["name"] for s in walk(trace["spans"])}
         # The engine layers recorded into the request's own trace.
         assert {"cache.lookup"} & all_names or {"engine.microbatch"} & all_names
+
+    def test_trace_records_request_stages(self, served_checkpoint):
+        """With a tracer, each request's stage spans reach the trace on
+        the handler and batcher lanes, tagged with its request_id."""
+        from repro.obs import Tracer, build_timeline, validate_timeline
+
+        _, shared = served_checkpoint
+        # A fresh cache, so every request takes the index.query path.
+        engine = ServingEngine(shared.index, model=shared.model)
+        tracer = Tracer()
+        server = create_server(
+            engine, port=0, micro_batch=8, max_wait_ms=1.0, tracer=tracer
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            base = f"http://127.0.0.1:{server.port}"
+            own_ids = {
+                _get(base + f"/recommend?user={user}&k=3")[1]["request_id"]
+                for user in (0, 1, 2)
+            }
+
+            def finished():
+                return sum(
+                    e["kind"] == "span_end" and e["name"] == "http.request"
+                    for e in list(tracer.events)
+                )
+
+            deadline = time.monotonic() + 5.0
+            while finished() < 3 and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        trace = build_timeline(tracer.events)
+        assert validate_timeline(trace) == []
+        stages = {
+            "http.request", "batch.wait", "engine.microbatch",
+            "cache.lookup", "index.query",
+        }
+        begins = [e for e in trace["traceEvents"] if e["ph"] == "B"]
+        for request_id in own_ids:
+            names = {
+                e["name"] for e in begins
+                if e["args"].get("request_id") == request_id
+            }
+            assert stages <= names, (request_id, names)
 
 
 class TestSLOEndToEnd:
@@ -296,20 +353,67 @@ class TestMetricsRegistry:
         assert metrics.snapshot()["cache_hit_rate"] == 0.75
 
     def test_histogram_window_bounds_memory(self):
-        from repro.obs.metrics import LatencyHistogram
+        from repro.obs.metrics import SlidingWindowStats
 
-        hist = LatencyHistogram(window=10)
+        hist = SlidingWindowStats(capacity=10)
         for value in range(100):
             hist.observe(float(value))
-        assert hist.count == 100
+        assert hist.total_count == 100
         # Percentiles reflect only the retained window (90..99).
-        assert hist.percentile(0) >= 90.0
+        assert hist.snapshot().percentile(0) >= 90.0
 
     def test_negative_latency_rejected(self):
-        from repro.obs.metrics import LatencyHistogram
+        from repro.obs.metrics import SlidingWindowStats
 
         with pytest.raises(ValueError):
-            LatencyHistogram().observe(-1.0)
+            SlidingWindowStats(capacity=4096).observe(-1.0)
+
+
+def test_serve_trace_keeps_no_events_in_memory(
+    served_checkpoint, tmp_path, monkeypatch
+):
+    """`repro serve --trace` writes the JSONL without keeping every event
+    in memory for the life of the server."""
+    from types import SimpleNamespace
+
+    import repro.serve
+
+    _, engine = served_checkpoint
+    captured = {}
+
+    def fake_create_server(engine, tracer=None, **kwargs):
+        captured["tracer"] = tracer
+
+        def serve_forever():
+            with tracer.span("http.request", path="/recommend"):
+                pass
+
+        return SimpleNamespace(
+            port=0,
+            slo=SimpleNamespace(specs=[]),
+            serve_forever=serve_forever,
+            server_close=lambda: None,
+        )
+
+    monkeypatch.setattr(repro.serve, "create_server", fake_create_server)
+    monkeypatch.setattr(
+        repro.serve, "engine_from_checkpoint", lambda *args, **kwargs: engine
+    )
+    monkeypatch.setattr(
+        repro.serve, "read_manifest", lambda path: {"model_name": "CG-KGR"}
+    )
+    path = tmp_path / "serve.jsonl"
+    code = main(
+        ["serve", "--checkpoint", str(tmp_path), "--port", "0",
+         "--trace", str(path)]
+    )
+    assert code == 0
+    assert captured["tracer"].events == []
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["kind"], r["name"]) for r in records] == [
+        ("span_start", "http.request"),
+        ("span_end", "http.request"),
+    ]
 
 
 def test_serve_cli_parser_wiring():
