@@ -26,12 +26,14 @@ telemetry as JSONL; ``train``/``export``/``profile`` additionally accept
 ``--timeline PATH`` (Chrome trace-event JSON for Perfetto, implies
 memory tracking) and ``--track-memory`` (tensor-allocation watermarks,
 ``peak_mem_bytes`` metric, leak detection).  ``obs timeline`` converts
-an existing JSONL trace, and ``obs anatomy`` prints the epoch-anatomy
-phase breakdown.  ``runs`` inspects the persistent run registry:
-``list``/``show``, ``compare A B``, the CI regression gate ``check
---baseline <ref>`` (exit 1 on regression), and ``report [--html]`` with
-sparkline training curves (see docs/runs.md).  ``train`` and ``export``
-accept ``--record`` to persist the fit into the registry.
+an existing JSONL trace for Perfetto, ``obs anatomy`` prints the
+epoch-anatomy phase breakdown, and ``obs top`` polls a running server's
+``/metrics``.  ``runs`` inspects the persistent run registry:
+``list``/``show``, ``compare A B``, and the CI regression gate ``check
+--baseline <ref>`` (exit 1 on regression; see docs/runs.md).  An unknown
+run ref or unreadable trace path exits 2 with a one-line error.
+``train`` and ``export`` accept ``--record`` to persist the fit into the
+registry.
 """
 
 from __future__ import annotations
@@ -584,46 +586,24 @@ def cmd_obs_top(args) -> int:
         return 1
 
 
-def cmd_obs_dashboard(args) -> int:
-    """Poll /metrics N times and render a self-contained HTML dashboard."""
-    import time as _time
-    import urllib.request
+def _bad_input(exc: Exception) -> int:
+    """One-line report of an unknown run ref or unreadable path; exit 2.
 
-    from repro.obs.report import serving_dashboard_html
-    from repro.obs.serving import fetch_metrics, sample_from_metrics
-
-    samples = []
-    try:
-        for i in range(max(1, args.samples)):
-            samples.append(sample_from_metrics(fetch_metrics(args.url)))
-            if i + 1 < max(1, args.samples):
-                _time.sleep(args.interval)
-        slo_status = None
-        try:  # SLO table comes from /healthz when the server exposes it
-            health_url = args.url.rstrip("/") + "/healthz"
-            with urllib.request.urlopen(health_url, timeout=5) as response:
-                import json as _json
-
-                slo_status = _json.load(response).get("slo")
-        except OSError:
-            pass
-    except OSError as exc:
-        print(f"error polling {args.url}: {exc}", file=sys.stderr)
-        return 1
-    content = serving_dashboard_html(
-        samples, source_url=args.url, slo_status=slo_status
-    )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(content)
-    print(f"wrote dashboard ({len(samples)} poll(s)) to {args.out}")
-    return 0
+    ``KeyError`` messages name the ref and ``OSError`` messages the path.
+    """
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def cmd_obs_timeline(args) -> int:
     """Convert a ``--trace`` JSONL to Chrome trace-event JSON (Perfetto)."""
     from repro.obs import load_trace_events, write_timeline
 
-    events = load_trace_events(args.trace)
+    try:
+        events = load_trace_events(args.trace)
+    except OSError as exc:
+        return _bad_input(exc)
     if not events:
         print(f"no events found in {args.trace}", file=sys.stderr)
         return 1
@@ -643,15 +623,17 @@ def cmd_obs_anatomy(args) -> int:
     """Epoch-anatomy report: phases ranked by exclusive time + allocation."""
     from repro.obs import epoch_anatomy, load_trace_events
 
-    events = load_trace_events(args.trace)
+    try:
+        events = load_trace_events(args.trace)
+    except OSError as exc:
+        return _bad_input(exc)
     if not events:
         print(f"no events found in {args.trace}", file=sys.stderr)
         return 1
     report = epoch_anatomy(events)
-    if args.html:
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(report.to_html())
-        print(f"wrote anatomy HTML to {args.html}")
+    if not report.epochs:
+        print(f"error: no epoch spans in {args.trace}", file=sys.stderr)
+        return 1
     if args.json:
         import json as _json
 
@@ -701,7 +683,10 @@ def cmd_runs_list(args) -> int:
 def cmd_runs_show(args) -> int:
     import json
 
-    record = _runs_store(args).resolve(args.ref)
+    try:
+        record = _runs_store(args).resolve(args.ref)
+    except (KeyError, OSError) as exc:
+        return _bad_input(exc)
     print(json.dumps(record.to_json(), indent=1))
     return 0
 
@@ -710,10 +695,12 @@ def cmd_runs_compare(args) -> int:
     from repro.obs import compare_runs
 
     store = _runs_store(args)
+    try:
+        baseline, current = store.resolve(args.baseline), store.resolve(args.run)
+    except (KeyError, OSError) as exc:
+        return _bad_input(exc)
     report = compare_runs(
-        store.resolve(args.baseline),
-        store.resolve(args.run),
-        tolerances=_parse_tolerances(args.tolerance),
+        baseline, current, tolerances=_parse_tolerances(args.tolerance)
     )
     print(report.render())
     return 1 if report.regressed else 0
@@ -726,8 +713,11 @@ def cmd_runs_check(args) -> int:
     from repro.obs import compare_runs
 
     store = _runs_store(args)
-    baseline = store.resolve(args.baseline, kind=args.kind)
-    current = store.resolve(args.run, kind=args.kind)
+    try:
+        baseline = store.resolve(args.baseline, kind=args.kind)
+        current = store.resolve(args.run, kind=args.kind)
+    except (KeyError, OSError) as exc:
+        return _bad_input(exc)
     report = compare_runs(
         baseline, current, tolerances=_parse_tolerances(args.tolerance)
     )
@@ -743,23 +733,6 @@ def cmd_runs_check(args) -> int:
                 f"{verdict.current:.4g} ({100 * verdict.rel_delta:+.1f}%)"
             )
         return 1
-    return 0
-
-
-def cmd_runs_report(args) -> int:
-    from repro.obs.report import html_report, run_table
-
-    store = _runs_store(args)
-    entries = store.list()
-    if not entries:
-        print(f"no runs recorded under {store.root}")
-        return 0
-    print(run_table(entries[-args.limit :]))
-    if args.html:
-        content = html_report(store, limit=args.limit)
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        print(f"wrote HTML report to {args.html}")
     return 0
 
 
@@ -963,8 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="epoch-anatomy report: phases ranked by exclusive time/alloc",
     )
     p.add_argument("trace", help="JSONL trace written by --trace/--log-jsonl")
-    p.add_argument("--html", default=None, metavar="PATH",
-                   help="also write the report as HTML to PATH")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the report as JSON to PATH")
     p.set_defaults(func=cmd_obs_anatomy)
@@ -979,16 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-clear", action="store_true",
                    help="append frames instead of clearing the screen")
     p.set_defaults(func=cmd_obs_top)
-
-    p = obs_sub.add_parser(
-        "dashboard", help="render a self-contained HTML serving dashboard"
-    )
-    p.add_argument("--url", required=True, help="server base URL (http://host:port)")
-    p.add_argument("--out", required=True, metavar="PATH", help="HTML output file")
-    p.add_argument("--samples", type=int, default=12, help="polls to collect")
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="seconds between polls")
-    p.set_defaults(func=cmd_obs_dashboard)
 
     runs = sub.add_parser(
         "runs", help="inspect and gate on the run registry (docs/runs.md)"
@@ -1033,15 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the sentinel verdicts as JSON")
     p.set_defaults(func=cmd_runs_check)
-
-    p = runs_sub.add_parser(
-        "report", parents=[runs_common],
-        help="run table + optional HTML report with sparkline curves",
-    )
-    p.add_argument("--limit", type=int, default=20, help="newest N runs")
-    p.add_argument("--html", default=None, metavar="PATH",
-                   help="write a single-file HTML report to PATH")
-    p.set_defaults(func=cmd_runs_report)
 
     return parser
 

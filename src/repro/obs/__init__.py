@@ -28,15 +28,15 @@ Pillars, shared by training, evaluation, benchmarking, and serving
 * :mod:`repro.obs.health` — training-health monitor emitting structured
   ``anomaly`` events (:class:`HealthMonitor`,
   :class:`NonFiniteLossError`);
-* :mod:`repro.obs.report` — run tables, SVG sparklines, HTML reports
-  (``repro runs report``), plus the live serving dashboard page;
+* :mod:`repro.obs.report` — the run table (``repro runs list``) and the
+  epoch-anatomy report (:func:`epoch_anatomy`; ``repro obs anatomy``);
 * :mod:`repro.obs.serving` — request-scoped tracing
   (:class:`RequestContext`, an in-memory :class:`Tracer` per request;
   :func:`current_request` is :data:`NULL_TRACER` outside one),
   sliding-window SLO/error-budget monitoring
   (:class:`SLOSpec` / :class:`SLOMonitor`), slow-request exemplars
   (:class:`SlowRequestStore`), and the ``/metrics`` polling behind
-  ``repro obs top`` / ``repro obs dashboard``.
+  ``repro obs top``.
 """
 
 from repro.obs.events import (

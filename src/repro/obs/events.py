@@ -5,10 +5,10 @@ One :class:`Tracer` per run emits a flat stream of events — point events,
 (:meth:`Tracer.complete`, used for per-op profiler slices and trainer
 epoch phases), and ``counter`` samples (:meth:`Tracer.counter`, used for
 memory tracks) — each carrying the run id, wall clock, a monotonic
-timestamp, and the emitting ``pid``/``tid`` (overridable when re-emitting
-events collected from another process).  Everything is optionally mirrored to a
-JSONL file which ``repro obs timeline`` converts to Chrome trace-event
-JSON.  Spans nest per thread via a context-manager (or decorator) API:
+timestamp, and the emitting ``pid``/``tid``.  Everything is optionally
+mirrored to a JSONL file which ``repro obs timeline`` converts to Chrome
+trace-event JSON.  Spans nest per thread via a context-manager (or
+decorator) API:
 
     tracer = Tracer(path="run.jsonl")
     with tracer.span("epoch", epoch=3) as sp:
@@ -239,8 +239,6 @@ class Tracer:
         name: str,
         dur: float,
         t0: Optional[float] = None,
-        pid: Optional[int] = None,
-        tid: Optional[int] = None,
         **attrs: Any,
     ) -> None:
         """Emit a retrospectively-timed interval (kind ``complete``).
@@ -248,9 +246,7 @@ class Tracer:
         Unlike a span there is no start/end pair: the interval already
         happened, so one record carries its wall start ``t0`` (defaulting
         to ``now - dur``) and duration in seconds.  The profiler uses this
-        for per-op slices and the trainer for epoch phases.  Passing
-        another process's ``pid``/``tid`` re-emits an interval collected
-        there; the timeline exporter keeps it on that process's lane.
+        for per-op slices and the trainer for epoch phases.
         """
         current = self.current_span()
         self._emit(
@@ -259,8 +255,6 @@ class Tracer:
             parent=current.span_id if current else None,
             t0=time.time() - dur if t0 is None else t0,
             dur=dur,
-            pid=pid,
-            tid=tid,
             attrs=attrs or None,
         )
 
@@ -268,18 +262,15 @@ class Tracer:
         self,
         name: str,
         t0: Optional[float] = None,
-        pid: Optional[int] = None,
-        tid: Optional[int] = None,
         **values: Any,
     ) -> None:
         """Emit a counter sample (kind ``counter``) of numeric series.
 
         ``values`` become the sample's series (e.g. ``live_bytes=...``);
         the timeline exporter turns them into a Chrome ``C`` counter
-        track.  ``t0`` back-dates the sample (used when re-emitting
-        cross-process samples collected earlier).
+        track.  ``t0`` back-dates the sample.
         """
-        self._emit("counter", name, t0=t0, pid=pid, tid=tid, attrs=values or None)
+        self._emit("counter", name, t0=t0, attrs=values or None)
 
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a nested span: ``with tracer.span("epoch", epoch=1): ...``."""
@@ -356,10 +347,10 @@ class NullTracer:
     def event(self, name: str, **attrs) -> None:
         pass
 
-    def complete(self, name: str, dur: float, t0=None, pid=None, tid=None, **attrs) -> None:
+    def complete(self, name: str, dur: float, t0=None, **attrs) -> None:
         pass
 
-    def counter(self, name: str, t0=None, pid=None, tid=None, **values) -> None:
+    def counter(self, name: str, t0=None, **values) -> None:
         pass
 
     def span(self, name: str, **attrs) -> _NullSpan:

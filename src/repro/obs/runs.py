@@ -309,15 +309,21 @@ class RunStore:
 
     def resolve(self, ref: str, kind: Optional[str] = None) -> RunRecord:
         """Load by exact id, unique id prefix, ``latest``/``latest~N``,
-        or a path to a run JSON file (for committed baselines)."""
+        or a path to a run JSON file (for committed baselines).
+
+        An unknown, ambiguous or malformed ref raises ``KeyError`` naming it.
+        """
         if os.path.sep in ref or ref.endswith(".json"):
             path = Path(ref)
             if path.exists():
                 return RunRecord.from_json(json.loads(path.read_text()))
         if ref.startswith("latest"):
-            offset = 0
-            if "~" in ref:
-                offset = int(ref.split("~", 1)[1] or 0)
+            head, _, raw = ref.partition("~")
+            if head != "latest" or not (raw.isdigit() or raw == ""):
+                raise KeyError(
+                    f"malformed run ref {ref!r}; expected latest or latest~N"
+                )
+            offset = int(raw or 0)
             entries = self.list(kind=kind)
             if len(entries) <= offset:
                 raise KeyError(

@@ -1,4 +1,4 @@
-"""Request-scoped serving observability: traces, SLOs, live dashboards.
+"""Request-scoped serving observability: traces, SLOs, live polling.
 
 Three pillars behind the serving stack (``docs/observability.md``):
 
@@ -19,8 +19,8 @@ Three pillars behind the serving stack (``docs/observability.md``):
 * **live introspection** — :class:`SlowRequestStore` keeps the N
   slowest request traces in memory (``GET /debug/slow``), and the
   :func:`parse_prometheus` / :func:`fetch_metrics` / :func:`top_frame`
-  helpers drive ``repro obs top`` and ``repro obs dashboard`` against
-  any running server's ``/metrics`` endpoint.
+  helpers drive ``repro obs top`` against any running server's
+  ``/metrics`` endpoint.
 
 Everything here is stdlib-only and import-light (no ``repro.serve``
 imports), so the serving layer can depend on it without cycles.
@@ -660,11 +660,11 @@ def fetch_metrics(url: str, timeout: float = 5.0) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Live dashboard: polled samples + terminal frames
+# Live polling: samples + terminal frames for ``repro obs top``
 # ----------------------------------------------------------------------
 @dataclass
 class ServingSample:
-    """One poll of a server's ``/metrics``, reduced to headline series."""
+    """One poll of a server's ``/metrics``: the series one ``obs top`` frame shows."""
 
     ts: float
     requests: float  # cumulative request counter
@@ -684,7 +684,7 @@ class ServingSample:
 def sample_from_metrics(
     parsed: Dict[str, Any], prefix: str = "repro_serve", ts: Optional[float] = None
 ) -> ServingSample:
-    """Reduce one parsed exposition to the dashboard's headline series."""
+    """Reduce one parsed exposition to ``obs top``'s headline series."""
     samples = parsed.get("samples", {})
 
     def get(name: str, default: float = 0.0) -> float:

@@ -186,10 +186,10 @@ class TestTracer:
         assert record["pid"] == os.getpid()
         assert record["tid"] == threading.get_ident()
         assert record["attrs"] == {"cat": "op", "phase": "fwd"}
-        # Re-emitting another process's telemetry overrides the lane identity.
-        tracer.complete("worker.compute", dur=0.1, t0=123.0, pid=999, tid=7)
+        # An explicit t0 back-dates the interval.
+        tracer.complete("eval", dur=0.1, t0=123.0)
         record = tracer.events[-1]
-        assert (record["pid"], record["tid"], record["t0"]) == (999, 7, 123.0)
+        assert (record["t0"], record["dur"]) == (123.0, 0.1)
 
     def test_counter_records_series_sample(self):
         tracer = Tracer()
@@ -198,9 +198,10 @@ class TestTracer:
         record = [e for e in tracer.events if e["kind"] == "counter"][0]
         assert record["name"] == "memory"
         assert record["attrs"] == {"live_bytes": 2048, "peak_bytes": 4096}
-        tracer.counter("memory", t0=5.0, pid=999, tid=7, live_bytes=1)
+        # An explicit t0 back-dates the sample.
+        tracer.counter("memory", t0=5.0, live_bytes=1)
         record = tracer.events[-1]
-        assert (record["pid"], record["tid"], record["t0"]) == (999, 7, 5.0)
+        assert (record["t0"], record["attrs"]) == (5.0, {"live_bytes": 1})
 
     def test_default_tracer_install_and_reset(self):
         tracer = Tracer()

@@ -112,6 +112,9 @@ class TestRunStore:
             store.resolve("2026")  # ambiguous
         with pytest.raises(KeyError):
             store.resolve("nope")
+        for malformed in ("latest~x", "latest~-1", "latestx"):
+            with pytest.raises(KeyError, match="malformed"):
+                store.resolve(malformed)
 
     def test_metric_value_means_lists(self):
         record = make_record(metrics={"auc": [0.6, 0.7], "f1": 0.5})
@@ -520,17 +523,28 @@ class TestRunsCli:
         ]) == 0
         capsys.readouterr()
 
-    def test_report_html_with_sparklines(self, store_dir, tmp_path, capsys):
-        html_path = tmp_path / "report.html"
-        code = cli_main([
-            "runs", "report", "--runs-dir", store_dir, "--html", str(html_path),
-        ])
-        assert code == 0
-        content = html_path.read_text()
-        assert "<svg" in content and "polyline" in content  # sparklines
-        assert "aaa-base" in content
-        assert "Latest comparison" in content  # side-by-side sentinel block
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["runs", "show", "nope"], "nope"),
+            (["runs", "compare", "aaa-base", "latest~x"], "latest~x"),
+            (["runs", "check", "--baseline", "missing.json"], "missing.json"),
+            (["obs", "timeline", "missing.jsonl"], "missing.jsonl"),
+            (["obs", "anatomy", "missing.jsonl"], "missing.jsonl"),
+        ],
+        ids=["runs-show", "runs-compare", "runs-check", "obs-timeline",
+             "obs-anatomy"],
+    )
+    def test_bad_input_is_a_one_line_error(
+        self, store_dir, tmp_path, monkeypatch, capsys, argv, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "runs":
+            argv = argv + ["--runs-dir", store_dir]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
 
     def test_empty_registry(self, tmp_path, capsys):
         assert cli_main(["runs", "list", "--runs-dir", str(tmp_path)]) == 0

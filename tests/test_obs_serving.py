@@ -1,6 +1,6 @@
 """Unit tests for the serving-observability layer: request-scoped
 tracing, sliding-window SLO accounting, slow-request exemplars, the
-strict Prometheus exposition linter, and the dashboard renderers.
+strict Prometheus exposition linter, and the ``obs top`` frames.
 """
 
 import threading
@@ -9,7 +9,6 @@ import pytest
 
 from repro.obs.events import NULL_TRACER
 from repro.obs.metrics import MetricsRegistry, SlidingWindowStats
-from repro.obs.report import serving_dashboard_html, sparkline_svg
 from repro.obs.serving import (
     RequestContext,
     ServingSample,
@@ -466,47 +465,3 @@ class TestTopFrame:
         frame = top_frame(sample)
         assert "recall" not in frame
         assert "burn" not in frame
-
-
-class TestDashboardHtml:
-    def test_contains_tiles_and_sparklines(self):
-        samples = [_synthetic_sample(ts=float(i), requests=100.0 + i) for i in range(5)]
-        slo = [
-            {
-                "slo": "p99 < 25ms over 60s",
-                "met": True,
-                "target": 25.0,
-                "attained": 8.0,
-                "unit": "ms",
-                "budget_consumed": 0.1,
-                "burn_rates": {"60s": 0.5},
-            }
-        ]
-        page = serving_dashboard_html(samples, source_url="http://h:1", slo_status=slo)
-        assert "<!doctype html>" in page
-        assert "polyline" in page
-        assert "p99 &lt; 25ms" in page or "p99 < 25ms" in page
-        assert "http://h:1" in page
-
-    def test_single_sample_page_renders(self):
-        page = serving_dashboard_html([_synthetic_sample()])
-        assert "polyline" in page
-
-
-class TestSparklineDegenerateCases:
-    def test_single_point_gets_marker(self):
-        svg = sparkline_svg([5.0])
-        assert "polyline" in svg and "circle" in svg
-
-    def test_constant_series_is_centered_line(self):
-        svg = sparkline_svg([3.0, 3.0, 3.0])
-        assert "polyline" in svg
-        # All y coordinates sit at mid-height, not pinned to the bottom.
-        assert "NaN" not in svg
-
-    def test_empty_series(self):
-        assert "<svg" in sparkline_svg([])
-
-    def test_normal_series_spans_range(self):
-        svg = sparkline_svg([0.0, 1.0, 2.0])
-        assert "polyline" in svg and "NaN" not in svg

@@ -89,13 +89,18 @@ class TestTimelineExport:
         assert names[0] == ("B", "epoch")
         assert names[-1] == ("E", "epoch")
 
-    def test_worker_events_land_on_their_own_lane(self):
+    def test_other_process_events_land_on_their_own_lane(self):
         tracer = Tracer()
         with tracer.span("epoch", epoch=0):
-            # Re-emitted telemetry of another process carries its own pid/tid.
-            tracer.complete("worker.compute", dur=0.003, t0=1.0, pid=4242, tid=7)
-            tracer.counter("memory", t0=1.001, pid=4242, tid=7, live_bytes=99)
-        trace = build_timeline(tracer.events)
+            tracer.complete("worker.compute", dur=0.003, t0=1.0)
+            tracer.counter("memory", t0=1.001, live_bytes=99)
+        # Two processes appending to one JSONL trace: the second one's
+        # records carry its own pid/tid.
+        events = [
+            dict(ev, pid=4242, tid=7) if ev["kind"] in ("complete", "counter") else ev
+            for ev in tracer.events
+        ]
+        trace = build_timeline(events)
         assert validate_timeline(trace) == []
         records = trace["traceEvents"]
         x = next(r for r in records if r["ph"] == "X")
@@ -400,8 +405,20 @@ class TestEpochAccounting:
         json.dumps(payload)
         text = report.render()
         assert "wall accounted" in text and "forward" in text
-        html = report.to_html()
-        assert html.startswith("<!doctype html>") and "backward" in html
+
+    def test_anatomy_needs_epoch_spans(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        # A `repro serve --trace` file holds request spans, not epochs.
+        path = tmp_path / "serve.jsonl"
+        tracer = Tracer(path=str(path))
+        with tracer.span("http.request", method="GET", path="/recommend"):
+            tracer.complete("cache.lookup", dur=0.001)
+        tracer.close()
+        report = epoch_anatomy(tracer.events)
+        assert (report.epochs, report.epoch_wall_s, report.rows) == (0, 0.0, [])
+        assert cli_main(["obs", "anatomy", str(path)]) == 1
+        assert f"error: no epoch spans in {path}" in capsys.readouterr().err
 
     def test_untraced_epoch_times_no_phases(self, tiny_dataset, monkeypatch):
         def fail(*args):

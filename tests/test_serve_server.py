@@ -439,12 +439,6 @@ def test_obs_cli_parser_wiring():
     assert args.url == "http://h:1"
     assert args.count == 2
     assert args.no_clear
-    args = build_parser().parse_args(
-        ["obs", "dashboard", "--url", "http://h:1", "--out", "/tmp/d.html",
-         "--samples", "3", "--interval", "0.1"]
-    )
-    assert args.out == "/tmp/d.html"
-    assert args.samples == 3
 
 
 def test_obs_top_cli_renders_live_server(served_checkpoint, capsys):
@@ -455,17 +449,3 @@ def test_obs_top_cli_renders_live_server(served_checkpoint, capsys):
     out = capsys.readouterr().out
     assert "repro obs top" in out
     assert "requests" in out and "latency" in out
-
-
-def test_obs_dashboard_cli_renders_live_server(served_checkpoint, tmp_path):
-    """`repro obs dashboard` polls a live /metrics and writes HTML."""
-    base, _ = served_checkpoint
-    out = str(tmp_path / "dashboard.html")
-    code = main(
-        ["obs", "dashboard", "--url", base, "--out", out,
-         "--samples", "2", "--interval", "0.05"]
-    )
-    assert code == 0
-    page = open(out).read()
-    assert "repro serving dashboard" in page
-    assert "polyline" in page
