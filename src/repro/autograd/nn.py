@@ -14,6 +14,7 @@ import numpy as np
 from repro.autograd import init as initializers
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor
+from repro.utils.artifact import load_npz, save_npz
 
 
 class Parameter(Tensor):
@@ -189,18 +190,12 @@ class MLP(Module):
 
 
 def save_state(module: Module, path: str) -> None:
-    """Persist a module's parameters to an ``.npz`` file.
-
-    Keys are the dotted attribute paths of :meth:`Module.named_parameters`
-    (slashes on disk, since npz keys cannot contain some characters the
-    paths may use — the mapping is reversed on load).
-    """
-    state = module.state_dict()
-    np.savez(path, **{key.replace(".", "/"): value for key, value in state.items()})
+    """Persist a module's parameters to a verified ``.npz`` artifact
+    (:mod:`repro.utils.artifact`), keyed by their dotted paths."""
+    save_npz(path, module.state_dict(), {"kind": "module_state"})
 
 
 def load_state(module: Module, path: str) -> None:
     """Load parameters saved by :func:`save_state` into ``module``."""
-    with np.load(path) as payload:
-        state = {key.replace("/", "."): payload[key] for key in payload.files}
+    state, _ = load_npz(path, "module_state")
     module.load_state_dict(state)

@@ -31,7 +31,8 @@ epoch-anatomy phase breakdown, and ``obs top`` polls a running server's
 ``/metrics``.  ``runs`` inspects the persistent run registry:
 ``list``/``show``, ``compare A B``, and the CI regression gate ``check
 --baseline <ref>`` (exit 1 on regression; see docs/runs.md).  An unknown
-run ref or unreadable trace path exits 2 with a one-line error.
+run ref, unreadable trace path, missing file or corrupt artifact
+(checkpoint, index, prepared dataset) exits 2 with a one-line error.
 ``train`` and ``export`` accept ``--record`` to persist the fit into the
 registry.
 """
@@ -39,6 +40,7 @@ registry.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from typing import List, Optional
@@ -52,6 +54,7 @@ from repro.data.loaders import save_interactions_file, save_kg_file
 from repro.eval import evaluate_ctr, evaluate_topk
 from repro.training import Trainer, TrainerConfig, run_comparison
 from repro.utils import format_table
+from repro.utils.artifact import ArtifactError, atomic_write_text
 
 CGKGR_NAMES = ("cg-kgr", "cgkgr")
 
@@ -479,8 +482,6 @@ def cmd_serve(args) -> int:
 
 def cmd_profile(args) -> int:
     """Run instrumented training steps and print the per-op profile."""
-    import json
-
     from repro.autograd.optim import Adam
     from repro.data.negative_sampling import sample_training_negatives
     from repro.obs import NULL_TRACER, profile
@@ -552,8 +553,7 @@ def cmd_profile(args) -> int:
         f"{model.num_parameters()} parameters)"
     )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=1)
+        atomic_write_text(args.json, json.dumps(report.to_json(), indent=1))
         print(f"wrote profile JSON to {args.json}")
     return 0
 
@@ -587,9 +587,9 @@ def cmd_obs_top(args) -> int:
 
 
 def _bad_input(exc: Exception) -> int:
-    """One-line report of an unknown run ref or unreadable path; exit 2.
+    """One-line report of an unknown run ref, bad path or bad artifact; exit 2.
 
-    ``KeyError`` messages name the ref and ``OSError`` messages the path.
+    ``KeyError`` messages name the ref, the others the path.
     """
     message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
     print(f"error: {message}", file=sys.stderr)
@@ -600,10 +600,7 @@ def cmd_obs_timeline(args) -> int:
     """Convert a ``--trace`` JSONL to Chrome trace-event JSON (Perfetto)."""
     from repro.obs import load_trace_events, write_timeline
 
-    try:
-        events = load_trace_events(args.trace)
-    except OSError as exc:
-        return _bad_input(exc)
+    events = load_trace_events(args.trace)
     if not events:
         print(f"no events found in {args.trace}", file=sys.stderr)
         return 1
@@ -623,10 +620,7 @@ def cmd_obs_anatomy(args) -> int:
     """Epoch-anatomy report: phases ranked by exclusive time + allocation."""
     from repro.obs import epoch_anatomy, load_trace_events
 
-    try:
-        events = load_trace_events(args.trace)
-    except OSError as exc:
-        return _bad_input(exc)
+    events = load_trace_events(args.trace)
     if not events:
         print(f"no events found in {args.trace}", file=sys.stderr)
         return 1
@@ -635,10 +629,7 @@ def cmd_obs_anatomy(args) -> int:
         print(f"error: no epoch spans in {args.trace}", file=sys.stderr)
         return 1
     if args.json:
-        import json as _json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(report.to_json(), handle, indent=1)
+        atomic_write_text(args.json, json.dumps(report.to_json(), indent=1))
         print(f"wrote anatomy JSON to {args.json}")
     print(report.render())
     return 0
@@ -681,11 +672,9 @@ def cmd_runs_list(args) -> int:
 
 
 def cmd_runs_show(args) -> int:
-    import json
-
     try:
         record = _runs_store(args).resolve(args.ref)
-    except (KeyError, OSError) as exc:
+    except KeyError as exc:
         return _bad_input(exc)
     print(json.dumps(record.to_json(), indent=1))
     return 0
@@ -697,7 +686,7 @@ def cmd_runs_compare(args) -> int:
     store = _runs_store(args)
     try:
         baseline, current = store.resolve(args.baseline), store.resolve(args.run)
-    except (KeyError, OSError) as exc:
+    except KeyError as exc:
         return _bad_input(exc)
     report = compare_runs(
         baseline, current, tolerances=_parse_tolerances(args.tolerance)
@@ -708,23 +697,20 @@ def cmd_runs_compare(args) -> int:
 
 def cmd_runs_check(args) -> int:
     """CI regression gate: exit 1 when any metric regressed vs baseline."""
-    import json
-
     from repro.obs import compare_runs
 
     store = _runs_store(args)
     try:
         baseline = store.resolve(args.baseline, kind=args.kind)
         current = store.resolve(args.run, kind=args.kind)
-    except (KeyError, OSError) as exc:
+    except KeyError as exc:
         return _bad_input(exc)
     report = compare_runs(
         baseline, current, tolerances=_parse_tolerances(args.tolerance)
     )
     print(report.render())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=1)
+        atomic_write_text(args.json, json.dumps(report.to_json(), indent=1))
         print(f"wrote sentinel report to {args.json}")
     if report.regressed:
         for verdict in report.regressions():
@@ -1000,7 +986,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ArtifactError) as exc:
+        return _bad_input(exc)
 
 
 if __name__ == "__main__":

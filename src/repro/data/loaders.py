@@ -116,8 +116,8 @@ def load_dataset_dir(
 ) -> RecDataset:
     """Load a full benchmark from a directory in the artifact layout.
 
-    A directory produced by ``repro prep`` (``manifest.json`` +
-    ``prepared.npz``) is detected and loaded through
+    A directory produced by ``repro prep`` (a ``prepared.npz``
+    artifact) is detected and loaded through
     :func:`repro.data.prep.load_prepared` instead — its stored splits are
     used verbatim, so ``split_seed`` does not apply there.
     """

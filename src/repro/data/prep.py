@@ -21,13 +21,14 @@ the repo consumes directly (the RecBole ``kg_dataset`` recipe):
    with items occupying the first entity ids (``I ⊆ E``, Sec. II) and the
    original→new vocab maps persisted alongside the arrays;
 6. **split + serialize** — 6:2:2 split under ``split_seed``, written as
-   ``prepared.npz`` + ``manifest.json`` whose ``fingerprint`` is a sha256
-   over the config and every output array, so byte-identical inputs and
-   config produce byte-identical prepared datasets.
+   one ``prepared.npz`` artifact (:mod:`repro.utils.artifact`) whose meta
+   is the manifest; its ``fingerprint`` is a sha256 over the config and
+   every output array, so byte-identical inputs and config produce
+   byte-identical prepared datasets.
 
 ``load_prepared`` reads such a directory back into a :class:`RecDataset`
-(verifying the fingerprint), and ``repro prep`` exposes the pipeline on
-the command line.  See docs/data.md.
+(the artifact digest is verified on every load), and ``repro prep``
+exposes the pipeline on the command line.  See docs/data.md.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ from repro.data.dataset import RecDataset
 from repro.data.splits import split_interactions
 from repro.graph.interactions import InteractionGraph
 from repro.graph.knowledge_graph import KnowledgeGraph
+from repro.utils.artifact import atomic_write_text, load_npz, save_npz
 
-MANIFEST_FILENAME = "manifest.json"
 ARRAYS_FILENAME = "prepared.npz"
 VOCAB_FILENAME = "vocab.json"
-PREP_FORMAT = 1
 
 #: Serialization order of the prepared arrays — part of the fingerprint
 #: definition, so it must never be reordered silently.
@@ -402,12 +402,10 @@ def prepared_fingerprint(arrays: Dict[str, np.ndarray], config_json: Dict) -> st
 
 def write_prepared(directory: str, result: PrepResult) -> Dict:
     """Serialize a :class:`PrepResult`; returns the manifest dict."""
-    os.makedirs(directory, exist_ok=True)
     arrays = _result_arrays(result)
     config_json = (result.config or PrepConfig()).to_json()
     ds = result.dataset
     manifest = {
-        "format": PREP_FORMAT,
         "name": ds.name,
         "config": config_json,
         "sizes": {
@@ -421,19 +419,21 @@ def write_prepared(directory: str, result: PrepResult) -> Dict:
         "stats": {k: int(v) for k, v in result.stats.items()},
         "fingerprint": prepared_fingerprint(arrays, config_json),
     }
-    np.savez(os.path.join(directory, ARRAYS_FILENAME), **arrays)
-    with open(os.path.join(directory, MANIFEST_FILENAME), "w") as handle:
-        json.dump(manifest, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    save_npz(
+        os.path.join(directory, ARRAYS_FILENAME),
+        arrays,
+        {"kind": "prepared", **manifest},
+    )
     vocab = {
         "user_ids": result.user_ids.tolist(),
         "item_ids": result.item_ids.tolist(),
         "entity_ids": result.entity_ids.tolist(),
         "relation_ids": result.relation_ids.tolist(),
     }
-    with open(os.path.join(directory, VOCAB_FILENAME), "w") as handle:
-        json.dump(vocab, handle, separators=(",", ":"))
-        handle.write("\n")
+    atomic_write_text(
+        os.path.join(directory, VOCAB_FILENAME),
+        json.dumps(vocab, separators=(",", ":")) + "\n",
+    )
     return manifest
 
 
@@ -450,37 +450,19 @@ def prepare(
 
 def is_prepared_dir(directory: str) -> bool:
     """Does ``directory`` hold a serialized prepared dataset?"""
-    return os.path.isfile(
-        os.path.join(directory, MANIFEST_FILENAME)
-    ) and os.path.isfile(os.path.join(directory, ARRAYS_FILENAME))
+    return os.path.isfile(os.path.join(directory, ARRAYS_FILENAME))
 
 
-def load_prepared(directory: str, verify: bool = True) -> RecDataset:
+def load_prepared(directory: str) -> RecDataset:
     """Read a prepared directory back into a :class:`RecDataset`.
 
     The stored splits are loaded verbatim (NOT re-split), so every
-    consumer of the same directory trains on byte-identical data.  With
-    ``verify`` the arrays are re-hashed against the manifest fingerprint.
+    consumer of the same directory trains on byte-identical data; the
+    artifact digest rejects a modified or corrupted ``prepared.npz``.
     """
-    manifest_path = os.path.join(directory, MANIFEST_FILENAME)
-    with open(manifest_path) as handle:
-        manifest = json.load(handle)
-    if manifest.get("format") != PREP_FORMAT:
-        raise ValueError(
-            f"{manifest_path}: unsupported prepared-dataset format "
-            f"{manifest.get('format')!r} (expected {PREP_FORMAT})"
-        )
-    with np.load(os.path.join(directory, ARRAYS_FILENAME)) as data:
-        arrays = {key: data[key] for key in _ARRAY_KEYS}
-    if verify:
-        digest = prepared_fingerprint(arrays, manifest["config"])
-        if digest != manifest["fingerprint"]:
-            raise ValueError(
-                f"{directory}: prepared arrays do not match the manifest "
-                f"fingerprint (expected {manifest['fingerprint'][:12]}…, "
-                f"got {digest[:12]}…); the directory was modified or "
-                "corrupted"
-            )
+    arrays, manifest = load_npz(
+        os.path.join(directory, ARRAYS_FILENAME), "prepared"
+    )
     sizes = manifest["sizes"]
     n_users = int(sizes["n_users"])
     n_items = int(sizes["n_items"])

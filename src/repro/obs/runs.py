@@ -35,6 +35,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.utils.artifact import atomic_write_text
+
 __all__ = [
     "RunRecord",
     "RunStore",
@@ -269,7 +271,7 @@ class RunStore:
                 f"run {record.run_id!r} already recorded at {path} "
                 "(the registry is append-only)"
             )
-        path.write_text(json.dumps(record.to_json(), indent=1) + "\n")
+        atomic_write_text(path, json.dumps(record.to_json(), indent=1) + "\n")
         with (self.root / INDEX_FILE).open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(record.index_entry()) + "\n")
         return path

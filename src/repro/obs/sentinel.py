@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.utils.artifact import atomic_write_text
+
 __all__ = [
     "Tolerance",
     "MetricVerdict",
@@ -275,7 +277,9 @@ def append_trajectory(path, entry: Dict[str, Any]) -> int:
 
     The file is a single JSON object ``{"format": 1, "entries": [...]}``
     so the history renders on GitHub and diffs cleanly; entries carry at
-    least ``run_id``, ``ts``, and ``metrics``.  Returns the new length.
+    least ``run_id``, ``ts``, and ``metrics``.  The file is replaced
+    atomically, so a crash mid-write keeps the old history.  Returns the
+    new length.
     """
     path = Path(path)
     entries: List[Dict[str, Any]] = []
@@ -285,8 +289,8 @@ def append_trajectory(path, entry: Dict[str, Any]) -> int:
     entry = dict(entry)
     entry.setdefault("ts", time.time())
     entries.append(entry)
-    path.write_text(
-        json.dumps({"format": 1, "entries": entries}, indent=1) + "\n"
+    atomic_write_text(
+        path, json.dumps({"format": 1, "entries": entries}, indent=1) + "\n"
     )
     return len(entries)
 

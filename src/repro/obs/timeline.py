@@ -28,8 +28,9 @@ profile``.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Tuple
+
+from repro.utils.artifact import atomic_write_text
 
 __all__ = [
     "load_trace_events",
@@ -338,8 +339,5 @@ def write_timeline(
             raise ValueError(
                 "generated timeline failed validation:\n  " + "\n  ".join(problems[:10])
             )
-    out_path = Path(out_path)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(trace) + "\n")
+    atomic_write_text(out_path, json.dumps(trace) + "\n")
     return trace

@@ -32,8 +32,6 @@ off the results coincide with brute force.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -621,70 +619,28 @@ class IVFIndex(TopKIndex):
         return stats
 
     # ------------------------------------------------------------------
-    def save(self, path: str) -> str:
-        """Serialize to one ``.npz`` (see :meth:`TopKIndex.save`)."""
-        mask_items, mask_offsets = self._pack_mask_table()
-        meta = {
-            "kind": "ivf",
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "nprobe": self.nprobe,
-            "block_size": self.block_size,
-            "stats": self.stats,
-            "compressed": self.compressed,
-        }
-        arrays = {
-            "meta": np.array(json.dumps(meta)),
-            "user_ids": self.user_ids,
-            "mask_items": mask_items,
-            "mask_offsets": mask_offsets,
-            "user_reps": self._user_reps,
-            "centroids": self.centroids,
-            "list_items": self.list_items,
-            "list_offsets": self.list_offsets,
-        }
-        if self._item_reps is not None:
-            arrays["item_reps"] = self._item_reps
+    def _artifact(self) -> Tuple[Dict[str, np.ndarray], dict]:
+        arrays, meta = super()._artifact()
+        arrays.update(
+            centroids=self.centroids,
+            list_items=self.list_items,
+            list_offsets=self.list_offsets,
+        )
         if self._item_cluster is not None:
             arrays["item_cluster"] = self._item_cluster
         if self.pq is not None:
             arrays["pq_codebooks"] = self.pq.codebooks
             arrays["pq_codes"] = self.pq_codes
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        np.savez(path, **arrays)
-        return path
+        del meta["mode"]
+        meta.update(kind="ivf", nprobe=self.nprobe, stats=self.stats)
+        return arrays, meta
 
     @classmethod
-    def load(cls, path: str) -> "IVFIndex":
-        with np.load(path) as payload:
-            meta = json.loads(str(payload["meta"]))
-            if meta.get("kind") != "ivf":
-                raise ValueError(
-                    f"{path} holds a {meta.get('kind')!r} index, not 'ivf'; "
-                    "use TopKIndex.load"
-                )
-            mask_table = TopKIndex._unpack_mask_table(
-                payload["mask_items"], payload["mask_offsets"]
-            )
-            pq = codes = None
-            if "pq_codebooks" in payload.files:
-                pq = ProductQuantizer(payload["pq_codebooks"])
-                codes = payload["pq_codes"]
-            index = cls(
-                payload["user_ids"],
-                int(meta["n_users"]),
-                int(meta["n_items"]),
-                mask_table,
-                user_reps=payload["user_reps"],
-                centroids=payload["centroids"],
-                list_items=payload["list_items"],
-                list_offsets=payload["list_offsets"],
-                nprobe=int(meta["nprobe"]),
-                item_reps=payload["item_reps"] if "item_reps" in payload.files else None,
-                pq=pq,
-                pq_codes=codes,
-                item_cluster=payload["item_cluster"] if "item_cluster" in payload.files else None,
-                block_size=int(meta["block_size"]),
-                stats=meta.get("stats") or {},
-            )
-        return index
+    def _from_artifact(
+        cls, arrays: Dict[str, np.ndarray], meta: dict
+    ) -> "IVFIndex":
+        arrays = dict(arrays)
+        codebooks = arrays.pop("pq_codebooks", None)
+        if codebooks is not None:
+            arrays["pq"] = ProductQuantizer(codebooks)
+        return super()._from_artifact(arrays, meta)

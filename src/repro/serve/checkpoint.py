@@ -1,16 +1,18 @@
-"""Model checkpointing: ``.npz`` weights + JSON manifest.
+"""Model checkpointing: one verified ``weights.npz`` artifact.
 
-A checkpoint is a directory with two files:
+A checkpoint is a directory whose ``weights.npz`` (:mod:`repro.utils.artifact`)
+holds:
 
-* ``weights.npz`` — every trainable parameter (``param/<dotted name>``
-  keys from :meth:`Module.state_dict`) plus the model's ``extra_state``
-  arrays (``extra/<key>``), stored bit-exactly in their native dtypes;
-* ``manifest.json`` — everything needed to rebuild the model *object*
-  before loading weights into it: the registry key, the constructor
-  config (:meth:`Recommender.export_config`), the seed, a dataset
-  fingerprint (id-space sizes, checked on restore), and optionally the
-  spec of the synthetic profile / data directory the model was trained
-  on so ``repro serve`` can reconstruct the dataset by itself.
+* every trainable parameter (``param/<dotted name>`` keys from
+  :meth:`Module.state_dict`) plus the model's ``extra_state`` arrays
+  (``extra/<key>``), stored bit-exactly in their native dtypes;
+* as its meta, the *manifest* — everything needed to rebuild the model
+  *object* before loading weights into it: the registry key, the
+  constructor config (:meth:`Recommender.export_config`), the seed, a
+  dataset fingerprint (id-space sizes, checked on restore), the sha256 of
+  a shipped ``index.npz``, and optionally the spec of the synthetic
+  profile / data directory the model was trained on so ``repro serve``
+  can reconstruct the dataset by itself.
 
 Restore order matters: the constructor draws fresh random parameters and
 resamples neighborhoods, then :func:`load_checkpoint` overwrites both
@@ -20,7 +22,6 @@ with the saved arrays — so a loaded model reproduces the original's
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, Optional
 
@@ -28,11 +29,9 @@ import numpy as np
 
 from repro.baselines.base import Recommender
 from repro.data.dataset import RecDataset
-
-FORMAT_VERSION = 1
+from repro.utils.artifact import load_npz, save_npz
 
 WEIGHTS_FILE = "weights.npz"
-MANIFEST_FILE = "manifest.json"
 #: Optional prebuilt retrieval index (``TopKIndex.save``/``IVFIndex.save``)
 #: shipped next to the weights so ``repro serve`` boots without rebuilding.
 INDEX_FILE = "index.npz"
@@ -96,7 +95,7 @@ def save_checkpoint(
     metrics: Optional[Dict[str, float]] = None,
     index=None,
 ) -> str:
-    """Write ``<path>/weights.npz`` + ``<path>/manifest.json``.
+    """Write ``<path>/weights.npz`` with the manifest as its meta.
 
     ``dataset_spec`` records how to rebuild the training dataset, e.g.
     ``{"profile": "music", "seed": 0, "scale": 1.0}`` for a synthetic
@@ -107,9 +106,18 @@ def save_checkpoint(
     :class:`~repro.serve.ann.IVFIndex`) is additionally serialized to
     ``<path>/index.npz`` and summarized in the manifest, so
     :func:`~repro.serve.engine.engine_from_checkpoint` can skip the
-    index build at boot.
+    index build at boot.  The index is written first, so a crash between
+    the two files leaves weights whose digest of it rejects the new one.
     """
-    os.makedirs(path, exist_ok=True)
+    index_summary = None
+    if index is not None:
+        index_summary = {
+            "mode": index.mode,
+            "indexed_users": index.n_indexed_users,
+            "memory_bytes": index.memory_bytes(),
+            "stats": getattr(index, "stats", None) or {},
+            "sha256": save_npz(os.path.join(path, INDEX_FILE), *index._artifact()),
+        }
     arrays: Dict[str, np.ndarray] = {}
     for name, value in model.state_dict().items():
         arrays[f"param/{name}"] = value
@@ -121,20 +129,8 @@ def save_checkpoint(
                 "ndarray; checkpointing requires array-valued extra state"
             )
         arrays[f"extra/{key}"] = value
-    np.savez(os.path.join(path, WEIGHTS_FILE), **arrays)
-
-    index_summary = None
-    if index is not None:
-        index.save(os.path.join(path, INDEX_FILE))
-        index_summary = {
-            "mode": index.mode,
-            "indexed_users": index.n_indexed_users,
-            "memory_bytes": index.memory_bytes(),
-            "stats": getattr(index, "stats", None) or {},
-        }
-
     manifest = {
-        "format_version": FORMAT_VERSION,
+        "kind": "checkpoint",
         "model_key": model_key_of(model),
         "model_name": model.name,
         "model_config": model.export_config(),
@@ -145,26 +141,13 @@ def save_checkpoint(
         "n_parameters": model.num_parameters(),
         "index": index_summary,
     }
-    with open(os.path.join(path, MANIFEST_FILE), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_npz(os.path.join(path, WEIGHTS_FILE), arrays, manifest)
     return path
 
 
 def read_manifest(path: str) -> dict:
-    """Parse and version-check ``<path>/manifest.json``."""
-    manifest_path = os.path.join(path, MANIFEST_FILE)
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"no checkpoint manifest at {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint format_version {version!r} "
-            f"(this build reads {FORMAT_VERSION})"
-        )
-    return manifest
+    """The verified manifest (meta) of ``<path>/weights.npz``."""
+    return load_npz(os.path.join(path, WEIGHTS_FILE), "checkpoint")[1]
 
 
 def dataset_from_spec(spec: dict) -> RecDataset:
@@ -194,7 +177,7 @@ def load_checkpoint(
     regenerate the dataset (synthetic profiles are deterministic given
     profile/seed/scale, so id spaces line up exactly).
     """
-    manifest = read_manifest(path)
+    arrays, manifest = load_npz(os.path.join(path, WEIGHTS_FILE), "checkpoint")
     if dataset is None:
         spec = manifest.get("dataset_spec")
         if not spec:
@@ -219,17 +202,16 @@ def load_checkpoint(
         config=manifest["model_config"],
     )
 
-    with np.load(os.path.join(path, WEIGHTS_FILE)) as payload:
-        params = {
-            key[len("param/") :]: payload[key]
-            for key in payload.files
-            if key.startswith("param/")
-        }
-        extra = {
-            key[len("extra/") :]: payload[key]
-            for key in payload.files
-            if key.startswith("extra/")
-        }
+    params = {
+        key[len("param/") :]: value
+        for key, value in arrays.items()
+        if key.startswith("param/")
+    }
+    extra = {
+        key[len("extra/") :]: value
+        for key, value in arrays.items()
+        if key.startswith("extra/")
+    }
     model.load_state_dict(params)
     if extra:
         model.load_extra_state(extra)

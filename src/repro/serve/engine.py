@@ -33,6 +33,7 @@ from repro.baselines.base import Recommender
 from repro.serve.index import TopKIndex, topk_from_scores
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.serving import current_request, use_request
+from repro.utils.artifact import ArtifactError
 
 Result = Tuple[np.ndarray, np.ndarray]  # (items, scores), each length k
 
@@ -58,20 +59,26 @@ def engine_from_checkpoint(
     A checkpoint exported with a prebuilt index (``repro export
     --index-mode ...`` writes ``index.npz`` next to the weights) boots
     without rebuilding, when the saved index covers the request
-    (``users=None`` and a compatible ``mode``); ``use_saved_index=False``
-    forces a rebuild. ``mode="ann"`` builds the approximate
+    (``users=None`` and a compatible ``mode``); its sha256 must match
+    the one the weights recorded. ``use_saved_index=False`` forces a
+    rebuild. ``mode="ann"`` builds the approximate
     :class:`~repro.serve.ann.IVFIndex` with ``ann_params``
     (``nlist``/``nprobe``/``pq_m``/...).
     """
-    from repro.serve.checkpoint import INDEX_FILE, load_checkpoint
+    from repro.serve.checkpoint import INDEX_FILE, load_checkpoint, read_manifest
 
     model = load_checkpoint(path, dataset)
     index = None
-    index_path = os.path.join(path, INDEX_FILE)
-    if use_saved_index and users is None and os.path.exists(index_path):
+    shipped = read_manifest(path)["index"]
+    if use_saved_index and users is None and shipped:
         from repro.serve.index import load_index
 
+        index_path = os.path.join(path, INDEX_FILE)
         saved = load_index(index_path)
+        if saved.sha256 != shipped["sha256"]:
+            raise ArtifactError(
+                f"{index_path}: sha256 fingerprint mismatch with the manifest"
+            )
         if mode in ("auto", saved.mode):
             index = saved
     if index is None:

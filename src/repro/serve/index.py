@@ -26,15 +26,14 @@ slow; :func:`load_index` reloads either kind from its ``.npz``.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.base import Recommender
 from repro.eval.ranking import build_mask_table
 from repro.graph.interactions import InteractionGraph
+from repro.utils.artifact import load_npz, save_npz
 
 
 def topk_from_scores(
@@ -72,6 +71,8 @@ class TopKIndex:
     #: Modes a class accepts; :class:`repro.serve.ann.IVFIndex` narrows
     #: this to ``("ann",)`` while reusing the rest of the constructor.
     _MODES = ("factorized", "dense")
+    #: sha256 of the file :func:`load_index` read this index from.
+    sha256: Optional[str] = None
 
     def __init__(
         self,
@@ -235,35 +236,19 @@ class TopKIndex:
     # checkpoint (`repro export --index-mode ...`) instead of being
     # rebuilt on every `repro serve` boot.
     # ------------------------------------------------------------------
-    def _pack_mask_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Ragged per-user mask arrays → (concat items, offsets)."""
-        lengths = np.fromiter(
-            (len(row) for row in self.mask_table),
-            dtype=np.int64,
-            count=len(self.mask_table),
-        )
-        offsets = np.zeros(len(self.mask_table) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        items = (
-            np.concatenate(self.mask_table)
-            if len(self.mask_table)
-            else np.empty(0, dtype=np.int64)
-        ).astype(np.int64)
-        return items, offsets
-
-    @staticmethod
-    def _unpack_mask_table(
-        items: np.ndarray, offsets: np.ndarray
-    ) -> List[np.ndarray]:
-        items = np.asarray(items, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        return [
-            items[offsets[u] : offsets[u + 1]] for u in range(len(offsets) - 1)
-        ]
-
-    def save(self, path: str) -> str:
-        """Serialize the exact index to one ``.npz`` file, bit-exactly."""
-        mask_items, mask_offsets = self._pack_mask_table()
+    def _artifact(self) -> Tuple[Dict[str, np.ndarray], dict]:
+        """Arrays + meta for :func:`save_npz`.  Every name except ``kind``
+        and the packed mask table is a constructor argument, which is how
+        :meth:`_from_artifact` rebuilds the index."""
+        lengths = [len(row) for row in self.mask_table]
+        arrays = {
+            "user_ids": self.user_ids,
+            "mask_items": np.concatenate(self.mask_table).astype(np.int64),
+            "mask_offsets": np.cumsum([0] + lengths, dtype=np.int64),
+            "user_reps": self._user_reps,
+            "item_reps": self._item_reps,
+            "score_rows": self._score_rows,
+        }
         meta = {
             "kind": "exact",
             "mode": self.mode,
@@ -271,56 +256,44 @@ class TopKIndex:
             "n_items": self.n_items,
             "block_size": self.block_size,
         }
-        arrays = {
-            "meta": np.array(json.dumps(meta)),
-            "user_ids": self.user_ids,
-            "mask_items": mask_items,
-            "mask_offsets": mask_offsets,
-        }
-        if self._user_reps is not None:
-            arrays["user_reps"] = self._user_reps
-        if self._item_reps is not None:
-            arrays["item_reps"] = self._item_reps
-        if self._score_rows is not None:
-            arrays["score_rows"] = self._score_rows
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        np.savez(path, **arrays)
+        return {k: v for k, v in arrays.items() if v is not None}, meta
+
+    @classmethod
+    def _from_artifact(
+        cls, arrays: Dict[str, np.ndarray], meta: dict
+    ) -> "TopKIndex":
+        args = dict(arrays)
+        offsets = args.pop("mask_offsets")
+        args["mask_table"] = np.split(args.pop("mask_items"), offsets[1:-1])
+        args.update(
+            (k, v) for k, v in meta.items() if k not in ("kind", "format", "sha256")
+        )
+        index = cls(**args)
+        index.sha256 = meta["sha256"]
+        return index
+
+    def save(self, path: str) -> str:
+        """Serialize the index to one verified ``.npz``, bit-exactly."""
+        save_npz(path, *self._artifact())
         return path
 
     @classmethod
     def load(cls, path: str) -> "TopKIndex":
-        with np.load(path) as payload:
-            meta = json.loads(str(payload["meta"]))
-            if meta.get("kind") != "exact":
-                raise ValueError(
-                    f"{path} holds a {meta.get('kind')!r} index; "
-                    "use load_index() to dispatch on kind"
-                )
-            mask_table = cls._unpack_mask_table(
-                payload["mask_items"], payload["mask_offsets"]
+        """Load a saved index of this class (:func:`load_index`: any kind)."""
+        index = load_index(path)
+        if type(index) is not cls:
+            name = type(index).__name__
+            raise ValueError(
+                f"{path} holds a {name}; use {name}.load or load_index()"
             )
-            return cls(
-                payload["user_ids"],
-                int(meta["n_users"]),
-                int(meta["n_items"]),
-                meta["mode"],
-                mask_table,
-                user_reps=payload["user_reps"] if "user_reps" in payload.files else None,
-                item_reps=payload["item_reps"] if "item_reps" in payload.files else None,
-                score_rows=payload["score_rows"] if "score_rows" in payload.files else None,
-                block_size=int(meta["block_size"]),
-            )
+        return index
 
 
 def load_index(path: str) -> TopKIndex:
-    """Load any saved index, dispatching exact vs ANN on its metadata."""
-    with np.load(path) as payload:
-        kind = json.loads(str(payload["meta"])).get("kind")
-    if kind == "exact":
-        return TopKIndex.load(path)
-    if kind == "ivf":
-        from repro.serve.ann import IVFIndex
+    """Load any saved index, dispatching exact vs ANN on its ``kind``."""
+    arrays, meta = load_npz(path, ("exact", "ivf"))
+    if meta["kind"] == "exact":
+        return TopKIndex._from_artifact(arrays, meta)
+    from repro.serve.ann import IVFIndex
 
-        return IVFIndex.load(path)
-    raise ValueError(f"unknown index kind {kind!r} in {path}")
+    return IVFIndex._from_artifact(arrays, meta)

@@ -118,3 +118,62 @@ class TestCliErrorPaths:
         assert code == 0
         out = capsys.readouterr().out
         assert "best =" not in out  # significance line suppressed at n=1
+
+
+def _checkpoint_with_index(directory) -> None:
+    from repro.baselines import BPRMF
+    from repro.data import generate_profile
+    from repro.serve import TopKIndex, save_checkpoint
+
+    dataset = generate_profile("music", seed=0, scale=0.3)
+    model = BPRMF(dataset, dim=8, seed=0)
+    save_checkpoint(
+        model,
+        str(directory),
+        dataset_spec={"profile": "music", "seed": 0, "scale": 0.3},
+        index=TopKIndex.build(model),
+    )
+
+
+def _tampered_prepared(directory) -> None:
+    import numpy as np
+
+    main(["generate", "--dataset", "music", "--scale", "0.3",
+          "--out", str(directory / "raw")])
+    main(["prep", "--data-dir", str(directory / "raw"), "--out", str(directory)])
+    path = directory / "prepared.npz"
+    with np.load(path) as payload:
+        arrays = {name: payload[name] for name in payload.files}
+    arrays["train_users"] = arrays["train_users"][::-1].copy()
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize(
+    "case, named",
+    [
+        ("missing-checkpoint", "weights.npz"),
+        ("truncated-weights", "weights.npz"),
+        ("flipped-index", "index.npz"),
+        ("tampered-prepared", "prepared.npz"),
+    ],
+)
+def test_bad_artifact_is_a_one_line_error(case, named, tmp_path, capsys):
+    from tests.test_artifact import flip_array_byte, truncate
+
+    target = tmp_path / "artifact"
+    argv = ["serve", "--checkpoint", str(target), "--port", "0"]
+    if case == "truncated-weights":
+        _checkpoint_with_index(target)
+        truncate(target / "weights.npz")
+    elif case == "flipped-index":
+        _checkpoint_with_index(target)
+        flip_array_byte(target / "index.npz")
+    elif case == "tampered-prepared":
+        _tampered_prepared(target)
+        argv = ["train", "--data-dir", str(target), "--model", "bprmf",
+                "--epochs", "1"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err

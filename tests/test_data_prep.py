@@ -198,19 +198,18 @@ class TestSerialization:
         np.savez(npz_path, **arrays)
         with pytest.raises(ValueError, match="fingerprint"):
             load_prepared(out)
-        # verify=False loads anyway (debugging escape hatch).
-        load_prepared(out, verify=False)
 
     def test_wrong_format_rejected(self, tmp_path):
         ratings_path, kg_path = _write_raw(tmp_path, RAW_RATINGS, RAW_KG)
         out = str(tmp_path / "prep")
         prepare(ratings_path, kg_path, out)
-        manifest_path = os.path.join(out, "manifest.json")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
+        npz_path = os.path.join(out, "prepared.npz")
+        with np.load(npz_path) as data:
+            arrays = {key: data[key].copy() for key in data.files}
+        manifest = json.loads(str(arrays["__meta__"]))
         manifest["format"] = 99
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
+        arrays["__meta__"] = np.array(json.dumps(manifest))
+        np.savez(npz_path, **arrays)
         with pytest.raises(ValueError, match="format"):
             load_prepared(out)
 
