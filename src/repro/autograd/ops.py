@@ -624,52 +624,65 @@ def stack(tensors: Sequence[TensorLike], axis: int = 0) -> Tensor:
     return Tensor._make(out, tuple(ts), tuple(backward_fns), "stack")
 
 
-def _scatter_rows(shape: Tuple[int, ...], idx: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint of a row gather: ``zeros(shape)`` with ``g`` summed in at ``idx``.
+def segment_sum(keys, n_keys: int, dense: np.ndarray, cols=None, weights=None) -> np.ndarray:
+    """Keyed row sum ``out[h, k] = Σ_{j: keys[j]=k} weights[j, h] · dense[cols[j]]``.
 
-    Column-wise ``np.bincount`` beats ``np.add.at`` by ~3x for the
-    ``(n, d)`` float64 embedding tables this engine trains; anything else
-    falls back to the generic scatter.
+    The one scatter-add primitive: the embedding, index and guided
+    attention adjoints and the :func:`scatter_rows` forward use it.
+    ``keys`` (any shape, flattened; negative values count from the end as
+    in numpy indexing) picks the output row of each term ``j``; ``cols``
+    (default ``arange``) the ``dense`` row it reads; ``weights`` ``(n, H)``
+    scales it per head (default: one head of 1s).  ``dense`` is
+    ``(m, d)``; the result is ``(H, n_keys, d)``.
+
+    It runs as a single ``csr_matrix @ dense`` product with head-major rows
+    ``h · n_keys + k``, so nothing per-term of size ``d`` is materialized.
+    A stable sort of ``keys`` (radix for 16-bit keys) orders each row's
+    terms by ``j``, the order ``np.add.at`` and ``np.bincount`` sum in,
+    so unit-weight results are bit-identical to theirs.
     """
-    if len(shape) != 2 or g.dtype != np.float64:
-        grad = np.zeros(shape, dtype=g.dtype)
-        np.add.at(grad, idx, g)
-        return grad
-    n, d = shape
-    flat = idx.ravel()
-    if flat.size and flat.min() < 0:
-        flat = np.where(flat < 0, flat + n, flat)
-    rows = g.reshape(-1, d)
-    grad = np.empty(shape, dtype=np.float64)
-    for column in range(d):
-        grad[:, column] = np.bincount(flat, weights=rows[:, column], minlength=n)
-    return grad
+    from scipy import sparse
+
+    keys = np.asarray(keys).reshape(-1).astype(np.intp, copy=False)
+    if keys.size and keys.min() < 0:
+        keys = np.where(keys < 0, keys + n_keys, keys)
+    sort_keys = keys.astype(np.uint16) if n_keys <= 65535 else keys
+    order = np.argsort(sort_keys, kind="stable")
+    if weights is None:
+        weights = np.ones((keys.size, 1), dtype=dense.dtype)
+    n_heads = weights.shape[1]
+    counts = np.bincount(keys, minlength=n_keys)
+    indptr = np.zeros(n_heads * n_keys + 1, dtype=np.int64)
+    np.cumsum(np.tile(counts, n_heads), out=indptr[1:])
+    rows = order if cols is None else np.asarray(cols).reshape(-1)[order]
+    matrix = sparse.csr_matrix(
+        (weights[order].T.reshape(-1), np.tile(rows, n_heads), indptr),
+        shape=(n_heads * n_keys, len(dense)),
+    )
+    return (matrix @ dense).reshape(n_heads, n_keys, dense.shape[1])
 
 
 def _scatter_index(shape: Tuple[int, ...], idx, g: np.ndarray) -> np.ndarray:
-    """Adjoint of ``a[idx]`` for arbitrary numpy index expressions.
+    """Adjoint of ``a[idx]``: ``zeros(shape)`` with ``g`` summed in at ``idx``.
 
-    Tuples of integer arrays (the transformed-table gather of the KG
-    attention) are linearized so the scatter runs over a flat first axis,
-    which is measurably cheaper than ``np.add.at`` with a tuple index.
+    An integer array, or a tuple of them (the transformed-table gather of
+    the KG attention), indexes the leading axes; it is linearized into one
+    key per position and summed by :func:`segment_sum`.  Any other index
+    expression uses ``np.add.at``.
     """
+    parts = idx if isinstance(idx, tuple) else (idx,)
     if (
-        isinstance(idx, tuple)
-        and idx
-        and len(idx) <= len(shape)
-        and all(
-            isinstance(part, np.ndarray) and part.dtype.kind in "iu"
-            for part in idx
-        )
+        parts
+        and len(parts) <= len(shape)
+        and all(isinstance(p, np.ndarray) and p.dtype.kind in "iu" for p in parts)
     ):
-        k = len(idx)
-        head = shape[:k]
-        parts = np.broadcast_arrays(*idx)
-        linear = np.ravel_multi_index(parts, head, mode="wrap").ravel()
+        k = len(parts)
+        keys = parts[0] if k == 1 else np.ravel_multi_index(
+            np.broadcast_arrays(*parts), shape[:k], mode="wrap"
+        )
+        n_keys = int(np.prod(shape[:k], dtype=np.int64))
         rest = int(np.prod(shape[k:], dtype=np.int64))
-        grad = np.zeros((int(np.prod(head, dtype=np.int64)), rest), dtype=g.dtype)
-        np.add.at(grad, linear, g.reshape(-1, rest))
-        return grad.reshape(shape)
+        return segment_sum(keys, n_keys, g.reshape(keys.size, rest))[0].reshape(shape)
     grad = np.zeros(shape, dtype=g.dtype)
     np.add.at(grad, idx, g)
     return grad
@@ -714,7 +727,7 @@ def gather_rows(table: TensorLike, indices: ArrayLike) -> Tensor:
     def backward(g, idx=idx, table=table):
         if table._sparse_touched is not None:
             table._sparse_touched.append(idx)
-        return _scatter_rows(table.shape, idx, g)
+        return _scatter_index(table.shape, idx, g)
 
     return Tensor._make(out, (table,), (backward,), "gather_rows")
 
@@ -749,8 +762,7 @@ def scatter_rows(values: TensorLike, indices: ArrayLike, n_rows: int) -> Tensor:
         raise TypeError("scatter_rows indices must be integers")
     if idx.ndim != 1 or values.ndim != 2 or len(idx) != len(values):
         raise ValueError("scatter_rows expects (E, d) values and (E,) indices")
-    out = np.zeros((int(n_rows), values.shape[1]), dtype=values.data.dtype)
-    np.add.at(out, idx, values.data)
+    out = segment_sum(idx, int(n_rows), values.data)[0]
 
     def backward(g, idx=idx):
         return g[idx]

@@ -70,10 +70,10 @@ class LightGCN(Recommender):
             # users <- items and items <- users through the weighted edges.
             gathered_items = ops.gather_rows(item_layers[-1], cols)
             weighted_items = ops.mul(gathered_items, vals[:, None])
-            new_users = _scatter_rows(weighted_items, rows, self.dataset.n_users)
+            new_users = ops.scatter_rows(weighted_items, rows, self.dataset.n_users)
             gathered_users = ops.gather_rows(user_layers[-1], rows)
             weighted_users = ops.mul(gathered_users, vals[:, None])
-            new_items = _scatter_rows(weighted_users, cols, self.dataset.n_items)
+            new_items = ops.scatter_rows(weighted_users, cols, self.dataset.n_items)
             user_layers.append(new_users)
             item_layers.append(new_items)
         user_final = _mean_layers(user_layers)
@@ -117,10 +117,6 @@ class LightGCN(Recommender):
 
     def begin_epoch(self, epoch: int) -> None:
         self._cached = None
-
-
-def _scatter_rows(values: Tensor, indices: np.ndarray, n_rows: int) -> Tensor:
-    return ops.scatter_rows(values, indices, n_rows)
 
 
 def _mean_layers(layers: List[Tensor]) -> Tensor:

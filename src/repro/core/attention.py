@@ -24,7 +24,7 @@ attention by mask-normalized averaging (the w/o ATT ablation).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -49,21 +49,6 @@ def _repeat_children(x: Tensor, group_size: int) -> Tensor:
     return ops.reshape(expanded, (batch, width * group_size, dim))
 
 
-# Reusable backward-pass work buffers, keyed by (name, shape).  Safe to
-# share across op instances because each buffer is filled and fully
-# consumed inside a single backward closure call (never captured between
-# forward and backward), and the training loop is single-threaded.
-_SCRATCH: dict = {}
-
-
-def _scratch(name: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    buf = _SCRATCH.get(name)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = np.empty(shape, dtype=dtype)
-        _SCRATCH[name] = buf
-    return buf
-
-
 @differentiable(name="relation_scores")
 def _guided_relation_scores(
     head_source: Tensor,
@@ -83,15 +68,16 @@ def _guided_relation_scores(
     vector is shared by its K children), and the per-(tail, relation)
     projections come from one small GEMM over the entity table
     (``pt[n, r, h] = M_r^h v_n``) followed by a single row gather.  The
-    adjoint reduces the edge-level outer products back onto ``pt`` with one
-    flattened ``bincount`` and finishes with two table-sized GEMMs.
+    adjoint ``d_pt[(n, r), h] = Σ_{edges on (n, r)} g[edge, h] · gated[parent]``
+    is one :func:`~repro.autograd.ops.segment_sum` keyed by the composite
+    (tail, relation) id — built inside the backward, so the forward stays a
+    plain gather — and finishes with two table-sized GEMMs.
     """
     batch, width, dim = head_source.shape
     n_relations, n_heads, _, _ = relation_matrices.shape
     ent_flat = entities.reshape(-1)
     rel_flat = relations.reshape(-1)
     n_parents = batch * width
-    total = ent_flat.size  # B * W * K
     n_entities = entity_table.shape[0]
     cols = n_heads * dim
 
@@ -149,15 +135,17 @@ def _guided_relation_scores(
     def d_pt(g):
         mem = shared(g)
         if "d_pt" not in mem:
-            g2 = mem["g2"]
-            outer = _scratch("gs_outer", (n_parents, group_size * n_heads, dim))
-            np.multiply(g2[:, :, None], gated[:, None, :], out=outer)
-            idx = _scratch("gs_idx", (total, cols), np.int64)
-            np.add(comp[:, None] * cols, np.arange(cols), out=idx)
-            mem["d_pt"] = np.bincount(
-                idx.ravel(), weights=outer.ravel(),
-                minlength=n_entities * n_relations * cols,
-            ).reshape(n_entities, n_relations * cols)
+            # Edge j = parent·K + k reads its parent's gated vector.
+            per_head = ops.segment_sum(
+                comp, n_entities * n_relations, gated,
+                cols=np.arange(comp.size) // group_size,
+                weights=mem["g2"].reshape(comp.size, n_heads),
+            )  # (H, N·R, d)
+            mem["d_pt"] = (
+                per_head.reshape(n_heads, n_entities, n_relations, dim)
+                .transpose(1, 2, 0, 3)
+                .reshape(n_entities, n_relations * cols)
+            )
         return mem["d_pt"]
 
     def backward_relations(g):
