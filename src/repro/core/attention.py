@@ -9,17 +9,15 @@ Two mechanisms, both multi-head (H heads averaged, Eq. 4):
 
 * **Knowledge-aware attention with collaborative guidance** (Eq. 13-15,
   19): ``ω = v_h^T (f ⊙ M_r) v_t`` where the guidance signal ``f``
-  (``R^d``) gates the rows of the relation matrix ``M_r``.  Using
-  ``(f ⊙ M_r)[p, q] = f_p · M_r[p, q]`` the score factorizes as
-  ``ω = Σ_p (f_p v_{h,p}) (M_r v_t)_p``, so we pre-transform the *whole
-  entity table* by every relation once per forward pass
-  (``T[n, r, h] = M_r^h v_n``) and then gather per edge — attention at
-  every hop uses the entities' original embeddings (Eq. 19), so one table
-  serves all hops.
+  (``R^d``) gates the rows of the relation matrix ``M_r``; the fused
+  :func:`_guided_relation_scores` op computes it (see its docstring).
 
-Masked slots (padded neighbors) receive exactly zero weight via
-:func:`~repro.autograd.ops.masked_softmax`; the ``uniform`` flag replaces
-attention by mask-normalized averaging (the w/o ATT ablation).
+Each class splits into ``weights`` (scores → masked softmax → head mean)
+and ``forward`` (the weighted neighborhood sum), so the weights a model
+trains with are the ones observers and ``explain()`` report.  Masked
+slots (padded neighbors) receive exactly zero weight via
+:func:`~repro.autograd.ops.masked_softmax`; the w/o ATT ablation passes
+:func:`_uniform_weights` to ``forward`` instead.
 """
 
 from __future__ import annotations
@@ -40,15 +38,6 @@ def _uniform_weights(mask: np.ndarray) -> np.ndarray:
     return m / np.where(counts > 0, counts, 1.0)
 
 
-def _repeat_children(x: Tensor, group_size: int) -> Tensor:
-    """(B, W, d) -> (B, W*K, d), repeating each parent K times."""
-    batch, width, dim = x.shape
-    expanded = ops.mul(
-        ops.reshape(x, (batch, width, 1, dim)), np.ones((1, 1, group_size, 1))
-    )
-    return ops.reshape(expanded, (batch, width * group_size, dim))
-
-
 @differentiable(name="relation_scores")
 def _guided_relation_scores(
     head_source: Tensor,
@@ -61,14 +50,14 @@ def _guided_relation_scores(
 ) -> Tensor:
     """Fused ``ω[b,h,w,k] = Σ_pq (f_b ⊙ v_{head_{bw}})_p M^h_{r}[p,q] v_{t,q}``.
 
-    Semantically identical to gate + ``_repeat_children`` +
-    ``transform_entity_table`` + per-edge gather + einsum, but built to the
-    problem's actual scales: the guidance gate and the score contraction run
-    on the (B·W) *parents* instead of the (B·W·K) edges (each parent's gated
-    vector is shared by its K children), and the per-(tail, relation)
-    projections come from one small GEMM over the entity table
-    (``pt[n, r, h] = M_r^h v_n``) followed by a single row gather.  The
-    adjoint ``d_pt[(n, r), h] = Σ_{edges on (n, r)} g[edge, h] · gated[parent]``
+    ``f`` (``guidance``; ``None`` = the all-one gate of the w/o CG ablation)
+    gates the rows of ``M_r``, so ``ω = Σ_p (f_p v_{h,p}) (M_r v_t)_p``.
+    The gate and the score contraction run on the (B·W) *parents* instead
+    of the (B·W·K) edges (each parent's gated vector is shared by its K
+    children), and the per-(tail, relation) projections come from one
+    small GEMM over the entity table (``pt[n, r, h] = M_r^h v_n``) followed
+    by a single row gather.  The adjoint
+    ``d_pt[(n, r), h] = Σ_{edges on (n, r)} g[edge, h] · gated[parent]``
     is one :func:`~repro.autograd.ops.segment_sum` keyed by the composite
     (tail, relation) id — built inside the backward, so the forward stays a
     plain gather — and finishes with two table-sized GEMMs.
@@ -218,49 +207,24 @@ class CollaborationAttention(Module):
         # One M_{r*} per head: (H, d, d).
         self.relation_matrix = Parameter(init.xavier_uniform((n_heads, dim, dim), rng))
 
-    def scores(self, center: Tensor, neighbors: Tensor) -> Tensor:
-        """Unnormalized ``π`` (Eq. 1) per head: (B, H, K)."""
-        return _collab_scores(center, self.relation_matrix, neighbors)
+    def weights(self, center: Tensor, neighbors: Tensor, mask: np.ndarray) -> Tensor:
+        """Head-averaged normalized ``π̂`` (Eq. 1-2, 4): (B, K).
 
-    def forward(
-        self,
-        center: Tensor,
-        neighbors: Tensor,
-        mask: np.ndarray,
-        uniform: bool = False,
-    ) -> Tensor:
-        """Neighborhood summary ``v_S`` (Eq. 3-5): (B, d).
-
-        Parameters
-        ----------
-        center:
-            (B, d) embeddings of the attending node.
-        neighbors:
-            (B, K, d) embeddings of its sampled neighbors.
-        mask:
-            (B, K) validity; padded slots get zero weight.
-        uniform:
-            Replace attention by uniform averaging (w/o ATT ablation).
+        ``center`` is the (B, d) attending node, ``neighbors`` its (B, K, d)
+        sampled neighbors and ``mask`` their (B, K) validity; padded slots
+        get zero weight.
         """
-        if uniform:
-            weights_np = _uniform_weights(mask)  # (B, K)
-            weighted = ops.einsum("bk,bke->be", Tensor(weights_np), neighbors)
-            return weighted
-        raw = self.scores(center, neighbors)  # (B, H, K)
+        raw = _collab_scores(center, self.relation_matrix, neighbors)  # (B, H, K)
         weights = ops.masked_softmax(raw, mask[:, None, :], axis=-1)
         # The neighbor values are head-independent, so averaging the H
         # per-head summaries (Eq. 4) equals contracting with the
         # head-averaged weights — and never materializes (B, H, d).
-        mean_weights = ops.mean(weights, axis=1)  # (B, K)
-        return ops.einsum("bk,bke->be", mean_weights, neighbors)
+        return ops.mean(weights, axis=1)
 
-    def attention_weights(
-        self, center: Tensor, neighbors: Tensor, mask: np.ndarray
-    ) -> np.ndarray:
-        """Head-averaged normalized weights ``π̂`` for introspection."""
-        raw = self.scores(center, neighbors)
-        weights = ops.masked_softmax(raw, mask[:, None, :], axis=-1)
-        return weights.numpy().mean(axis=1)
+    def forward(self, weights: Tensor, neighbors: Tensor) -> Tensor:
+        """Neighborhood summary ``v_S`` (Eq. 3-5): (B, d) from (B, K)
+        ``weights`` and (B, K, d) ``neighbors``."""
+        return ops.einsum("bk,bke->be", weights, neighbors)
 
 
 class KnowledgeAwareAttention(Module):
@@ -275,61 +239,26 @@ class KnowledgeAwareAttention(Module):
             init.xavier_uniform((n_relations, n_heads, dim, dim), rng)
         )
 
-    def transform_entity_table(self, entity_table: Tensor) -> Tensor:
-        """``T[n, r, h, p] = (M_r^h v_n)_p`` for the full entity table.
-
-        Computed once per forward pass and reused at every hop, since
-        attention always scores against original entity embeddings.
-        """
-        return ops.einsum(
-            "nq,rhpq->nrhp", entity_table, self.relation_matrices
-        )
-
-    def _gate(self, head_vectors: Tensor, guidance: Optional[Tensor]) -> Tensor:
-        """Guidance-gated heads ``f ⊙ v_h`` (all-one gate when ``None``)."""
-        if guidance is None:
-            return head_vectors
-        return ops.mul(
-            head_vectors,
-            ops.reshape(guidance, (guidance.shape[0], 1, guidance.shape[1])),
-        )
-
-    def scores(
-        self,
-        head_vectors: Tensor,
-        guidance: Optional[Tensor],
-        transformed_tails: Tensor,
-    ) -> Tensor:
-        """Unnormalized ``ω`` (Eq. 14/19): (B, H, E).
-
-        Parameters
-        ----------
-        head_vectors:
-            (B, E, d) attention embedding of each edge's head (the parent
-            node), already repeated per child slot.
-        guidance:
-            (B, d) guidance signal ``f(v_u, v_i)``, or ``None`` for the
-            w/o CG ablation (all-one gate).
-        transformed_tails:
-            (B, E, H, d) gathered rows of the transformed entity table for
-            each edge's (tail, relation).
-        """
-        gated = self._gate(head_vectors, guidance)
-        return ops.einsum("bed,behd->bhe", gated, transformed_tails)
-
-    def scores_fused(
+    def weights(
         self,
         head_source: Tensor,
         guidance: Optional[Tensor],
         entity_table: Tensor,
         entities: np.ndarray,
         relations: np.ndarray,
+        mask: np.ndarray,
         group_size: int,
     ) -> Tensor:
-        """Hot-path equivalent of gate + repeat + :meth:`scores` working
-        straight off the *unrepeated* (B, W, d) parent heads and the entity
-        table via :func:`_guided_relation_scores`: (B, H, W, K)."""
-        return _guided_relation_scores(
+        """Head-averaged normalized ``ω̂`` (Eq. 13-15, 19): (B, W, K).
+
+        ``head_source`` holds the (B, W, d) parent heads; ``entities``,
+        ``relations`` and ``mask`` are the (B, W*K) child edges, grouped
+        into W parents of ``group_size`` children each — softmax normalizes
+        within a group.  ``guidance`` is the (B, d) signal ``f(v_u, v_i)``,
+        or ``None`` for the w/o CG ablation (all-one gate).
+        """
+        batch, width, _ = head_source.shape
+        raw = _guided_relation_scores(
             head_source,
             guidance,
             self.relation_matrices,
@@ -337,75 +266,22 @@ class KnowledgeAwareAttention(Module):
             entities,
             relations,
             group_size,
-        )
-
-    def forward(
-        self,
-        head_source: Tensor,
-        guidance: Optional[Tensor],
-        transformed_tails: Optional[Tensor],
-        child_values: Tensor,
-        mask: np.ndarray,
-        group_size: int,
-        uniform: bool = False,
-        entity_table: Optional[Tensor] = None,
-        entities: Optional[np.ndarray] = None,
-        relations: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        """Per-parent neighborhood summaries (Eq. 16/18): (B, W, d).
-
-        ``E = W * group_size`` edges are grouped into W parents with
-        ``group_size`` children each; softmax normalizes within a group.
-
-        ``head_source`` holds the *unrepeated* (B, W, d) parent heads; the
-        paths that need per-edge heads repeat them internally.
-
-        ``child_values`` are the *updated* child embeddings from the
-        deeper hop (Alg. 1's cascade), shape (B, E, d).
-
-        Scores come from ``transformed_tails`` (pre-transformed table rows,
-        the introspection-friendly path) or, when it is ``None``, from the
-        fused ``entity_table``/``entities``/``relations`` inputs.
-        """
-        batch, n_edges, dim = child_values.shape
-        width = n_edges // group_size
-        values = ops.reshape(child_values, (batch, width, group_size, dim))
+        )  # (B, H, W, K)
         grouped_mask = mask.reshape(batch, width, group_size)
-        if uniform:
-            weights_np = _uniform_weights(grouped_mask)  # (B, W, K)
-            return ops.einsum("bwk,bwkd->bwd", Tensor(weights_np), values)
-        if transformed_tails is not None:
-            heads = _repeat_children(head_source, group_size)
-            raw = self.scores(heads, guidance, transformed_tails)  # (B, H, E)
-            raw = ops.reshape(raw, (batch, self.n_heads, width, group_size))
-        else:
-            raw = self.scores_fused(
-                head_source, guidance, entity_table, entities, relations,
-                group_size,
-            )  # (B, H, W, K)
         weights = ops.masked_softmax(raw, grouped_mask[:, None, :, :], axis=-1)
         # Head-mean before the value contraction (values are shared across
-        # heads — see CollaborationAttention.forward): (B, W, K) weights.
-        mean_weights = ops.mean(weights, axis=1)
-        return ops.einsum("bwk,bwkd->bwd", mean_weights, values)
+        # heads — see CollaborationAttention.weights).
+        return ops.mean(weights, axis=1)
 
-    def attention_weights(
-        self,
-        head_source: Tensor,
-        guidance: Optional[Tensor],
-        transformed_tails: Tensor,
-        mask: np.ndarray,
-        group_size: int,
-    ) -> np.ndarray:
-        """Head-averaged normalized ``ω̂`` (Eq. 15) for introspection.
+    def forward(self, weights: Tensor, child_values: Tensor) -> Tensor:
+        """Per-parent neighborhood summaries (Eq. 16/18): (B, W, d).
 
-        ``head_source`` is unrepeated (B, W, d), as in :meth:`forward`.
+        ``child_values`` are the *updated* (B, W*K, d) child embeddings
+        from the deeper hop (Alg. 1's cascade), weighted by the (B, W, K)
+        ``weights``.
         """
-        batch, width, _ = head_source.shape
-        heads = _repeat_children(head_source, group_size)
-        raw = self.scores(heads, guidance, transformed_tails)
-        raw = ops.reshape(raw, (batch, self.n_heads, width, group_size))
-        weights = ops.masked_softmax(
-            raw, mask.reshape(batch, width, group_size)[:, None, :, :], axis=-1
+        batch, width, group_size = weights.shape
+        values = ops.reshape(
+            child_values, (batch, width, group_size, child_values.shape[-1])
         )
-        return weights.numpy().mean(axis=1).reshape(batch, width * group_size)
+        return ops.einsum("bwk,bwkd->bwd", weights, values)

@@ -20,7 +20,7 @@ DESIGN.md §5).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,11 @@ from repro.autograd.nn import Embedding
 from repro.autograd.tensor import Tensor
 from repro.baselines.base import Recommender
 from repro.core.aggregators import make_aggregator
-from repro.core.attention import CollaborationAttention, KnowledgeAwareAttention
+from repro.core.attention import (
+    CollaborationAttention,
+    KnowledgeAwareAttention,
+    _uniform_weights,
+)
 from repro.core.config import CGKGRConfig
 from repro.core.encoders import make_encoder
 from repro.data.dataset import RecDataset
@@ -88,10 +92,10 @@ class CGKGR(Recommender):
         """Register ``observer(payload)`` for per-hop attention captures.
 
         While at least one observer is attached, every knowledge-extraction
-        sweep re-evaluates the normalized attention per hop and emits a
-        payload with ``level``, ``items``, ``entities``, ``relations``,
-        ``mask``, and ``weights`` (all numpy).  Only meaningful when
-        ``config.use_attention`` is on.
+        sweep emits, per hop, a payload with ``level``, ``items``,
+        ``entities``, ``relations``, ``mask``, and ``weights`` (all numpy):
+        the normalized attention that hop's forward computed.  Only emitted
+        when ``config.use_attention`` is on.
         """
         self._attention_observers.append(observer)
 
@@ -122,21 +126,40 @@ class CGKGR(Recommender):
         """``v_u = g(v_u, v_S(u))`` (Eq. 3-6)."""
         neighborhood = self.sampler.user_neighborhood(users)
         neighbor_items = self.entity_embedding(neighborhood.indices)
-        summary = self.collab_attention(
-            v_user0, neighbor_items, neighborhood.mask,
-            uniform=not self.config.use_attention,
-        )
+        weights = self._collab_weights(v_user0, neighbor_items, neighborhood.mask)
+        summary = self.collab_attention(weights, neighbor_items)
         return self.user_aggregator(v_user0, summary)
 
     def _summarize_item(self, items: np.ndarray, v_item0: Tensor) -> Tensor:
         """``v_i = g(v_i, v_S_UI(i))`` (Eq. 5-6)."""
         neighborhood = self.sampler.item_neighborhood(items)
         neighbor_users = self.user_embedding(neighborhood.indices)
-        summary = self.collab_attention(
-            v_item0, neighbor_users, neighborhood.mask,
-            uniform=not self.config.use_attention,
-        )
+        weights = self._collab_weights(v_item0, neighbor_users, neighborhood.mask)
+        summary = self.collab_attention(weights, neighbor_users)
         return self.item_aggregator(v_item0, summary)
+
+    def _collab_weights(
+        self, center: Tensor, neighbors: Tensor, mask: np.ndarray
+    ) -> Tensor:
+        """Eq. 1-2 weights, or uniform averaging for the w/o ATT ablation."""
+        if self.config.use_attention:
+            return self.collab_attention.weights(center, neighbors, mask)
+        return Tensor(_uniform_weights(mask))
+
+    def _encode(
+        self, users: np.ndarray, items: np.ndarray
+    ) -> Tuple[Tensor, Tensor, Optional[Tensor]]:
+        """``(v_u, v_i, f)``: interactive summaries (Sec. III-A) and the
+        guidance signal (Eq. 10-12) of each target pair."""
+        v_user0 = self.user_embedding(users)
+        v_item0 = self.entity_embedding(items)
+        if self.config.use_interactive:
+            v_user = self._summarize_user(users, v_user0)
+            v_item = self._summarize_item(items, v_item0)
+        else:
+            v_user, v_item = v_user0, v_item0
+        guidance = self._guidance_signal(v_user0, v_item0, v_user, v_item)
+        return v_user, v_item, guidance
 
     def _guidance_signal(
         self, v_user0: Tensor, v_item0: Tensor, v_user: Tensor, v_item: Tensor
@@ -176,18 +199,7 @@ class CGKGR(Recommender):
         for level in range(1, depth + 1):
             vectors.append(self.entity_embedding(flow.entities[level]))
 
-        # The fused relation-bucketed score path never materializes the
-        # transformed entity table; observers need the per-edge gathers, so
-        # the explicit table is only built while one is attached.
-        observing = bool(self._attention_observers)
-        transformed = None
-        if cfg.use_attention and observing:
-            transformed = self.kg_attention.transform_entity_table(
-                self.entity_embedding.weight
-            )
-
         for level in range(depth, 0, -1):
-            child_values = vectors[level]  # (B, W*K, d)
             mask = flow.masks[level]
             if cfg.use_attention:
                 # Attention heads: hop-0 uses v_i (Eq. 14), deeper hops the
@@ -196,42 +208,29 @@ class CGKGR(Recommender):
                     head_source = ops.reshape(v_item, (batch, 1, cfg.dim))
                 else:
                     head_source = self.entity_embedding(flow.entities[level - 1])
-                if observing:
-                    gathered = ops.index_select(
-                        transformed, (flow.entities[level], flow.relations[level])
-                    )  # (B, W*K, H, d)
-                    summary = self.kg_attention(
-                        head_source, guidance, gathered, child_values, mask, k
-                    )
-                    weights = self.kg_attention.attention_weights(
-                        head_source, guidance, gathered, mask, k
-                    )
+                weights = self.kg_attention.weights(
+                    head_source,
+                    guidance,
+                    self.entity_embedding.weight,
+                    flow.entities[level],
+                    flow.relations[level],
+                    mask,
+                    k,
+                )
+                if self._attention_observers:
                     payload = {
                         "level": level,
                         "items": items,
                         "entities": flow.entities[level],
                         "relations": flow.relations[level],
                         "mask": mask,
-                        "weights": weights,
+                        "weights": weights.numpy().reshape(mask.shape),
                     }
                     for observer in self._attention_observers:
                         observer(payload)
-                else:
-                    summary = self.kg_attention(
-                        head_source,
-                        guidance,
-                        None,
-                        child_values,
-                        mask,
-                        k,
-                        entity_table=self.entity_embedding.weight,
-                        entities=flow.entities[level],
-                        relations=flow.relations[level],
-                    )
             else:
-                summary = self.kg_attention(
-                    None, None, None, child_values, mask, k, uniform=True
-                )
+                weights = Tensor(_uniform_weights(mask.reshape(batch, -1, k)))
+            summary = self.kg_attention(weights, vectors[level])
             vectors[level - 1] = self.kg_aggregator(vectors[level - 1], summary)
 
         return ops.reshape(vectors[0], (batch, cfg.dim))
@@ -242,16 +241,7 @@ class CGKGR(Recommender):
     def score_pairs(self, users: Sequence[int], items: Sequence[int]) -> Tensor:
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        v_user0 = self.user_embedding(users)
-        v_item0 = self.entity_embedding(items)
-
-        if self.config.use_interactive:
-            v_user = self._summarize_user(users, v_user0)
-            v_item = self._summarize_item(items, v_item0)
-        else:
-            v_user, v_item = v_user0, v_item0
-
-        guidance = self._guidance_signal(v_user0, v_item0, v_user, v_item)
+        v_user, v_item, guidance = self._encode(users, items)
         v_item_final = self._extract_knowledge(items, v_item, guidance)
         return ops.sum(ops.mul(v_user, v_item_final), axis=-1)
 
@@ -269,39 +259,42 @@ class CGKGR(Recommender):
         Returns the sampled hop-1 entities/relations of ``item`` and the
         normalized attention each receives (a) under the full guidance
         signal of ``(user, item)`` and (b) with guidance disabled — the
-        Fig. 5 visualization.
+        Fig. 5 visualization.  A w/o ATT model reports the uniform weights
+        it applies in both columns; a model without KG extraction (depth 0
+        or ``use_kg`` off) raises ``ValueError``.
         """
+        cfg = self.config
+        if cfg.effective_depth == 0:
+            raise ValueError(
+                f"{self.name} has no KG extraction (effective depth 0): "
+                "there is no knowledge attention to explain"
+            )
         users = np.asarray([user], dtype=np.int64)
         items = np.asarray([item], dtype=np.int64)
-        with no_grad():
-            v_user0 = self.user_embedding(users)
-            v_item0 = self.entity_embedding(items)
-            if self.config.use_interactive:
-                v_user = self._summarize_user(users, v_user0)
-                v_item = self._summarize_item(items, v_item0)
-            else:
-                v_user, v_item = v_user0, v_item0
-            guidance = self._guidance_signal(v_user0, v_item0, v_user, v_item)
-            flow = self.sampler.kg_node_flow(items, 1, self.config.no_traverse_back)
-            transformed = self.kg_attention.transform_entity_table(
-                self.entity_embedding.weight
-            )
-            head_source = ops.reshape(v_item, (1, 1, self.config.dim))
-            gathered = ops.index_select(
-                transformed, (flow.entities[1], flow.relations[1])
-            )
-            guided = self.kg_attention.attention_weights(
-                head_source, guidance, gathered,
-                flow.masks[1], self.config.kg_sample_size,
-            )
-            unguided = self.kg_attention.attention_weights(
-                head_source, None, gathered,
-                flow.masks[1], self.config.kg_sample_size,
-            )
+        flow = self.sampler.kg_node_flow(items, 1, cfg.no_traverse_back)
+        mask = flow.masks[1]
+        if not cfg.use_attention:
+            guided = unguided = _uniform_weights(mask)
+        else:
+            with no_grad():
+                _, v_item, guidance = self._encode(users, items)
+                head_source = ops.reshape(v_item, (1, 1, cfg.dim))
+                guided, unguided = (
+                    self.kg_attention.weights(
+                        head_source,
+                        signal,
+                        self.entity_embedding.weight,
+                        flow.entities[1],
+                        flow.relations[1],
+                        mask,
+                        cfg.kg_sample_size,
+                    ).numpy().reshape(mask.shape)
+                    for signal in (guidance, None)
+                )
         return {
             "entities": flow.entities[1][0],
             "relations": flow.relations[1][0],
-            "mask": flow.masks[1][0],
+            "mask": mask[0],
             "guided_weights": guided[0],
             "unguided_weights": unguided[0],
         }

@@ -14,8 +14,10 @@ inspection.
     rec.for_item(3)          # every capture where item 3 was the target
     rec.to_jsonl("attn.jsonl")
 
-Capture costs one extra attention evaluation per hop, and only while a
-recorder is attached — detached models pay nothing.
+Capture costs a copy of the weights the forward computes, and only while
+a recorder is attached — detached models pay nothing.  What is recorded
+is what the model trains and serves with, so capturing never changes
+predictions or training.
 """
 
 from __future__ import annotations

@@ -166,6 +166,25 @@ class TestGuidance:
             assert report["guided_weights"][live].sum() == pytest.approx(1.0)
             assert report["unguided_weights"][live].sum() == pytest.approx(1.0)
 
+    def test_explain_wo_att_reports_applied_uniform_weights(self, tiny_dataset):
+        cfg = CGKGRConfig(
+            dim=8, depth=1, n_heads=2, kg_sample_size=3, use_attention=False
+        )
+        m = CGKGR(tiny_dataset, cfg, seed=0)
+        report = m.explain(0, 0)
+        live = report["mask"]
+        assert live.any()
+        expected = live / live.sum()
+        np.testing.assert_array_equal(report["guided_weights"], expected)
+        np.testing.assert_array_equal(report["unguided_weights"], expected)
+
+    def test_explain_wo_kg_raises(self, tiny_dataset):
+        m = make_variant(
+            "wo_kg", tiny_dataset, CGKGRConfig(dim=8, depth=2, n_heads=2), seed=0
+        )
+        with pytest.raises(ValueError, match="no KG extraction"):
+            m.explain(0, 0)
+
     @pytest.mark.parametrize("mode", ["full", "ne", "pf", "ag"])
     def test_guidance_modes_run(self, tiny_dataset, mode):
         cfg = CGKGRConfig(dim=8, depth=1, n_heads=2, kg_sample_size=2, guidance_mode=mode)

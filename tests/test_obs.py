@@ -557,6 +557,54 @@ class TestAttentionCapture:
         assert rec.dropped > 0
 
 
+class TestCaptureIsInvisible:
+    """Observers read the weights the forward computes, so capture never
+    changes what a model computes or learns."""
+
+    @staticmethod
+    def _train(dataset, cfg, observe, steps=5):
+        from repro.autograd.optim import Adam
+
+        model = CGKGR(dataset, cfg, seed=0)
+        optimizer = Adam(model.parameters(), lr=0.01)
+        rng = np.random.default_rng(0)
+        train = dataset.train
+        for _ in range(steps):
+            rows = rng.choice(train.n_interactions, size=16, replace=False)
+            negatives = rng.integers(0, dataset.n_items, size=16)
+            model.zero_grad()
+            with capture_attention(model) if observe else contextlib.nullcontext():
+                loss = model.loss(train.users[rows], train.items[rows], negatives)
+            loss.backward()
+            optimizer.step()
+        return model
+
+    @pytest.mark.parametrize("use_guidance", [True, False])
+    def test_adam_steps_identical_with_capture(self, tiny_dataset, use_guidance):
+        cfg = CGKGRConfig(
+            dim=8, depth=2, n_heads=2, kg_sample_size=3, use_guidance=use_guidance
+        )
+        plain = self._train(tiny_dataset, cfg, observe=False)
+        observed = self._train(tiny_dataset, cfg, observe=True)
+        for (name, a), (_, b) in zip(
+            plain.named_parameters(), observed.named_parameters()
+        ):
+            assert np.array_equal(a.data, b.data), name
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_hop1_payload_equals_explain(self, tiny_dataset, depth):
+        cfg = CGKGRConfig(dim=8, depth=depth, n_heads=2, kg_sample_size=3)
+        model = CGKGR(tiny_dataset, cfg, seed=0)
+        user, item = 1, 3
+        with capture_attention(model) as rec:
+            observed = model.predict([user], [item])
+        assert np.array_equal(observed, model.predict([user], [item]))
+        (hop1,) = [r for r in rec.records if r["level"] == 1]
+        report = model.explain(user, item)
+        assert np.array_equal(hop1["weights"][0], report["guided_weights"])
+        assert np.array_equal(hop1["entities"][0], report["entities"])
+
+
 # ----------------------------------------------------------------------
 # Trainer telemetry
 # ----------------------------------------------------------------------

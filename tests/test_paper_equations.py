@@ -17,7 +17,12 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.core.aggregators import ConcatAggregator, NeighborAggregator, SumAggregator
-from repro.core.attention import CollaborationAttention, KnowledgeAwareAttention
+from repro.core.attention import (
+    CollaborationAttention,
+    KnowledgeAwareAttention,
+    _collab_scores,
+    _guided_relation_scores,
+)
 from repro.core.encoders import mean_encoder, pmax_encoder, sum_encoder
 
 
@@ -39,7 +44,9 @@ class TestCollaborationAttentionEquations:
 
     def test_eq1_bilinear_scores(self, setup):
         attn, center, neighbors = setup
-        scores = attn.scores(Tensor(center), Tensor(neighbors)).numpy()
+        scores = _collab_scores(
+            Tensor(center), attn.relation_matrix, Tensor(neighbors)
+        ).numpy()
         for h in range(attn.n_heads):
             M = attn.relation_matrix.data[h]
             for k in range(neighbors.shape[1]):
@@ -50,22 +57,27 @@ class TestCollaborationAttentionEquations:
         attn, center, neighbors = setup
         mask = np.ones((1, neighbors.shape[1]), dtype=bool)
         weights = []
-        raw = attn.scores(Tensor(center), Tensor(neighbors)).numpy()
+        raw = _collab_scores(
+            Tensor(center), attn.relation_matrix, Tensor(neighbors)
+        ).numpy()
         for h in range(attn.n_heads):
             weights.append(softmax(raw[0, h]))
-        reported = attn.attention_weights(Tensor(center), Tensor(neighbors), mask)
+        reported = attn.weights(Tensor(center), Tensor(neighbors), mask).numpy()
         np.testing.assert_allclose(reported[0], np.mean(weights, axis=0), atol=1e-12)
 
     def test_eq4_multi_head_average_summary(self, setup):
         attn, center, neighbors = setup
         mask = np.ones((1, neighbors.shape[1]), dtype=bool)
-        raw = attn.scores(Tensor(center), Tensor(neighbors)).numpy()
+        raw = _collab_scores(
+            Tensor(center), attn.relation_matrix, Tensor(neighbors)
+        ).numpy()
         expected = np.zeros(4)
         for h in range(attn.n_heads):
             w = softmax(raw[0, h])
             expected += w @ neighbors[0]
         expected /= attn.n_heads
-        out = attn(Tensor(center), Tensor(neighbors), mask).numpy()
+        weights = attn.weights(Tensor(center), Tensor(neighbors), mask)
+        out = attn(weights, Tensor(neighbors)).numpy()
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
 
@@ -119,15 +131,14 @@ class TestKnowledgeAttentionEquations:
         dim, heads, n_rel, k = 4, 2, 3, 4
         attn = KnowledgeAwareAttention(dim, heads, n_rel, rng)
         entity_table = rng.normal(size=(7, dim))
-        # One parent node; heads_vec is its per-edge (repeated) view for
-        # the edge-scale ``scores`` path.
-        heads_vec = np.repeat(rng.normal(size=(1, 1, dim)), k, axis=1)
+        # One parent node whose K children are the sampled edges.
+        head_vec = rng.normal(size=(1, 1, dim))
         guidance = rng.normal(size=(1, dim))
         tails = rng.integers(0, 7, size=(1, k))
         rels = rng.integers(0, n_rel, size=(1, k))
-        return attn, entity_table, heads_vec, guidance, tails, rels
+        return attn, entity_table, head_vec, guidance, tails, rels
 
-    def _expected_scores(self, attn, entity_table, heads_vec, guidance, tails, rels):
+    def _expected_scores(self, attn, entity_table, head_vec, guidance, tails, rels):
         """Naive loop over Eq. 13-14."""
         k = tails.shape[1]
         out = np.zeros((attn.n_heads, k))
@@ -135,50 +146,54 @@ class TestKnowledgeAttentionEquations:
             for slot in range(k):
                 M = attn.relation_matrices.data[rels[0, slot], h]
                 gated_M = guidance[0][:, None] * M  # f ⊙ M_r (row gating)
-                v_h = heads_vec[0, slot]
+                v_h = head_vec[0, 0]
                 v_t = entity_table[tails[0, slot]]
                 out[h, slot] = v_h @ gated_M @ v_t  # Eq. 14
         return out
 
-    def test_eq13_14_guided_scores(self, setup):
-        attn, entity_table, heads_vec, guidance, tails, rels = setup
-        from repro.autograd import ops
+    @staticmethod
+    def _scores(attn, entity_table, head_vec, guidance, tails, rels):
+        """The fused op's ω for the one parent: (H, K)."""
+        raw = _guided_relation_scores(
+            Tensor(head_vec),
+            guidance,
+            attn.relation_matrices,
+            Tensor(entity_table),
+            tails,
+            rels,
+            tails.shape[1],
+        ).numpy()
+        return raw[0, :, 0]
 
-        transformed = attn.transform_entity_table(Tensor(entity_table))
-        gathered = ops.index_select(transformed, (tails, rels))
-        scores = attn.scores(Tensor(heads_vec), Tensor(guidance), gathered).numpy()
-        expected = self._expected_scores(
-            attn, entity_table, heads_vec, guidance, tails, rels
+    def test_eq13_14_guided_scores(self, setup):
+        attn, entity_table, head_vec, guidance, tails, rels = setup
+        scores = self._scores(
+            attn, entity_table, head_vec, Tensor(guidance), tails, rels
         )
-        np.testing.assert_allclose(scores[0], expected, atol=1e-10)
+        expected = self._expected_scores(
+            attn, entity_table, head_vec, guidance, tails, rels
+        )
+        np.testing.assert_allclose(scores, expected, atol=1e-10)
 
     def test_eq15_normalized_weights(self, setup):
-        attn, entity_table, heads_vec, guidance, tails, rels = setup
-        from repro.autograd import ops
-
-        transformed = attn.transform_entity_table(Tensor(entity_table))
-        gathered = ops.index_select(transformed, (tails, rels))
+        attn, entity_table, head_vec, guidance, tails, rels = setup
         mask = np.ones(tails.shape, dtype=bool)
-        weights = attn.attention_weights(
-            Tensor(heads_vec[:, :1]), Tensor(guidance), gathered, mask,
-            tails.shape[1],
-        )
+        weights = attn.weights(
+            Tensor(head_vec), Tensor(guidance), Tensor(entity_table),
+            tails, rels, mask, tails.shape[1],
+        ).numpy()
         expected = self._expected_scores(
-            attn, entity_table, heads_vec, guidance, tails, rels
+            attn, entity_table, head_vec, guidance, tails, rels
         )
         per_head = np.stack([softmax(expected[h]) for h in range(attn.n_heads)])
-        np.testing.assert_allclose(weights[0], per_head.mean(axis=0), atol=1e-10)
+        np.testing.assert_allclose(weights[0, 0], per_head.mean(axis=0), atol=1e-10)
 
     def test_all_one_guidance_equals_ungated(self, setup):
         """The w/o CG ablation's all-one vector: f = 1 must equal no gating."""
-        attn, entity_table, heads_vec, _, tails, rels = setup
-        from repro.autograd import ops
-
-        transformed = attn.transform_entity_table(Tensor(entity_table))
-        gathered = ops.index_select(transformed, (tails, rels))
+        attn, entity_table, head_vec, _, tails, rels = setup
         ones = Tensor(np.ones((1, attn.dim)))
-        gated = attn.scores(Tensor(heads_vec), ones, gathered).numpy()
-        ungated = attn.scores(Tensor(heads_vec), None, gathered).numpy()
+        gated = self._scores(attn, entity_table, head_vec, ones, tails, rels)
+        ungated = self._scores(attn, entity_table, head_vec, None, tails, rels)
         np.testing.assert_allclose(gated, ungated, atol=1e-12)
 
 
