@@ -710,24 +710,16 @@ def gather_rows(table: TensorLike, indices: ArrayLike) -> Tensor:
 
     This is the embedding-lookup primitive: ``table`` is ``(n, d)`` and
     ``indices`` any integer-shaped array; the result has shape
-    ``indices.shape + (d,)``.  Backward scatter-adds into the table and
-    records the touched rows on it for the sparse optimizer path
-    (:mod:`repro.autograd.optim`).  A table managed by a lazy sparse
-    optimizer exposes ``_refresh_hook``; calling it before the read
-    catches the requested rows up with any deferred updates.
+    ``indices.shape + (d,)``.  Backward scatter-adds into the table.
     """
     table = ensure_tensor(table)
     idx = np.asarray(indices)
     if idx.dtype.kind not in "iu":
         raise TypeError("gather_rows indices must be integers")
-    if table._refresh_hook is not None:
-        table._refresh_hook(idx)
     out = table.data[idx]
 
-    def backward(g, idx=idx, table=table):
-        if table._sparse_touched is not None:
-            table._sparse_touched.append(idx)
-        return _scatter_index(table.shape, idx, g)
+    def backward(g, idx=idx, shape=table.shape):
+        return _scatter_index(shape, idx, g)
 
     return Tensor._make(out, (table,), (backward,), "gather_rows")
 

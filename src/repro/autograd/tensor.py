@@ -165,9 +165,6 @@ class Tensor:
         "_parents",
         "_backward_fns",
         "_op",
-        "_sparse_touched",
-        "_saw_dense_grad",
-        "_refresh_hook",
         # Weak referenceability lets observers watch buffer release
         # (`repro.obs.memory` registers a weakref.finalize per tensor it
         # sees constructed); costs one pointer per instance.
@@ -183,18 +180,6 @@ class Tensor:
         self._backward_fns: Tuple[Optional[Callable[[np.ndarray], np.ndarray]], ...] = ()
         #: Name of the op that produced this tensor (``"leaf"`` if direct).
         self._op: str = _op
-        #: When a sparse optimizer manages this tensor it sets this to a
-        #: list; ``gather_rows`` backward appends the index array of every
-        #: row-gather contribution (``None`` disables the bookkeeping).
-        self._sparse_touched: Optional[List[np.ndarray]] = None
-        #: True once any *non-gather* operation contributed to ``grad``
-        #: during the current accumulation window — the sparse optimizer
-        #: then falls back to its dense path for this tensor.
-        self._saw_dense_grad: bool = False
-        #: Optional ``hook(indices)`` installed by a lazy sparse optimizer;
-        #: ``gather_rows`` calls it before reading so deferred row updates
-        #: are applied before the rows are observed.
-        self._refresh_hook: Optional[Callable[[np.ndarray], None]] = None
         if _observers:
             for observer in tuple(_observers):
                 observer.on_tensor(self, _op)
@@ -254,9 +239,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-        if self._sparse_touched is not None:
-            self._sparse_touched = []
-        self._saw_dense_grad = False
 
     def __len__(self) -> int:
         return len(self.data)
@@ -311,16 +293,6 @@ class Tensor:
                 if fn is None or not parent.requires_grad:
                     continue
                 contribution = fn(node_grad)
-                if (
-                    parent._sparse_touched is not None
-                    and not parent._parents
-                    and node._op != "gather_rows"
-                ):
-                    # A leaf watched by the sparse optimizer received
-                    # gradient through something other than a row gather:
-                    # its touched-row record is incomplete, so the
-                    # optimizer must treat it densely.
-                    parent._saw_dense_grad = True
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + contribution

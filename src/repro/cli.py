@@ -722,6 +722,28 @@ def cmd_runs_check(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for factors: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -732,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dataset", default="music", choices=sorted(PROFILES))
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--scale", type=float, default=1.0)
+    common.add_argument("--scale", type=_positive_float, default=1.0)
 
     p = sub.add_parser("generate", parents=[common], help="export a profile in the artifact file format")
     p.add_argument("--out", required=True)
@@ -754,11 +776,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="prepared dataset directory to create")
     p.add_argument("--name", default=None,
                    help="dataset name in the manifest (default: --out basename)")
-    p.add_argument("--min-user-k", type=int, default=1, metavar="K",
+    p.add_argument("--min-user-k", type=_positive_int, default=1, metavar="K",
                    help="k-core: drop users with < K interactions")
-    p.add_argument("--min-item-k", type=int, default=1, metavar="K",
+    p.add_argument("--min-item-k", type=_positive_int, default=1, metavar="K",
                    help="k-core: drop items with < K interactions")
-    p.add_argument("--min-relation-count", type=int, default=1, metavar="N",
+    p.add_argument("--min-relation-count", type=_positive_int, default=1, metavar="N",
                    help="drop relations with < N triples")
     p.add_argument("--kg-hops", type=int, default=-1, metavar="H",
                    help="entity-linking radius in KG expansion rounds "
@@ -767,10 +789,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prep)
 
     train_common = argparse.ArgumentParser(add_help=False, parents=[common])
-    train_common.add_argument("--epochs", type=int, default=30)
-    train_common.add_argument("--patience", type=int, default=8)
-    train_common.add_argument("--k", type=int, default=20)
-    train_common.add_argument("--eval-users", type=int, default=60)
+    train_common.add_argument("--epochs", type=_positive_int, default=30)
+    train_common.add_argument("--patience", type=_positive_int, default=8)
+    train_common.add_argument("--k", type=_positive_int, default=20)
+    train_common.add_argument("--eval-users", type=_positive_int, default=60)
     train_common.add_argument(
         "--objective", default="ce", choices=["ce", "bpr"],
         help="training objective: 'ce' = pointwise sigmoid-CE (Eq. 22, "
@@ -808,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", parents=[train_common], help="multi-seed model comparison")
     p.add_argument("--models", default="bprmf,kgcn,cg-kgr")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seeds", type=_positive_int, default=3)
     p.set_defaults(func=cmd_compare)
 
     ann_common = argparse.ArgumentParser(add_help=False)
@@ -880,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("model", nargs="?", default="cg-kgr",
                    help="model to profile (default cg-kgr)")
-    p.add_argument("--steps", type=int, default=3, help="training steps to profile")
+    p.add_argument("--steps", type=_positive_int, default=3, help="training steps to profile")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the report as JSON to PATH")
     p.add_argument(

@@ -70,10 +70,6 @@ def _guided_relation_scores(
     n_entities = entity_table.shape[0]
     cols = n_heads * dim
 
-    if entity_table._refresh_hook is not None:
-        # The projection GEMM reads the whole table, not a gathered subset.
-        entity_table._refresh_hook(np.arange(n_entities))
-
     # pt[(n, r), (h, p)] = (M_r^h v_n)_p for every (entity, relation) pair;
     # with the small tables this repo trains, one (n, d) x (d, R·H·d) GEMM
     # is cheaper than touching the (B·W·K) edges per relation.

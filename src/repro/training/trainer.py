@@ -62,9 +62,6 @@ class TrainerConfig:
     shuffle: bool = True
     verbose: bool = False
     seed: int = 0
-    #: Lazy row-sparse embedding updates (bit-identical to dense; see
-    #: docs/autograd.md).  Escape hatch for A/B timing comparisons.
-    sparse_updates: bool = True
     #: Track tensor allocations during ``fit`` with a
     #: :class:`~repro.obs.memory.MemoryTracker`: peak/live bytes, per-op
     #: attribution, epoch-boundary leak detection, and (with a tracer)
@@ -92,6 +89,11 @@ class TrainerConfig:
             raise ValueError(f"unknown training objective {self.objective!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        for name in ("eval_every", "eval_k", "early_stop_patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.eval_max_users is not None and self.eval_max_users < 1:
+            raise ValueError("eval_max_users must be None or >= 1")
 
 
 @dataclass
@@ -121,7 +123,6 @@ class Trainer:
             model.parameters(),
             lr=model.lr,
             weight_decay=0.0 if self.config.objective == "bpr" else model.l2,
-            sparse=self.config.sparse_updates,
         )
         self._neg_rng = np.random.default_rng(self.config.seed + 7919)
         self._all_positives = model.dataset.all_positive_items()
@@ -230,12 +231,6 @@ class Trainer:
             n_batches += 1
             if traced:
                 tick = self._phase("optimizer.step", tick)
-        # Deferred sparse-row updates must land before anything reads
-        # parameter data directly (eval snapshots, state_dict, health
-        # checks on embedding tables).
-        self.optimizer.flush()
-        if traced:
-            self._phase("optimizer.step", tick)
         self.last_epoch_stats = {
             "examples": float(len(users)),
             "batches": float(n_batches),

@@ -124,3 +124,68 @@ class TestValidation:
         ops.sum(ops.add(ops.mul(p1, p1), p2)).backward()
         opt.zero_grad()
         assert p1.grad is None and p2.grad is None
+
+
+class TestEmbeddingTableReference:
+    """Multi-step updates of a table whose gradient reaches only the rows
+    gathered that step must match a plain numpy optimizer bit for bit:
+    untouched rows still get moment decay and weight-decay drift."""
+
+    PLANS = [[0, 1, 2], [3], [0, 5], [7, 8, 9], [1], [11], [0, 1, 2, 3]]
+
+    @staticmethod
+    def _gather_grads(shape):
+        # Gradient of sum(table[rows] * w) is w scattered into `rows`.
+        grads = []
+        for step, rows in enumerate(TestEmbeddingTableReference.PLANS):
+            w = np.random.default_rng(step).normal(size=(len(rows), shape[1]))
+            g = np.zeros(shape)
+            g[rows] = w
+            grads.append((rows, w, g))
+        return grads
+
+    def _train(self, opt_factory):
+        table = Parameter(np.random.default_rng(0).normal(size=(12, 4)))
+        start = table.data.copy()
+        opt = opt_factory([table])
+        grads = self._gather_grads(table.data.shape)
+        for rows, w, _ in grads:
+            loss = ops.sum(ops.mul(ops.gather_rows(table, np.asarray(rows)), w))
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        return table.data, start, [g for _, _, g in grads]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_adam_matches_numpy(self, weight_decay):
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        got, theta, grads = self._train(
+            lambda ps: Adam(ps, lr=lr, weight_decay=weight_decay)
+        )
+        m = v = None
+        for t, g in enumerate(grads, 1):
+            if weight_decay:
+                g = g + 2.0 * weight_decay * theta
+            m = g * (1 - b1) if m is None else b1 * m + (1 - b1) * g
+            v = g**2 * (1 - b2) if v is None else b2 * v + (1 - b2) * g**2
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(got, theta)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_sgd_matches_numpy(self, momentum, weight_decay):
+        lr = 0.05
+        got, theta, grads = self._train(
+            lambda ps: SGD(ps, lr=lr, momentum=momentum, weight_decay=weight_decay)
+        )
+        vel = None
+        for g in grads:
+            if weight_decay:
+                g = g + 2.0 * weight_decay * theta
+            if momentum:
+                vel = g if vel is None else momentum * vel + g
+                g = vel
+            theta = theta - lr * g
+        assert np.array_equal(got, theta)

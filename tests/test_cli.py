@@ -177,3 +177,27 @@ def test_bad_artifact_is_a_one_line_error(case, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {target}") and named in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_SMALL = ["--dataset", "music", "--scale", "0.3"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train", *_SMALL, "--epochs", "0"], "--epochs"),
+        (["train", *_SMALL, "--patience", "0"], "--patience"),
+        (["train", *_SMALL, "--k", "0"], "--k"),
+        (["train", *_SMALL, "--eval-users", "-5"], "--eval-users"),
+        (["train", *_SMALL, "--scale", "0"], "--scale"),
+        (["profile", "cg-kgr", *_SMALL, "--steps", "-3"], "--steps"),
+        (["compare", *_SMALL, "--seeds", "0"], "--seeds"),
+        (["prep", "--data-dir", "raw", "--out", "out", "--min-user-k", "0"], "--min-user-k"),
+    ],
+)
+def test_bad_count_flag_is_an_argparse_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "Traceback" not in err

@@ -1,14 +1,12 @@
-"""Hot-path vectorization: CSR sampler, batched negatives, sparse
-optimizer equivalence, cached mask tables, and the trainer bugfixes that
-rode along (degree-weighted crash, patience semantics, registry loss)."""
+"""Hot-path vectorization: CSR sampler, batched negatives, cached mask
+tables, and the trainer bugfixes that rode along (degree-weighted crash,
+patience semantics, registry loss)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.autograd import no_grad
-from repro.autograd.optim import SGD, Adam
 from repro.baselines.bprmf import BPRMF
 from repro.core import CGKGR
 from repro.core.config import CGKGRConfig
@@ -220,133 +218,6 @@ class TestVectorizedNegatives:
             )
             assert neg.shape == (4,)
             assert ((neg >= 0) & (neg < 4)).all()
-
-
-# ----------------------------------------------------------------------
-# Tentpole: sparse optimizer ≡ dense optimizer, bit for bit
-# ----------------------------------------------------------------------
-def _make_embedding_toy(seed):
-    """A model-free toy: one embedding table, gather-only gradients."""
-    from repro.autograd import ops
-    from repro.autograd.nn import Parameter
-
-    rng = np.random.default_rng(seed)
-    table = Parameter(rng.normal(size=(12, 4)))
-    return table
-
-
-def _toy_step(table, rows, seed):
-    from repro.autograd import ops
-
-    rng = np.random.default_rng(seed)
-    idx = np.asarray(rows, dtype=np.int64)
-    gathered = ops.gather_rows(table, idx)
-    weights = rng.normal(size=gathered.shape)
-    return ops.sum(ops.mul(gathered, weights))
-
-
-class TestSparseOptimizerEquivalence:
-    @pytest.mark.parametrize(
-        "opt_factory",
-        [
-            lambda ps, sparse: Adam(ps, lr=0.01, weight_decay=1e-3, sparse=sparse),
-            lambda ps, sparse: Adam(ps, lr=0.01, weight_decay=0.0, sparse=sparse),
-            lambda ps, sparse: SGD(ps, lr=0.05, momentum=0.9, weight_decay=1e-3, sparse=sparse),
-            lambda ps, sparse: SGD(ps, lr=0.05, weight_decay=1e-3, sparse=sparse),
-        ],
-    )
-    def test_toy_partial_rows_bit_exact(self, opt_factory):
-        # Touch different row subsets each step; some rows stay untouched
-        # for many steps, so the lazy catch-up replay is exercised hard.
-        plans = [[0, 1, 2], [3], [0, 5], [7, 8, 9], [1], [11], [0, 1, 2, 3]]
-        results = {}
-        for sparse in (False, True):
-            table = _make_embedding_toy(0)
-            opt = opt_factory([table], sparse)
-            for step, rows in enumerate(plans):
-                loss = _toy_step(table, rows, step)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-            opt.flush()
-            results[sparse] = table.data.copy()
-        assert np.array_equal(results[False], results[True])
-
-    def test_toy_mid_training_gather_refresh_hook(self):
-        # Reading *stale* rows between steps must transparently catch them
-        # up (the gather_rows refresh hook) without breaking equivalence.
-        reads = {}
-        results = {}
-        for sparse in (False, True):
-            table = _make_embedding_toy(1)
-            opt = Adam([table], lr=0.02, weight_decay=1e-3, sparse=sparse)
-            observed = []
-            for step, rows in enumerate([[0, 1], [2], [3], [0]]):
-                loss = _toy_step(table, rows, step)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                with no_grad():
-                    from repro.autograd import ops
-
-                    observed.append(
-                        ops.gather_rows(table, np.arange(12)).numpy().copy()
-                    )
-            opt.flush()
-            reads[sparse] = observed
-            results[sparse] = table.data.copy()
-        assert np.array_equal(results[False], results[True])
-        for a, b in zip(reads[False], reads[True]):
-            assert np.array_equal(a, b)
-
-    def test_dense_grad_demotes_parameter(self):
-        # A 2-D parameter used through a matmul must fall back to the
-        # dense path — and still match it exactly.
-        from repro.autograd import ops
-        from repro.autograd.nn import Parameter
-
-        results = {}
-        for sparse in (False, True):
-            rng = np.random.default_rng(2)
-            weight = Parameter(rng.normal(size=(6, 6)))
-            opt = Adam([weight], lr=0.01, weight_decay=1e-3, sparse=sparse)
-            for step in range(4):
-                x = np.random.default_rng(step).normal(size=(3, 6))
-                loss = ops.sum(ops.matmul(ops.ensure_tensor(x), weight))
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-            opt.flush()
-            results[sparse] = weight.data.copy()
-        assert np.array_equal(results[False], results[True])
-
-    @pytest.mark.parametrize("sparse_updates", [False, True])
-    def test_cgkgr_fit_invariant_to_sparse_flag(self, music_dataset, sparse_updates):
-        # Record the fitted parameters once per flag and compare: the full
-        # training loop (resampling, eval snapshots, early-stop restore)
-        # must be bit-identical with and without lazy sparse updates.
-        if not hasattr(TestSparseOptimizerEquivalence, "_fit_cache"):
-            TestSparseOptimizerEquivalence._fit_cache = {}
-        cache = TestSparseOptimizerEquivalence._fit_cache
-        ds = music_dataset
-        cfg = CGKGRConfig(dim=8, depth=1, n_heads=2, kg_sample_size=4, batch_size=64)
-        model = CGKGR(ds, cfg, seed=0)
-        trainer = Trainer(
-            model,
-            TrainerConfig(
-                epochs=2, eval_task="topk", eval_max_users=20, seed=0,
-                sparse_updates=sparse_updates,
-            ),
-        )
-        trainer.fit()
-        # The user table must actually be lazily managed when enabled,
-        # otherwise this test proves nothing.
-        if sparse_updates:
-            assert id(model.user_embedding.weight) in trainer.optimizer._last
-        cache[sparse_updates] = [p.data.copy() for p in model.parameters()]
-        if len(cache) == 2:
-            for a, b in zip(cache[False], cache[True]):
-                assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------

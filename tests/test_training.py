@@ -24,6 +24,20 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(epochs=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("eval_every", 0),
+            ("eval_k", 0),
+            ("early_stop_patience", 0),
+            ("eval_max_users", 0),
+            ("eval_max_users", -5),
+        ],
+    )
+    def test_nonpositive_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: value})
+
 
 class TestTrainer:
     def test_loss_decreases(self, tiny_dataset):
