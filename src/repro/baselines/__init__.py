@@ -33,25 +33,45 @@ __all__ = [
     "CKAN",
     "LightGCN",
     "NGCF",
+    "MODEL_KEYS",
+    "model_key",
+    "make_baseline",
 ]
+
+
+#: The one model-name table: registry key -> model class name, read by
+#: :func:`make_baseline`, ``repro --model`` and checkpoint manifests
+#: (:func:`repro.serve.checkpoint.model_key_of` inverts it).  CG-KGR is
+#: the paper's model in :mod:`repro.core`, not a baseline.
+MODEL_KEYS = {
+    "cg-kgr": "CGKGR",
+    "bprmf": "BPRMF",
+    "nfm": "NFM",
+    "cke": "CKE",
+    "kgat": "KGAT",
+    "ripplenet": "RippleNet",
+    "kgcn": "KGCN",
+    "kgnn-ls": "KGNNLS",
+    "ckan": "CKAN",
+    "lightgcn": "LightGCN",
+    "ngcf": "NGCF",
+}
+
+
+def model_key(name: str) -> str:
+    """Registry key of a model name, ignoring case and dashes
+    (``KGNNLS`` and ``cgkgr`` name ``kgnn-ls`` and ``cg-kgr``)."""
+    wanted = name.lower().replace("-", "")
+    for key in MODEL_KEYS:
+        if key.replace("-", "") == wanted:
+            return key
+    raise ValueError(f"unknown model {name!r}; choose from {sorted(MODEL_KEYS)}")
 
 
 def make_baseline(name: str, dataset, seed: int = 0, **kwargs) -> Recommender:
     """Instantiate a baseline by its paper name (case-insensitive)."""
-    registry = {
-        "bprmf": BPRMF,
-        "nfm": NFM,
-        "cke": CKE,
-        "kgat": KGAT,
-        "ripplenet": RippleNet,
-        "kgcn": KGCN,
-        "kgnn-ls": KGNNLS,
-        "kgnnls": KGNNLS,
-        "ckan": CKAN,
-        "lightgcn": LightGCN,
-        "ngcf": NGCF,
-    }
-    key = name.lower()
-    if key not in registry:
-        raise ValueError(f"unknown baseline {name!r}; choose from {sorted(registry)}")
-    return registry[key](dataset, seed=seed, **kwargs)
+    key = model_key(name)
+    if key == "cg-kgr":
+        raise ValueError(f"{name!r} is the paper's model, not a baseline")
+    # Every baseline class is imported above under its class name.
+    return globals()[MODEL_KEYS[key]](dataset, seed=seed, **kwargs)

@@ -47,7 +47,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.baselines import make_baseline
+from repro.baselines import make_baseline, model_key
 from repro.core import CGKGR, paper_config
 from repro.data import PROFILES, generate_profile, load_dataset_dir
 from repro.data.loaders import save_interactions_file, save_kg_file
@@ -56,9 +56,6 @@ from repro.training import Trainer, TrainerConfig, run_comparison
 from repro.utils import format_table
 from repro.utils.artifact import ArtifactError, atomic_write_text
 
-CGKGR_NAMES = ("cg-kgr", "cgkgr")
-
-
 def _load_dataset(args) -> "RecDataset":
     if getattr(args, "data_dir", None):
         return load_dataset_dir(args.data_dir, split_seed=args.seed)
@@ -66,11 +63,10 @@ def _load_dataset(args) -> "RecDataset":
 
 
 def _make_model(name: str, dataset, seed: int):
-    key = name.lower()
-    if key in CGKGR_NAMES:
+    if model_key(name) == "cg-kgr":
         preset = dataset.name if dataset.name in PROFILES else "book"
         return CGKGR(dataset, paper_config(preset), seed=seed)
-    return make_baseline(key, dataset, seed=seed)
+    return make_baseline(name, dataset, seed=seed)
 
 
 def cmd_datasets(args) -> int:

@@ -117,19 +117,29 @@ class SlidingWindowStats:
         while self._buf and self._buf[0][0] < horizon:
             self._buf.popleft()
 
-    def snapshot(self, now: Optional[float] = None) -> WindowSnapshot:
+    def snapshot(
+        self, now: Optional[float] = None, window_s: Optional[float] = None
+    ) -> WindowSnapshot:
+        """Stats over the last ``window_s`` seconds (default: the ring's
+        whole window; a shorter one reads only the newest entries)."""
         now = time.monotonic() if now is None else float(now)
+        window_s = self.window_s if window_s is None else float(window_s)
+        if not 0 < window_s <= self.window_s:
+            raise ValueError(f"window_s must be in (0, {self.window_s:g}]")
         with self._lock:
             self._trim(now)
             rows = list(self._buf)
+        if window_s < self.window_s:
+            # Rows are in time order; (t,) sorts before every (t, ...).
+            rows = rows[bisect.bisect_left(rows, (now - window_s,)) :]
         count = len(rows)
         errors = sum(1 for _, _, ok in rows if not ok)
         latencies = tuple(sorted(value for _, value, _ in rows))
         # Early in the process lifetime the window is not yet full; use
         # the elapsed fraction so QPS is not underestimated at boot.
-        elapsed = min(self.window_s, max(1e-9, now - self._created))
+        elapsed = min(window_s, max(1e-9, now - self._created))
         snap = WindowSnapshot(
-            window_s=self.window_s,
+            window_s=window_s,
             count=count,
             errors=errors,
             qps=count / elapsed,

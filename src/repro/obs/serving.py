@@ -292,8 +292,9 @@ class SLOStatus:
 class SLOMonitor:
     """Evaluates :class:`SLOSpec` objectives over sliding windows.
 
-    Every observation feeds one :class:`SlidingWindowStats` per distinct
-    window length (spec windows plus the multi-rate ``burn_windows``).
+    Every observation lands in one :class:`SlidingWindowStats` ring
+    sized to the longest window; each window length (spec windows plus
+    the multi-rate ``burn_windows``) reads its newest entries.
     Violations are edge-triggered: crossing met→violated emits one
     structured ``slo_violation`` event on ``tracer``, bumps the
     ``slo_violations`` counter, and invokes ``on_violation(status)``
@@ -320,10 +321,10 @@ class SLOMonitor:
         self.burn_windows = tuple(float(w) for w in burn_windows)
         window_lengths = {spec.window_s for spec in self.specs}
         window_lengths.update(self.burn_windows)
-        self._windows = {
-            w: SlidingWindowStats(window_s=w, capacity=capacity)
-            for w in sorted(window_lengths)
-        }
+        self._window_lengths = sorted(window_lengths)
+        self._ring = SlidingWindowStats(
+            window_s=max(window_lengths, default=60.0), capacity=capacity
+        )
         self._eval_interval = max(1, int(eval_interval))
         self._since_eval = 0
         self._violated: Dict[str, bool] = {spec.name: False for spec in self.specs}
@@ -333,8 +334,7 @@ class SLOMonitor:
     def observe(
         self, latency_s: float, ok: bool = True, now: Optional[float] = None
     ) -> None:
-        for window in self._windows.values():
-            window.observe(latency_s, ok=ok, now=now)
+        self._ring.observe(latency_s, ok=ok, now=now)
         if not self.specs:
             return
         with self._lock:
@@ -378,7 +378,7 @@ class SLOMonitor:
 
     def status(self, now: Optional[float] = None) -> List[SLOStatus]:
         """Fresh verdict per spec; fires edge-triggered violation events."""
-        snaps = {w: win.snapshot(now=now) for w, win in self._windows.items()}
+        snaps = {w: self.snapshot(w, now=now) for w in self._window_lengths}
         statuses = [self._spec_status(spec, snaps) for spec in self.specs]
         for status in statuses:
             name = status.spec.name
@@ -405,11 +405,13 @@ class SLOMonitor:
                     self.on_violation(status)
         return statuses
 
-    def window(self, window_s: Optional[float] = None) -> SlidingWindowStats:
-        """The stats ring for one window length (default: the shortest)."""
+    def snapshot(
+        self, window_s: Optional[float] = None, now: Optional[float] = None
+    ) -> WindowSnapshot:
+        """Stats over one window length (default: the shortest)."""
         if window_s is None:
-            window_s = min(self._windows)
-        return self._windows[float(window_s)]
+            window_s = self._window_lengths[0]
+        return self._ring.snapshot(now=now, window_s=window_s)
 
     def to_dict(self, now: Optional[float] = None) -> List[Dict[str, Any]]:
         return [status.to_dict() for status in self.status(now=now)]

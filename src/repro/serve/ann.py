@@ -37,11 +37,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.base import Recommender
-from repro.eval.ranking import build_mask_table
 from repro.graph.interactions import InteractionGraph
 from repro.obs.events import default_tracer
 from repro.obs.serving import current_request
-from repro.serve.index import TopKIndex, topk_from_scores
+from repro.serve.index import TopKIndex, _resolve_users, topk_from_scores
 
 __all__ = ["kmeans", "assign_to_centroids", "ProductQuantizer", "IVFIndex"]
 
@@ -432,17 +431,7 @@ class IVFIndex(TopKIndex):
                 "mode='ann' needs them — use mode='dense' instead"
             )
         user_matrix, item_matrix = reps
-        if users is None:
-            user_ids = np.arange(dataset.n_users, dtype=np.int64)
-        else:
-            user_ids = np.unique(np.asarray(users, dtype=np.int64))
-            if user_ids.size and (
-                user_ids[0] < 0 or user_ids[-1] >= dataset.n_users
-            ):
-                raise ValueError("indexed user ids out of range")
-        if mask_splits is None:
-            mask_splits = [dataset.train]
-        mask_table = build_mask_table(mask_splits, dataset.n_users)
+        user_ids, mask_table = _resolve_users(dataset, users, mask_splits)
         return cls.from_representations(
             np.ascontiguousarray(np.asarray(user_matrix, dtype=np.float64)[user_ids]),
             np.ascontiguousarray(item_matrix),
@@ -471,11 +460,7 @@ class IVFIndex(TopKIndex):
     def scores_of(self, users: Sequence[int]) -> np.ndarray:
         """Full score rows (used by ``/score`` fallback): exact when the
         raw item matrix is retained, PQ-reconstructed otherwise."""
-        u = np.asarray(users, dtype=np.int64)
-        rows = self._row_of[u]
-        if (rows < 0).any():
-            missing = u[rows < 0].tolist()
-            raise KeyError(f"users not in index: {missing}")
+        rows = self._index_rows(users)
         queries = self._user_reps[rows]
         out = np.empty((len(rows), self.n_items), dtype=np.float64)
         for pos, query in enumerate(queries):
@@ -534,50 +519,24 @@ class IVFIndex(TopKIndex):
         scores = self._candidate_scores(query, candidates, cluster_scores)
         if masked is not None and n_masked:
             scores[np.isin(candidates, masked, assume_unique=False)] = -np.inf
-        k_eff = min(int(k), len(candidates))
         # Same ordering contract as the exact index: descending score,
-        # ties broken by ascending item id. argpartition + boundary-tie
-        # gathering (as in topk_from_scores) keeps the sort O(k log k)
-        # instead of sorting every probed candidate.
-        if k_eff < len(candidates):
-            part = np.argpartition(-scores, k_eff - 1)[:k_eff]
-            boundary = scores[part].min()
-            pool = np.concatenate(
-                [part[scores[part] > boundary], np.flatnonzero(scores == boundary)]
-            )
-        else:
-            pool = np.arange(len(candidates))
-        order = pool[np.lexsort((candidates[pool], -scores[pool]))[:k_eff]]
-        return candidates[order], scores[order]
+        # ties broken by ascending item id.
+        return topk_from_scores(scores, k, ids=candidates)
 
     def topk(
         self, users: Sequence[int], k: int, mask_seen: bool = True
     ) -> Tuple[np.ndarray, np.ndarray]:
         u = np.asarray(users, dtype=np.int64)
         if k < 1:
-            raise ValueError("k must be >= 1")
-        rows = self._row_of[u]
-        if (rows < 0).any():
-            missing = u[rows < 0].tolist()
-            raise KeyError(f"users not in index: {missing}")
+            raise ValueError(f"k must be >= 1, got {k}")
+        self._index_rows(u)
+        # _probe_inner widens until min(k + n_masked, n_items) candidates
+        # are gathered, so every probe returns exactly k_eff items.
         k_eff = min(int(k), self.n_items)
         items = np.empty((len(u), k_eff), dtype=np.int64)
         values = np.empty((len(u), k_eff), dtype=np.float64)
         for pos, user in enumerate(u):
-            found_items, found_scores = self._probe(int(user), k_eff, mask_seen)
-            if len(found_items) < k_eff:
-                # Every list probed and still short (k close to n_items
-                # with heavy masking): pad deterministically like the
-                # exact index pads with -inf-masked entries.
-                pad = k_eff - len(found_items)
-                all_items = np.setdiff1d(
-                    np.arange(self.n_items, dtype=np.int64), found_items
-                )[:pad]
-                found_items = np.concatenate([found_items, all_items])
-                found_scores = np.concatenate(
-                    [found_scores, np.full(pad, -np.inf)]
-                )
-            items[pos], values[pos] = found_items, found_scores
+            items[pos], values[pos] = self._probe(int(user), k_eff, mask_seen)
         return items, values
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.baselines import MODEL_KEYS, make_baseline, model_key
 from repro.baselines.base import Recommender
 from repro.data.dataset import RecDataset
 from repro.utils.artifact import load_npz, save_npz
@@ -36,43 +37,26 @@ WEIGHTS_FILE = "weights.npz"
 #: shipped next to the weights so ``repro serve`` boots without rebuilding.
 INDEX_FILE = "index.npz"
 
-#: Class name -> CLI/registry model key (round-trips through
-#: :func:`build_model`).
-_CLASS_TO_KEY = {
-    "CGKGR": "cg-kgr",
-    "BPRMF": "bprmf",
-    "NFM": "nfm",
-    "CKE": "cke",
-    "KGAT": "kgat",
-    "RippleNet": "ripplenet",
-    "KGCN": "kgcn",
-    "KGNNLS": "kgnn-ls",
-    "CKAN": "ckan",
-    "LightGCN": "lightgcn",
-    "NGCF": "ngcf",
-}
-
 
 def model_key_of(model: Recommender) -> str:
     """Registry key for a model instance (e.g. ``CGKGR`` -> ``cg-kgr``)."""
-    try:
-        return _CLASS_TO_KEY[type(model).__name__]
-    except KeyError:
-        raise ValueError(
-            f"{type(model).__name__} is not a registered model class; "
-            f"known: {sorted(_CLASS_TO_KEY)}"
-        ) from None
+    for key, class_name in MODEL_KEYS.items():
+        if class_name == type(model).__name__:
+            return key
+    raise ValueError(
+        f"{type(model).__name__} is not a registered model class; "
+        f"known: {sorted(MODEL_KEYS.values())}"
+    )
 
 
 def build_model(
     key: str, dataset: RecDataset, seed: int, config: Optional[dict] = None
 ) -> Recommender:
     """Instantiate a model from its registry key and exported config."""
-    from repro.baselines import make_baseline
     from repro.core import CGKGR, CGKGRConfig
 
     config = dict(config or {})
-    if key in ("cg-kgr", "cgkgr"):
+    if model_key(key) == "cg-kgr":
         return CGKGR(dataset, CGKGRConfig(**config), seed=seed)
     return make_baseline(key, dataset, seed=seed, **config)
 

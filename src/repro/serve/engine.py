@@ -7,6 +7,9 @@
 3. on-the-fly scoring through the model for *cold* users that were left
    out of the index (graceful degradation instead of a 404).
 
+``recommend_many`` is the one walk through the tiers; ``recommend`` is
+``recommend_many`` of one user.
+
 ``MicroBatcher`` sits in front of the engine for concurrent frontends
 (the HTTP server handles each request on its own thread): requests are
 queued and flushed as one vectorized index query when either the batch
@@ -151,42 +154,25 @@ class ServingEngine:
         with current_request().span("model.fallback", user=int(user), k=int(k)):
             scores = self.model.score_all_items(int(user))
             masked = self.index.mask_table[int(user)] if mask_seen else None
-            return topk_from_scores(scores, min(k, self.index.n_items), masked)
+            return topk_from_scores(scores, k, masked)
 
     def recommend(self, user: int, k: int = 10, mask_seen: bool = True) -> Result:
         """Top-``k`` (items, scores) for one user, cached."""
-        user = int(user)
-        if not 0 <= user < self.index.n_users:
-            raise KeyError(f"unknown user id {user}")
-        self.metrics.inc("requests")
-        ctx = current_request()
-        key = (user, int(k), bool(mask_seen))
-        with ctx.span("cache.lookup") as span:
-            cached = self._cache_get(key)
-            span.set(hit=cached is not None)
-        if cached is not None:
-            return cached
-        with self.metrics.time("recommend_latency_seconds"):
-            if self.index.contains(user):
-                with ctx.span(
-                    "index.query", mode=self.index.mode, user=user, k=int(k)
-                ):
-                    items, scores = self.index.topk([user], k, mask_seen=mask_seen)
-                result = (items[0], scores[0])
-            else:
-                result = self._fallback(user, k, mask_seen)
-        self._cache_put(key, result)
-        return result
+        return self.recommend_many([user], k, mask_seen)[0]
 
     def recommend_many(
         self, users: Sequence[int], k: int = 10, mask_seen: bool = True
     ) -> List[Result]:
-        """Batched variant: one vectorized index query for the uncached,
-        indexed users; per-user fallback for the rest."""
+        """Top-``k`` (items, scores) per user: cache, then one vectorized
+        index query for the uncached indexed users, then per-user model
+        fallback for the rest."""
         users = [int(u) for u in users]
         for user in users:
             if not 0 <= user < self.index.n_users:
                 raise KeyError(f"unknown user id {user}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        k, mask_seen = int(k), bool(mask_seen)
         self.metrics.inc("requests", len(users))
         self.metrics.inc("batched_queries")
         ctx = current_request()
@@ -195,7 +181,7 @@ class ServingEngine:
         to_fallback: List[int] = []
         with ctx.span("cache.lookup", n_users=len(users)) as span:
             for user in set(users):
-                cached = self._cache_get((user, int(k), bool(mask_seen)))
+                cached = self._cache_get((user, k, mask_seen))
                 if cached is not None:
                     results[user] = cached
                 elif self.index.contains(user):
@@ -203,25 +189,27 @@ class ServingEngine:
                 else:
                     to_fallback.append(user)
             span.set(hits=len(results), misses=len(to_index) + len(to_fallback))
+        if not to_index and not to_fallback:
+            # The latency histogram times the work behind a cache miss.
+            return [results[user] for user in users]
         with self.metrics.time("recommend_latency_seconds"):
+            fresh: List[Tuple[int, Result]] = []
             if to_index:
                 with ctx.span(
                     "index.query",
                     mode=self.index.mode,
                     n_users=len(to_index),
-                    k=int(k),
+                    k=k,
                 ):
                     items, scores = self.index.topk(
                         to_index, k, mask_seen=mask_seen
                     )
-                for pos, user in enumerate(to_index):
-                    result = (items[pos], scores[pos])
-                    results[user] = result
-                    self._cache_put((user, int(k), bool(mask_seen)), result)
+                fresh = list(zip(to_index, zip(items, scores)))
             for user in to_fallback:
-                result = self._fallback(user, k, mask_seen)
+                fresh.append((user, self._fallback(user, k, mask_seen)))
+            for user, result in fresh:
                 results[user] = result
-                self._cache_put((user, int(k), bool(mask_seen)), result)
+                self._cache_put((user, k, mask_seen), result)
         return [results[user] for user in users]
 
     def score(self, user: int, items: Sequence[int]) -> np.ndarray:

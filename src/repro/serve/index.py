@@ -37,13 +37,21 @@ from repro.utils.artifact import load_npz, save_npz
 
 
 def topk_from_scores(
-    scores: np.ndarray, k: int, masked: Optional[np.ndarray] = None
+    scores: np.ndarray,
+    k: int,
+    masked: Optional[np.ndarray] = None,
+    ids: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Top-``k`` (items, scores) of one score row, masked items excluded.
 
     Matches :func:`repro.eval.ranking.rank_items` ordering exactly:
-    descending score with ties broken by ascending item id.
+    descending score with ties broken by ascending item id.  ``ids``
+    names the item behind each score when the row covers only a subset
+    of the catalogue (the IVF probe's candidates); without it, position
+    ``i`` is item ``i``.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     row = np.asarray(scores, dtype=np.float64)
     if masked is not None and masked.size:
         row = row.copy()
@@ -55,14 +63,34 @@ def topk_from_scores(
         # k-th boundary; gather every item at the boundary score so the
         # lexsort below breaks the tie by ascending id, like rank_items.
         boundary = row[part].min()
-        candidates = np.concatenate(
+        pool = np.concatenate(
             [part[row[part] > boundary], np.flatnonzero(row == boundary)]
         )
     else:
-        candidates = np.arange(row.size)
-    order = np.lexsort((candidates, -row[candidates]))[:k]
-    items = candidates[order]
-    return items, row[items]
+        pool = np.arange(row.size)
+    pool_ids = pool if ids is None else ids[pool]
+    order = pool[np.lexsort((pool_ids, -row[pool]))[:k]]
+    return (order if ids is None else ids[order]), row[order]
+
+
+def _resolve_users(
+    dataset,
+    users: Optional[Sequence[int]],
+    mask_splits: Optional[Sequence[InteractionGraph]],
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """``(user_ids, mask_table)`` an index build covers: every user when
+    ``users`` is ``None``, and the train split masked by default."""
+    if users is None:
+        user_ids = np.arange(dataset.n_users, dtype=np.int64)
+    else:
+        user_ids = np.unique(np.asarray(users, dtype=np.int64))
+        if user_ids.size and (
+            user_ids[0] < 0 or user_ids[-1] >= dataset.n_users
+        ):
+            raise ValueError("indexed user ids out of range")
+    if mask_splits is None:
+        mask_splits = [dataset.train]
+    return user_ids, build_mask_table(mask_splits, dataset.n_users)
 
 
 class TopKIndex:
@@ -137,17 +165,7 @@ class TopKIndex:
         if ann_params:
             raise ValueError("ann_params only apply to mode='ann'")
         dataset = model.dataset
-        if users is None:
-            user_ids = np.arange(dataset.n_users, dtype=np.int64)
-        else:
-            user_ids = np.unique(np.asarray(users, dtype=np.int64))
-            if user_ids.size and (
-                user_ids[0] < 0 or user_ids[-1] >= dataset.n_users
-            ):
-                raise ValueError("indexed user ids out of range")
-        if mask_splits is None:
-            mask_splits = [dataset.train]
-        mask_table = build_mask_table(mask_splits, dataset.n_users)
+        user_ids, mask_table = _resolve_users(dataset, users, mask_splits)
 
         reps = None if mode == "dense" else model.representations()
         if mode == "factorized" and reps is None:
@@ -198,13 +216,17 @@ class TopKIndex:
     def contains(self, user: int) -> bool:
         return 0 <= int(user) < self.n_users and self._row_of[int(user)] >= 0
 
+    def _index_rows(self, users: Sequence[int]) -> np.ndarray:
+        """Index rows of ``users``; ``KeyError`` names any not indexed."""
+        users = np.asarray(users, dtype=np.int64)
+        rows = self._row_of[users]
+        if (rows < 0).any():
+            raise KeyError(f"users not in index: {users[rows < 0].tolist()}")
+        return rows
+
     def scores_of(self, users: Sequence[int]) -> np.ndarray:
         """``(len(users), n_items)`` score rows for indexed users."""
-        u = np.asarray(users, dtype=np.int64)
-        rows = self._row_of[u]
-        if (rows < 0).any():
-            missing = u[rows < 0].tolist()
-            raise KeyError(f"users not in index: {missing}")
+        rows = self._index_rows(users)
         if self.mode == "dense":
             return self._score_rows[rows]
         out = np.empty((len(rows), self.n_items), dtype=np.float64)
@@ -221,7 +243,7 @@ class TopKIndex:
         """Top-``k`` (items, scores) per user; seen items masked by default."""
         u = np.asarray(users, dtype=np.int64)
         if k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValueError(f"k must be >= 1, got {k}")
         scores = self.scores_of(u)
         k_eff = min(int(k), self.n_items)
         items = np.empty((len(u), k_eff), dtype=np.int64)

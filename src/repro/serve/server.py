@@ -137,7 +137,7 @@ class RecommendationServer(ThreadingHTTPServer):
 
     def refresh_gauges(self) -> None:
         """Recompute window/SLO gauges (called on each /metrics scrape)."""
-        snap = self.slo.window(60.0).snapshot()
+        snap = self.slo.snapshot(60.0)
         self.metrics.set_gauge("window_qps", snap.qps)
         self.metrics.set_gauge("window_p50_ms", 1e3 * snap.p50)
         self.metrics.set_gauge("window_p95_ms", 1e3 * snap.p95)
@@ -187,6 +187,15 @@ def create_server(
     )
 
 
+def _result(user, items: np.ndarray, scores: np.ndarray) -> dict:
+    """The ``{"user", "items", "scores"}`` object every response carries."""
+    return {
+        "user": int(user),
+        "items": items.tolist(),
+        "scores": [round(float(s), 8) for s in scores],
+    }
+
+
 class _Handler(BaseHTTPRequestHandler):
     server: RecommendationServer
 
@@ -223,7 +232,12 @@ class _Handler(BaseHTTPRequestHandler):
         return status
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        header = self.headers.get("Content-Length", "0")
+        if not header.strip().isdecimal():
+            raise ValueError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
         raw = self.rfile.read(length) if length else b"{}"
         payload = json.loads(raw)
         if not isinstance(payload, dict):
@@ -237,12 +251,7 @@ class _Handler(BaseHTTPRequestHandler):
                 items, scores = future.result(timeout=30)
         else:
             items, scores = self.server.engine.recommend(user, k)
-        return {
-            "user": int(user),
-            "k": int(k),
-            "items": items.tolist(),
-            "scores": [round(float(s), 8) for s in scores],
-        }
+        return {"k": int(k), **_result(user, items, scores)}
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
@@ -350,11 +359,7 @@ class _Handler(BaseHTTPRequestHandler):
                     {
                         "k": k,
                         "results": [
-                            {
-                                "user": user,
-                                "items": items.tolist(),
-                                "scores": [round(float(s), 8) for s in scores],
-                            }
+                            _result(user, items, scores)
                             for user, (items, scores) in zip(users, results)
                         ],
                     }
@@ -365,17 +370,9 @@ class _Handler(BaseHTTPRequestHandler):
         if url.path == "/score":
             if "user" not in payload or "items" not in payload:
                 raise ValueError("body needs 'user' and 'items'")
-            scores = self.server.engine.score(
-                int(payload["user"]),
-                np.asarray(payload["items"], dtype=np.int64),
-            )
-            return self._send_json(
-                {
-                    "user": int(payload["user"]),
-                    "items": [int(i) for i in payload["items"]],
-                    "scores": [round(float(s), 8) for s in scores],
-                }
-            )
+            items = np.asarray(payload["items"], dtype=np.int64)
+            scores = self.server.engine.score(int(payload["user"]), items)
+            return self._send_json(_result(payload["user"], items, scores))
         self.server.metrics.inc("http_404")
         return self._send_error_json(404, "not found")
 

@@ -3,8 +3,11 @@ tracing, sliding-window SLO accounting, slow-request exemplars, the
 strict Prometheus exposition linter, and the ``obs top`` frames.
 """
 
+import dataclasses
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.obs.events import NULL_TRACER
@@ -267,6 +270,51 @@ class TestSLOMonitor:
         for _ in range(8):
             monitor.observe(0.100, now=10.0)
         assert metrics.get("slo_violations") == 1.0
+
+
+class TestSLOMonitorOneRing:
+    def test_windows_match_standalone_rings(self):
+        """One ring sized to the longest window reports, for each window,
+        exactly what a separate capacity-capped ring of that length would."""
+        capacity = 400
+        monitor = SLOMonitor(
+            ["p99<25ms"], burn_windows=(60.0, 300.0), capacity=capacity
+        )
+        rings = {
+            w: SlidingWindowStats(window_s=w, capacity=capacity)
+            for w in (60.0, 300.0)
+        }
+        rng = np.random.default_rng(0)
+        # Past the rings' creation by far, so QPS divides by the window.
+        now = time.monotonic() + 1000.0
+        checked = 0
+
+        def check(at):
+            for w, ring in rings.items():
+                got = monitor.snapshot(w, now=at)
+                want = ring.snapshot(now=at)
+                assert got.qps == pytest.approx(want.qps, rel=1e-6)
+                for field in dataclasses.fields(want):
+                    if field.name != "qps":
+                        assert getattr(got, field.name) == getattr(
+                            want, field.name
+                        ), (w, at, field.name)
+
+        # Bursts (capacity binds inside 300 s) alternate with sparse
+        # stretches (time binds): 2000 requests over ~1,500 s.
+        for i in range(2000):
+            now += rng.exponential(0.05 if (i // 250) % 2 == 0 else 1.5)
+            latency = float(rng.exponential(0.01))
+            ok = bool(rng.random() > 0.05)
+            monitor.observe(latency, ok=ok, now=now)
+            for ring in rings.values():
+                ring.observe(latency, ok=ok, now=now)
+            if i % 97 == 0:
+                check(now)
+                checked += 1
+        for gap in (10.0, 100.0, 400.0):  # the 60 s, then 300 s, empty out
+            check(now + gap)
+        assert checked > 20
 
 
 # ----------------------------------------------------------------------

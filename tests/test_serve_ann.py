@@ -205,6 +205,36 @@ class TestIVFIndex:
         assert not np.isin(got[0], masked).any()
         assert np.isfinite(scores[0]).all()
 
+    @pytest.mark.parametrize("k", [8, 55])
+    def test_ties_break_like_exact_protocol(self, k):
+        # Small-integer embeddings make many exact score ties; k=55 asks
+        # for more than the 50 unmasked items, so masked ones fill the
+        # tail at -inf in ascending id order.
+        rng = np.random.default_rng(3)
+        users = rng.integers(-1, 2, size=(12, 4)).astype(np.float64)
+        items = rng.integers(-1, 2, size=(60, 4)).astype(np.float64)
+        mask_table = [
+            np.sort(rng.choice(60, size=10, replace=False)) for _ in range(12)
+        ]
+        ann = IVFIndex.from_representations(
+            users, items, 12, 60, mask_table=mask_table, nlist=6, nprobe=6, seed=0
+        )
+        exact = TopKIndex(
+            np.arange(12), 12, 60, "factorized", mask_table,
+            user_reps=users, item_reps=items,
+        )
+        got, got_scores = ann.topk(np.arange(12), k)
+        want, want_scores = exact.topk(np.arange(12), k)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_scores, want_scores)
+        for user in range(12):
+            brute = rank_items(items @ users[user], mask_table[user])[:k]
+            np.testing.assert_array_equal(got[user], brute)
+            assert len(np.unique(items @ users[user])) < 10  # ties abound
+            if k > 50:
+                np.testing.assert_array_equal(got[user][50:], mask_table[user][:5])
+                assert np.isneginf(got_scores[user][50:]).all()
+
     def test_pq_mode_drops_raw_matrix(self, reps):
         users, items = reps
         raw = IVFIndex.from_representations(

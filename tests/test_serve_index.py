@@ -47,6 +47,18 @@ class TestTopKFromScores:
         items, _ = topk_from_scores(scores, 10)
         np.testing.assert_array_equal(items, [1, 2, 0])
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_non_positive_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            topk_from_scores(np.arange(20.0), k)
+
+    def test_subset_ids_break_ties_by_item_id(self):
+        # Scores over candidates [9, 4, 6, 2]: items 9, 4 and 2 tie.
+        ids = np.array([9, 4, 6, 2])
+        items, values = topk_from_scores(np.array([1.0, 1.0, 3.0, 1.0]), 3, ids=ids)
+        np.testing.assert_array_equal(items, [6, 2, 4])
+        np.testing.assert_array_equal(values, [3.0, 1.0, 1.0])
+
 
 class TestTopKIndex:
     @pytest.mark.parametrize("name", ["bprmf", "lightgcn", "cg-kgr"])
@@ -229,6 +241,28 @@ class TestServingEngine:
             # BLAS gemm reduction order depends on the block's row count,
             # so batched and single-user scores may differ in the last ulp.
             np.testing.assert_allclose(scores, scores_1, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_non_positive_k_rejected_before_cache(self, trained_models, k):
+        # User 0 is indexed; user 3 is cold and would take the fallback.
+        model = trained_models["cg-kgr"]
+        engine = ServingEngine(TopKIndex.build(model, users=[0, 1]), model=model)
+        for user in (0, 3):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                engine.recommend(user, k)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                engine.recommend_many([user, 1], k)
+        assert engine.cache_info()["size"] == 0
+        assert engine.metrics.get("cache_misses") == 0
+        assert engine.metrics.get("fallback_users") == 0
+
+    def test_cache_hits_record_no_engine_latency(self, trained_models):
+        engine = ServingEngine(TopKIndex.build(trained_models["bprmf"]))
+        engine.recommend_many([1, 2], 5)
+        engine.recommend_many([2, 1], 5)
+        engine.recommend(1, 5)
+        hist = engine.metrics.snapshot()["histograms"]["recommend_latency_seconds"]
+        assert hist["count"] == 1
 
     def test_score_matches_predict(self, trained_models, tiny_dataset):
         model = trained_models["cg-kgr"]

@@ -4,6 +4,7 @@ ephemeral port, and the JSON endpoints answer.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -145,6 +146,64 @@ class TestServerEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base + "/recommend")  # missing query parameter
         assert excinfo.value.code == 400
+
+
+    @pytest.mark.parametrize("micro_batch", [8, None])
+    def test_non_positive_k_is_400_and_not_cached(
+        self, served_checkpoint, micro_batch
+    ):
+        _, shared = served_checkpoint
+        # Users 0 and 1 are indexed; user 3 is cold (model fallback).
+        engine = ServingEngine(
+            TopKIndex.build(shared.model, users=[0, 1]), model=shared.model
+        )
+        server = create_server(engine, port=0, micro_batch=micro_batch)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.port}"
+        try:
+            for user in (0, 3):
+                for k in (0, -3):
+                    for call in (
+                        lambda: _get(base + f"/recommend?user={user}&k={k}"),
+                        lambda: _post(base + "/recommend", {"user": user, "k": k}),
+                        lambda: _post(base + "/recommend", {"users": [user], "k": k}),
+                    ):
+                        with pytest.raises(urllib.error.HTTPError) as excinfo:
+                            call()
+                        body = json.loads(excinfo.value.read())
+                        assert excinfo.value.code == 400
+                        assert body["status"] == 400 and body["request_id"]
+                        assert "k must be >= 1" in body["error"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert engine.cache_info()["size"] == 0
+        assert engine.metrics.get("fallback_users") == 0
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    def test_bad_content_length_is_400(self, served_checkpoint, length):
+        base, _ = served_checkpoint
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+            sock.sendall(
+                b"POST /recommend HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\nContent-Length: "
+                + length
+                + b"\r\n\r\n"
+            )
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)  # socket.timeout fails the test
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        payload = json.loads(body)
+        assert payload["status"] == 400 and payload["request_id"]
+        assert "Content-Length" in payload["error"]
 
 
 class TestRequestTracing:
