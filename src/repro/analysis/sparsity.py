@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.baselines.base import Recommender
 from repro.data.dataset import RecDataset
-from repro.eval.ranking import ndcg_at_k, rank_items, recall_at_k
+from repro.eval.ranking import USER_BLOCK, ndcg_at_k, rank_items, recall_at_k
 
 
 @dataclass
@@ -56,24 +56,30 @@ def recall_by_history_size(
     per_bucket_recall: Dict[str, List[float]] = {label: [] for label in buckets}
     per_bucket_ndcg: Dict[str, List[float]] = {label: [] for label in buckets}
 
+    labelled: List[Tuple[int, str]] = []
     for user in np.unique(dataset.test.users):
         user = int(user)
-        relevant = set(dataset.test.items_of(user))
-        if not relevant:
+        if not dataset.test.items_of(user):
             continue
         history = len(dataset.train.items_of(user))
         label = next(
             (name for name, (lo, hi) in buckets.items() if lo <= history <= hi),
             None,
         )
-        if label is None:
-            continue
-        masked = (
-            set(dataset.train.items_of(user)) | set(dataset.valid.items_of(user))
-        ) - relevant
-        ranking = rank_items(model.score_all_items(user), masked).tolist()
-        per_bucket_recall[label].append(recall_at_k(ranking, relevant, k))
-        per_bucket_ndcg[label].append(ndcg_at_k(ranking, relevant, k))
+        if label is not None:
+            labelled.append((user, label))
+
+    for start in range(0, len(labelled), USER_BLOCK):
+        block = labelled[start : start + USER_BLOCK]
+        scores = model.score_users([user for user, _ in block])
+        for (user, label), row in zip(block, scores):
+            relevant = set(dataset.test.items_of(user))
+            masked = (
+                set(dataset.train.items_of(user)) | set(dataset.valid.items_of(user))
+            ) - relevant
+            ranking = rank_items(row, masked).tolist()
+            per_bucket_recall[label].append(recall_at_k(ranking, relevant, k))
+            per_bucket_ndcg[label].append(ndcg_at_k(ranking, relevant, k))
 
     for label in buckets:
         values = per_bucket_recall[label]

@@ -26,6 +26,9 @@ from repro.autograd.nn import Module
 from repro.autograd.tensor import Tensor
 from repro.data.dataset import RecDataset
 
+#: Items per forward when a whole catalogue is scored for a user.
+ITEM_BLOCK = 4096
+
 
 class Recommender(Module):
     """Abstract recommender over a :class:`RecDataset`."""
@@ -139,11 +142,25 @@ class Recommender(Module):
                 out[sl] = self.score_pairs(users[sl], items[sl]).numpy()
         return out
 
-    def score_all_items(self, user: int, batch_size: int = 4096) -> np.ndarray:
+    def score_all_items(self, user: int) -> np.ndarray:
         """Scores of one user against the full catalogue (Top-K ranking)."""
         n_items = self.dataset.n_items
         users = np.full(n_items, int(user), dtype=np.int64)
-        return self.predict(users, np.arange(n_items, dtype=np.int64), batch_size)
+        return self.predict(users, np.arange(n_items, dtype=np.int64), ITEM_BLOCK)
+
+    def score_users(self, users: Sequence[int]) -> np.ndarray:
+        """``(len(users), n_items)`` scores: each user against the full
+        catalogue, row ``j`` equal to ``score_all_items(users[j])``.
+
+        The default stacks :meth:`score_all_items`; a model whose forward
+        has a user-independent item side (CG-KGR) overrides it to build
+        that side once per item block for every user.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        out = np.empty((len(users), self.dataset.n_items), dtype=np.float64)
+        for row, user in enumerate(users):
+            out[row] = self.score_all_items(int(user))
+        return out
 
     def bpr_loss(self, users: np.ndarray, pos_items: np.ndarray, neg_items: np.ndarray) -> Tensor:
         """Bayesian personalized ranking loss (used by BPRMF/CKE/KGAT)."""

@@ -10,7 +10,9 @@ Two mechanisms, both multi-head (H heads averaged, Eq. 4):
 * **Knowledge-aware attention with collaborative guidance** (Eq. 13-15,
   19): ``ω = v_h^T (f ⊙ M_r) v_t`` where the guidance signal ``f``
   (``R^d``) gates the rows of the relation matrix ``M_r``; the fused
-  :func:`_guided_relation_scores` op computes it (see its docstring).
+  :func:`_guided_relation_scores` op computes it (see its docstring) from
+  the user-independent projections ``M_r v_t`` of
+  :func:`tail_projections` / :func:`edge_rows`.
 
 Each class splits into ``weights`` (scores → masked softmax → head mean)
 and ``forward`` (the weighted neighborhood sum), so the weights a model
@@ -22,7 +24,7 @@ slots (padded neighbors) receive exactly zero weight via
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,14 +40,40 @@ def _uniform_weights(mask: np.ndarray) -> np.ndarray:
     return m / np.where(counts > 0, counts, 1.0)
 
 
+def tail_projections(relation_matrices: Tensor, entity_table: Tensor) -> np.ndarray:
+    """``pt[n, r, (h, p)] = (M_r^h v_n)_p`` for every (entity, relation) pair.
+
+    One ``(N, d) x (d, R·H·d)`` GEMM over the entity table; with the small
+    tables this repo trains it is cheaper than touching the (B·W·K) edges
+    per relation.  The result depends only on the weights, so a forward
+    computes it once and every hop reads its rows (:func:`edge_rows`).
+    """
+    n_relations, n_heads, dim, _ = relation_matrices.shape
+    w_flat = relation_matrices.data.transpose(3, 0, 1, 2).reshape(
+        dim, n_relations * n_heads * dim
+    )
+    return (entity_table.data @ w_flat).reshape(
+        entity_table.shape[0], n_relations, n_heads * dim
+    )
+
+
+def edge_rows(
+    pt: np.ndarray, entities: np.ndarray, relations: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(comp, rows)`` of a hop's child edges: the composite (tail,
+    relation) id of each edge and its :func:`tail_projections` row."""
+    comp = entities.reshape(-1) * pt.shape[1] + relations.reshape(-1)
+    return comp, pt.reshape(-1, pt.shape[2])[comp]
+
+
 @differentiable(name="relation_scores")
 def _guided_relation_scores(
     head_source: Tensor,
     guidance: Optional[Tensor],
     relation_matrices: Tensor,
     entity_table: Tensor,
-    entities: np.ndarray,
-    relations: np.ndarray,
+    comp: np.ndarray,
+    rows: np.ndarray,
     group_size: int,
 ) -> Tensor:
     """Fused ``ω[b,h,w,k] = Σ_pq (f_b ⊙ v_{head_{bw}})_p M^h_{r}[p,q] v_{t,q}``.
@@ -54,30 +82,22 @@ def _guided_relation_scores(
     gates the rows of ``M_r``, so ``ω = Σ_p (f_p v_{h,p}) (M_r v_t)_p``.
     The gate and the score contraction run on the (B·W) *parents* instead
     of the (B·W·K) edges (each parent's gated vector is shared by its K
-    children), and the per-(tail, relation) projections come from one
-    small GEMM over the entity table (``pt[n, r, h] = M_r^h v_n``) followed
-    by a single row gather.  The adjoint
-    ``d_pt[(n, r), h] = Σ_{edges on (n, r)} g[edge, h] · gated[parent]``
-    is one :func:`~repro.autograd.ops.segment_sum` keyed by the composite
-    (tail, relation) id — built inside the backward, so the forward stays a
-    plain gather — and finishes with two table-sized GEMMs.
+    children).  ``comp`` and ``rows`` are the (B·W·K) child edges of
+    :func:`edge_rows`, parent-major: the per-(tail, relation) projections
+    ``M_r^h v_t`` depend only on the items and the weights, so the caller
+    gathers them once and any number of users' guidance reads them.  The
+    adjoint ``d_pt[(n, r), h] = Σ_{edges on (n, r)} g[edge, h] ·
+    gated[parent]`` is one :func:`~repro.autograd.ops.segment_sum` keyed by
+    ``comp`` — built inside the backward, so the forward stays a plain
+    matvec — and finishes with two table-sized GEMMs.
     """
     batch, width, dim = head_source.shape
     n_relations, n_heads, _, _ = relation_matrices.shape
-    ent_flat = entities.reshape(-1)
-    rel_flat = relations.reshape(-1)
     n_parents = batch * width
     n_entities = entity_table.shape[0]
     cols = n_heads * dim
-
-    # pt[(n, r), (h, p)] = (M_r^h v_n)_p for every (entity, relation) pair;
-    # with the small tables this repo trains, one (n, d) x (d, R·H·d) GEMM
-    # is cheaper than touching the (B·W·K) edges per relation.
     m_data = relation_matrices.data
-    w_flat = m_data.transpose(3, 0, 1, 2).reshape(dim, n_relations * cols)
-    pt = (entity_table.data @ w_flat).reshape(n_entities * n_relations, cols)
-    comp = ent_flat * n_relations + rel_flat  # composite (tail, relation) id
-    gathered = pt[comp].reshape(n_parents, group_size * n_heads, dim)
+    gathered = rows.reshape(n_parents, group_size * n_heads, dim)
 
     if guidance is None:
         gated = np.ascontiguousarray(head_source.data.reshape(n_parents, dim))
@@ -240,18 +260,18 @@ class KnowledgeAwareAttention(Module):
         head_source: Tensor,
         guidance: Optional[Tensor],
         entity_table: Tensor,
-        entities: np.ndarray,
-        relations: np.ndarray,
+        edges: Tuple[np.ndarray, np.ndarray],
         mask: np.ndarray,
         group_size: int,
     ) -> Tensor:
         """Head-averaged normalized ``ω̂`` (Eq. 13-15, 19): (B, W, K).
 
-        ``head_source`` holds the (B, W, d) parent heads; ``entities``,
-        ``relations`` and ``mask`` are the (B, W*K) child edges, grouped
-        into W parents of ``group_size`` children each — softmax normalizes
-        within a group.  ``guidance`` is the (B, d) signal ``f(v_u, v_i)``,
-        or ``None`` for the w/o CG ablation (all-one gate).
+        ``head_source`` holds the (B, W, d) parent heads; ``edges`` is the
+        :func:`edge_rows` ``(comp, rows)`` of the (B, W*K) child edges and
+        ``mask`` their validity, grouped into W parents of ``group_size``
+        children each — softmax normalizes within a group.  ``guidance`` is the (B, d)
+        signal ``f(v_u, v_i)``, or ``None`` for the w/o CG ablation
+        (all-one gate).
         """
         batch, width, _ = head_source.shape
         raw = _guided_relation_scores(
@@ -259,8 +279,7 @@ class KnowledgeAwareAttention(Module):
             guidance,
             self.relation_matrices,
             entity_table,
-            entities,
-            relations,
+            *edges,
             group_size,
         )  # (B, H, W, K)
         grouped_mask = mask.reshape(batch, width, group_size)

@@ -13,6 +13,14 @@ Forward pass for a batch of target pairs ``(u, i)``:
    Hop 0 yields the knowledge-enriched item embedding ``v_i^u``.
 4. **Prediction** — inner product ``ŷ = v_u^T v_i^u`` (Eq. 21).
 
+Only ``f`` couples a user to an item, so the forward is split in two:
+:meth:`CGKGR._item_side` (item summary, node flow, entity gathers, the
+per-(tail, relation) projections) and :meth:`CGKGR._pair_side` (user
+summary, guidance, the guided per-hop attention and aggregation, Eq. 21).
+``score_pairs`` — and so training — runs both over its batch;
+``score_users`` builds the item side once per item block and runs the
+pair side per user.
+
 Training uses pointwise sigmoid cross-entropy over positives and per-epoch
 resampled negatives with L2 weight decay (Eq. 22, sign corrected; see
 DESIGN.md §5).
@@ -20,6 +28,7 @@ DESIGN.md §5).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,17 +36,43 @@ import numpy as np
 from repro.autograd import no_grad, ops
 from repro.autograd.nn import Embedding
 from repro.autograd.tensor import Tensor
+from repro.baselines import base
 from repro.baselines.base import Recommender
 from repro.core.aggregators import make_aggregator
 from repro.core.attention import (
     CollaborationAttention,
     KnowledgeAwareAttention,
     _uniform_weights,
+    edge_rows,
+    tail_projections,
 )
 from repro.core.config import CGKGRConfig
 from repro.core.encoders import make_encoder
 from repro.data.dataset import RecDataset
-from repro.graph.sampling import NeighborSampler
+from repro.graph.sampling import NeighborSampler, NodeFlow
+
+
+@dataclass
+class ItemSide:
+    """The half of a forward that depends only on the items and the weights.
+
+    Only the guidance ``f(v_u, v_i)`` couples a user to an item (Sec.
+    III-B), so ranking a catalogue for many users builds this once per
+    item block.  ``values[l]``, ``heads[l]`` and ``edges[l]`` are hop
+    ``l``'s child values before aggregation (hop 0: ``v_i``), parent heads
+    and :func:`~repro.core.attention.edge_rows`; all empty at depth 0,
+    ``heads``/``edges`` also without attention.
+    """
+
+    items: np.ndarray
+    v_item0: Tensor
+    v_item: Tensor
+    flow: Optional[NodeFlow] = None
+    values: List[Tensor] = field(default_factory=list)
+    heads: List[Optional[Tensor]] = field(default_factory=list)
+    edges: List[Optional[Tuple[np.ndarray, np.ndarray]]] = field(
+        default_factory=list
+    )
 
 
 class CGKGR(Recommender):
@@ -146,20 +181,67 @@ class CGKGR(Recommender):
             return self.collab_attention.weights(center, neighbors, mask)
         return Tensor(_uniform_weights(mask))
 
-    def _encode(
-        self, users: np.ndarray, items: np.ndarray
-    ) -> Tuple[Tensor, Tensor, Optional[Tensor]]:
-        """``(v_u, v_i, f)``: interactive summaries (Sec. III-A) and the
-        guidance signal (Eq. 10-12) of each target pair."""
-        v_user0 = self.user_embedding(users)
+    def _item_side(self, items: np.ndarray) -> ItemSide:
+        """Everything of the forward that depends only on ``items`` and the
+        weights: the interactive item summary, the node flow, its entity
+        gathers and each hop's attention heads and edge projections."""
+        cfg = self.config
         v_item0 = self.entity_embedding(items)
-        if self.config.use_interactive:
-            v_user = self._summarize_user(users, v_user0)
+        if cfg.use_interactive:
             v_item = self._summarize_item(items, v_item0)
         else:
-            v_user, v_item = v_user0, v_item0
-        guidance = self._guidance_signal(v_user0, v_item0, v_user, v_item)
-        return v_user, v_item, guidance
+            v_item = v_item0
+        side = ItemSide(items=items, v_item0=v_item0, v_item=v_item)
+        depth = cfg.effective_depth
+        if depth == 0:
+            return side
+        batch = len(items)
+        flow = self.sampler.kg_node_flow(items, depth, cfg.no_traverse_back)
+        side.flow = flow
+        # Hop 0 starts from the interactively enriched v_i (Table I:
+        # "embeddings of item i with interactive information"), deeper
+        # hops from the entity table.
+        side.values = [ops.reshape(v_item, (batch, 1, cfg.dim))]
+        for level in range(1, depth + 1):
+            side.values.append(self.entity_embedding(flow.entities[level]))
+        if cfg.use_attention:
+            pt = tail_projections(
+                self.kg_attention.relation_matrices, self.entity_embedding.weight
+            )
+            side.heads, side.edges = [None], [None]
+            for level in range(1, depth + 1):
+                # Attention heads: hop-0 uses v_i (Eq. 14), deeper hops the
+                # original entity embeddings (Eq. 19).
+                if level == 1:
+                    head = ops.reshape(v_item, (batch, 1, cfg.dim))
+                else:
+                    head = self.entity_embedding(flow.entities[level - 1])
+                side.heads.append(head)
+                side.edges.append(
+                    edge_rows(pt, flow.entities[level], flow.relations[level])
+                )
+        return side
+
+    def _encode_user(
+        self, users: np.ndarray, side: ItemSide
+    ) -> Tuple[Tensor, Optional[Tensor]]:
+        """``(v_u, f)``: the interactive user summary (Sec. III-A) and the
+        guidance signal (Eq. 10-12) of each pair over a built item side."""
+        v_user0 = self.user_embedding(users)
+        if self.config.use_interactive:
+            v_user = self._summarize_user(users, v_user0)
+        else:
+            v_user = v_user0
+        guidance = self._guidance_signal(v_user0, side.v_item0, v_user, side.v_item)
+        return v_user, guidance
+
+    def _pair_side(self, users: np.ndarray, side: ItemSide) -> Tensor:
+        """``ŷ`` of each (user, item) pair over a built item side: user
+        summary and guidance, guided knowledge extraction, and the Eq. 21
+        inner product."""
+        v_user, guidance = self._encode_user(users, side)
+        v_item_final = self._extract_knowledge(side, guidance)
+        return ops.sum(ops.mul(v_user, v_item_final), axis=-1)
 
     def _guidance_signal(
         self, v_user0: Tensor, v_item0: Tensor, v_user: Tensor, v_item: Tensor
@@ -181,46 +263,31 @@ class CGKGR(Recommender):
     # Knowledge extraction with collaborative guidance (Sec. III-B)
     # ------------------------------------------------------------------
     def _extract_knowledge(
-        self, items: np.ndarray, v_item: Tensor, guidance: Optional[Tensor]
+        self, side: ItemSide, guidance: Optional[Tensor]
     ) -> Tensor:
         """Single sweep hop L → 1 over a node flow (Alg. 1 lines 10-14)."""
         cfg = self.config
-        depth = cfg.effective_depth
-        if depth == 0:
-            return v_item
-        batch = len(items)
-        flow = self.sampler.kg_node_flow(items, depth, cfg.no_traverse_back)
+        if side.flow is None:
+            return side.v_item
+        flow = side.flow
+        batch = len(side.items)
         k = cfg.kg_sample_size
-
-        # Current values per hop; hop 0 starts from the interactively
-        # enriched v_i (Table I: "embeddings of item i with interactive
-        # information"), deeper hops from the entity table.
-        vectors: List[Tensor] = [ops.reshape(v_item, (batch, 1, cfg.dim))]
-        for level in range(1, depth + 1):
-            vectors.append(self.entity_embedding(flow.entities[level]))
-
-        for level in range(depth, 0, -1):
+        vectors = list(side.values)  # current values per hop
+        for level in range(cfg.effective_depth, 0, -1):
             mask = flow.masks[level]
             if cfg.use_attention:
-                # Attention heads: hop-0 uses v_i (Eq. 14), deeper hops the
-                # original entity embeddings (Eq. 19).
-                if level == 1:
-                    head_source = ops.reshape(v_item, (batch, 1, cfg.dim))
-                else:
-                    head_source = self.entity_embedding(flow.entities[level - 1])
                 weights = self.kg_attention.weights(
-                    head_source,
+                    side.heads[level],
                     guidance,
                     self.entity_embedding.weight,
-                    flow.entities[level],
-                    flow.relations[level],
+                    side.edges[level],
                     mask,
                     k,
                 )
                 if self._attention_observers:
                     payload = {
                         "level": level,
-                        "items": items,
+                        "items": side.items,
                         "entities": flow.entities[level],
                         "relations": flow.relations[level],
                         "mask": mask,
@@ -241,9 +308,26 @@ class CGKGR(Recommender):
     def score_pairs(self, users: Sequence[int], items: Sequence[int]) -> Tensor:
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        v_user, v_item, guidance = self._encode(users, items)
-        v_item_final = self._extract_knowledge(items, v_item, guidance)
-        return ops.sum(ops.mul(v_user, v_item_final), axis=-1)
+        return self._pair_side(users, self._item_side(items))
+
+    def score_users(self, users: Sequence[int]) -> np.ndarray:
+        """Each user against the full catalogue, building the item side
+        once per item block and running only the pair side per user —
+        the same forward, shapes and blocks as :meth:`score_all_items`."""
+        users = np.asarray(users, dtype=np.int64)
+        n_items = self.dataset.n_items
+        out = np.empty((len(users), n_items), dtype=np.float64)
+        with no_grad():
+            for start in range(0, n_items, base.ITEM_BLOCK):
+                items = np.arange(
+                    start, min(start + base.ITEM_BLOCK, n_items), dtype=np.int64
+                )
+                side = self._item_side(items)
+                stop = start + len(items)
+                for row, user in enumerate(users):
+                    pair_users = np.full(len(items), user, dtype=np.int64)
+                    out[row, start:stop] = self._pair_side(pair_users, side).numpy()
+        return out
 
     def predict(self, users, items, batch_size: int = 512) -> np.ndarray:
         # Smaller inference batches than the generic default: the node-flow
@@ -271,21 +355,20 @@ class CGKGR(Recommender):
             )
         users = np.asarray([user], dtype=np.int64)
         items = np.asarray([item], dtype=np.int64)
-        flow = self.sampler.kg_node_flow(items, 1, cfg.no_traverse_back)
-        mask = flow.masks[1]
-        if not cfg.use_attention:
-            guided = unguided = _uniform_weights(mask)
-        else:
-            with no_grad():
-                _, v_item, guidance = self._encode(users, items)
-                head_source = ops.reshape(v_item, (1, 1, cfg.dim))
+        with no_grad():
+            side = self._item_side(items)
+            flow = side.flow
+            mask = flow.masks[1]
+            if not cfg.use_attention:
+                guided = unguided = _uniform_weights(mask)
+            else:
+                _, guidance = self._encode_user(users, side)
                 guided, unguided = (
                     self.kg_attention.weights(
-                        head_source,
+                        side.heads[1],
                         signal,
                         self.entity_embedding.weight,
-                        flow.entities[1],
-                        flow.relations[1],
+                        side.edges[1],
                         mask,
                         cfg.kg_sample_size,
                     ).numpy().reshape(mask.shape)

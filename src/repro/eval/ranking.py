@@ -16,6 +16,10 @@ import numpy as np
 from repro.baselines.base import Recommender
 from repro.graph.interactions import InteractionGraph
 
+#: Users scored per :meth:`Recommender.score_users` call, which bounds the
+#: ``(users, n_items)`` score block an evaluation holds.
+USER_BLOCK = 256
+
 
 def _check_metric_args(metric: str, relevant: Set[int], k: int) -> None:
     """Shared argument validation for every per-user ranking metric.
@@ -167,33 +171,31 @@ def evaluate_topk(
     }
     if mask_table is None:
         mask_table = build_mask_table(mask_splits, test.n_users)
-    n_skipped = 0
-    for user in test_users:
-        # A user whose masked positives cover the whole catalogue has no
-        # candidate pool left to rank against: after the ground truth is
-        # unmasked below, every competitor sits at -inf, so each test
-        # positive trivially lands in the top-k and the user contributes
-        # perfect-looking garbage to the averages.  Skip and count them.
-        if mask_table[user].size >= test.n_items:
-            n_skipped += 1
-            continue
-        relevant = set(test.items_of(user))
-        # Never mask the ground truth itself.
-        masked = np.setdiff1d(
-            mask_table[user],
-            np.fromiter(relevant, dtype=np.int64, count=len(relevant)),
-            assume_unique=True,
-        )
-        scores = model.score_all_items(user)
-        ranked = rank_items(scores, masked)
-        ranked_list = ranked.tolist()
-        for k in k_list:
-            sums[f"recall@{k}"] += recall_at_k(ranked_list, relevant, k)
-            sums[f"ndcg@{k}"] += ndcg_at_k(ranked_list, relevant, k)
-            sums[f"precision@{k}"] += precision_at_k(ranked_list, relevant, k)
-            sums[f"hit@{k}"] += hit_ratio_at_k(ranked_list, relevant, k)
-            sums[f"map@{k}"] += map_at_k(ranked_list, relevant, k)
-            sums[f"mrr@{k}"] += mrr_at_k(ranked_list, relevant, k)
+    # A user whose masked positives cover the whole catalogue has no
+    # candidate pool left to rank against: after the ground truth is
+    # unmasked below, every competitor sits at -inf, so each test positive
+    # trivially lands in the top-k and the user contributes perfect-looking
+    # garbage to the averages.  Skip and count them.
+    ranked_users = [u for u in test_users if mask_table[u].size < test.n_items]
+    n_skipped = len(test_users) - len(ranked_users)
+    for start in range(0, len(ranked_users), USER_BLOCK):
+        block = ranked_users[start : start + USER_BLOCK]
+        for user, scores in zip(block, model.score_users(block)):
+            relevant = set(test.items_of(user))
+            # Never mask the ground truth itself.
+            masked = np.setdiff1d(
+                mask_table[user],
+                np.fromiter(relevant, dtype=np.int64, count=len(relevant)),
+                assume_unique=True,
+            )
+            ranked_list = rank_items(scores, masked).tolist()
+            for k in k_list:
+                sums[f"recall@{k}"] += recall_at_k(ranked_list, relevant, k)
+                sums[f"ndcg@{k}"] += ndcg_at_k(ranked_list, relevant, k)
+                sums[f"precision@{k}"] += precision_at_k(ranked_list, relevant, k)
+                sums[f"hit@{k}"] += hit_ratio_at_k(ranked_list, relevant, k)
+                sums[f"map@{k}"] += map_at_k(ranked_list, relevant, k)
+                sums[f"mrr@{k}"] += mrr_at_k(ranked_list, relevant, k)
 
     n = max(1, len(test_users) - n_skipped)
     result = {key: value / n for key, value in sums.items()}

@@ -5,7 +5,8 @@
 1. an LRU cache of recent ``(user, k)`` results (hot users repeat);
 2. the precomputed :class:`~repro.serve.index.TopKIndex`;
 3. on-the-fly scoring through the model for *cold* users that were left
-   out of the index (graceful degradation instead of a 404).
+   out of the index (graceful degradation instead of a 404); all cold
+   users of one call share one ``score_users`` call.
 
 ``recommend_many`` is the one walk through the tiers; ``recommend`` is
 ``recommend_many`` of one user.
@@ -143,18 +144,35 @@ class ServingEngine:
                 self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
-    def _fallback(self, user: int, k: int, mask_seen: bool) -> Result:
-        """Cold-user path: score the catalogue through the model."""
+    def _known_user(self, user: int) -> int:
+        """``user`` as an int; ``KeyError`` (a 404) outside the id space."""
+        user = int(user)
+        if not 0 <= user < self.index.n_users:
+            raise KeyError(f"unknown user id {user}")
+        return user
+
+    def _fallback(
+        self, users: List[int], k: int, mask_seen: bool
+    ) -> List[Result]:
+        """Cold-user path: score the catalogue for every user through the
+        model in one :meth:`~repro.baselines.base.Recommender.score_users`
+        call, so the user-independent item side is built once."""
         if self.model is None:
             raise KeyError(
-                f"user {user} is not in the index and no model is attached "
-                "for fallback scoring"
+                f"users {users} are not in the index and no model is "
+                "attached for fallback scoring"
             )
-        self.metrics.inc("fallback_users")
-        with current_request().span("model.fallback", user=int(user), k=int(k)):
-            scores = self.model.score_all_items(int(user))
-            masked = self.index.mask_table[int(user)] if mask_seen else None
-            return topk_from_scores(scores, k, masked)
+        self.metrics.inc("fallback_users", len(users))
+        with current_request().span(
+            "model.fallback", n_users=len(users), k=int(k)
+        ):
+            scores = self.model.score_users(users)
+            return [
+                topk_from_scores(
+                    row, k, self.index.mask_table[user] if mask_seen else None
+                )
+                for user, row in zip(users, scores)
+            ]
 
     def recommend(self, user: int, k: int = 10, mask_seen: bool = True) -> Result:
         """Top-``k`` (items, scores) for one user, cached."""
@@ -164,12 +182,9 @@ class ServingEngine:
         self, users: Sequence[int], k: int = 10, mask_seen: bool = True
     ) -> List[Result]:
         """Top-``k`` (items, scores) per user: cache, then one vectorized
-        index query for the uncached indexed users, then per-user model
-        fallback for the rest."""
-        users = [int(u) for u in users]
-        for user in users:
-            if not 0 <= user < self.index.n_users:
-                raise KeyError(f"unknown user id {user}")
+        index query for the uncached indexed users, then one model
+        fallback call for the rest."""
+        users = [self._known_user(u) for u in users]
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k, mask_seen = int(k), bool(mask_seen)
@@ -205,8 +220,8 @@ class ServingEngine:
                         to_index, k, mask_seen=mask_seen
                     )
                 fresh = list(zip(to_index, zip(items, scores)))
-            for user in to_fallback:
-                fresh.append((user, self._fallback(user, k, mask_seen)))
+            if to_fallback:
+                fresh += zip(to_fallback, self._fallback(to_fallback, k, mask_seen))
             for user, result in fresh:
                 results[user] = result
                 self._cache_put((user, k, mask_seen), result)
@@ -214,7 +229,7 @@ class ServingEngine:
 
     def score(self, user: int, items: Sequence[int]) -> np.ndarray:
         """Raw scores of explicit (user, item) candidates."""
-        user = int(user)
+        user = self._known_user(user)
         item_arr = np.asarray(items, dtype=np.int64)
         if item_arr.size and (
             item_arr.min() < 0 or item_arr.max() >= self.index.n_items

@@ -9,8 +9,9 @@ time. Two build modes, picked automatically:
 * **dense** — models whose item representation depends on the target
   user (CG-KGR's collaborative guidance, KGCN's user-relation attention)
   cannot be factorized exactly, so the index precomputes full score rows
-  via the same ``score_all_items`` path the ranking protocol uses —
-  build cost equals one full evaluation sweep, queries are row lookups.
+  via the same :meth:`~repro.baselines.base.Recommender.score_users` path
+  the ranking protocol uses — build cost equals one full evaluation
+  sweep, queries are row lookups.
 
 Either way the query path is: score row → per-user seen-item mask
 (shared with :func:`repro.eval.ranking.build_mask_table`, so serving and
@@ -187,10 +188,12 @@ class TopKIndex:
             )
 
         # Dense: one score row per indexed user, computed through the
-        # exact code path the offline ranking protocol uses.
+        # exact code path the offline ranking protocol uses, block_size
+        # users per call.
         rows = np.empty((len(user_ids), dataset.n_items), dtype=np.float64)
-        for pos, user in enumerate(user_ids):
-            rows[pos] = model.score_all_items(int(user))
+        for start in range(0, len(user_ids), block_size):
+            block = user_ids[start : start + block_size]
+            rows[start : start + len(block)] = model.score_users(block)
         return cls(
             user_ids,
             dataset.n_users,

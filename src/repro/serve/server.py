@@ -370,7 +370,12 @@ class _Handler(BaseHTTPRequestHandler):
         if url.path == "/score":
             if "user" not in payload or "items" not in payload:
                 raise ValueError("body needs 'user' and 'items'")
-            items = np.asarray(payload["items"], dtype=np.int64)
+            items = payload["items"]
+            if not isinstance(items, list) or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in items
+            ):
+                raise ValueError("'items' must be a flat list of integer item ids")
+            items = np.asarray(items, dtype=np.int64)
             scores = self.server.engine.score(int(payload["user"]), items)
             return self._send_json(_result(payload["user"], items, scores))
         self.server.metrics.inc("http_404")

@@ -271,15 +271,22 @@ class TestFusedAttentionGradients:
         return head, guidance, matrices, table, entities, rels, k
 
     def _check_guided(self, head, guidance, matrices, table, entities, rels, k):
-        from repro.core.attention import _guided_relation_scores
+        from repro.core.attention import (
+            _guided_relation_scores, edge_rows, tail_projections,
+        )
+
+        # The edge projections are built from m and tab inside the checked
+        # function, so finite differences reach them as in the model.
+        def edges(m, tab):
+            return edge_rows(tail_projections(m, tab), entities, rels)
 
         if guidance is None:
             fn = lambda h, m, tab: _guided_relation_scores(
-                h, None, m, tab, entities, rels, k
+                h, None, m, tab, *edges(m, tab), k
             )
             return gradcheck(fn, [head, matrices, table])
         fn = lambda h, g, m, tab: _guided_relation_scores(
-            h, g, m, tab, entities, rels, k
+            h, g, m, tab, *edges(m, tab), k
         )
         return gradcheck(fn, [head, guidance, matrices, table])
 
@@ -315,7 +322,9 @@ class TestFusedAttentionGradients:
         """A parent with all children masked must pass zero gradient
         through its (uniform) softmax row, matching finite differences."""
         from repro.autograd import ops as aops
-        from repro.core.attention import _guided_relation_scores
+        from repro.core.attention import (
+            _guided_relation_scores, edge_rows, tail_projections,
+        )
 
         batch, width, k, dim = 2, 2, 2, 3
         head, guidance, matrices, table, entities, rels, _ = (
@@ -326,7 +335,8 @@ class TestFusedAttentionGradients:
         mask[1, 0, 1] = 0.0  # and a partially masked one
 
         def fn(h, g, m, tab):
-            raw = _guided_relation_scores(h, g, m, tab, entities, rels, k)
+            edges = edge_rows(tail_projections(m, tab), entities, rels)
+            raw = _guided_relation_scores(h, g, m, tab, *edges, k)
             weights = aops.masked_softmax(raw, mask[:, None, :, :], axis=-1)
             return aops.mean(weights, axis=1)
 

@@ -15,6 +15,8 @@ from repro.core.attention import (
     KnowledgeAwareAttention,
     _guided_relation_scores,
     _uniform_weights,
+    edge_rows,
+    tail_projections,
 )
 from repro.core.encoders import make_encoder, mean_encoder, pmax_encoder, sum_encoder
 
@@ -158,6 +160,11 @@ class TestCollaborationAttention:
         )
 
 
+def _edges(attn, table, tails, rels):
+    """The ``(comp, rows)`` a model's item side hands the fused op."""
+    return edge_rows(tail_projections(attn.relation_matrices, table), tails, rels)
+
+
 def _relation_table(attn, table):
     """Numpy reference ``T[n, r, h] = M_r^h v_n`` for the whole table."""
     return np.einsum("nq,rhpq->nrhp", table, attn.relation_matrices.data)
@@ -198,7 +205,8 @@ class TestKnowledgeAwareAttention:
         rels = (np.arange(6) % 4)[None, :]
         heads = rng.normal(size=(1, 1, 3))
         raw = _guided_relation_scores(
-            Tensor(heads), None, attn.relation_matrices, table, tails, rels, 6
+            Tensor(heads), None, attn.relation_matrices, table,
+            *_edges(attn, table, tails, rels), 6,
         ).numpy()
         np.testing.assert_allclose(
             raw[0, :, 0], np.einsum("d,khd->hk", heads[0, 0], out[tails[0], rels[0]])
@@ -215,7 +223,7 @@ class TestKnowledgeAwareAttention:
         head[0, 0, 1] = 1.0
         raw = _guided_relation_scores(
             Tensor(head), None, attn.relation_matrices, table,
-            np.array([[2]]), np.array([[1]]), 1,
+            *_edges(attn, table, np.array([[2]]), np.array([[1]])), 1,
         ).numpy()
         assert raw[0, 0, 0, 0] == pytest.approx(manual[1])
 
@@ -228,12 +236,11 @@ class TestKnowledgeAwareAttention:
         heads = rng.normal(size=(batch, 1, 3))
         mask = np.ones((batch, k), dtype=bool)
         guidance = rng.normal(size=(batch, 3)) * 3.0
+        edges = _edges(attn, table, tails, rels)
         with_g = attn.weights(
-            Tensor(heads), Tensor(guidance), table, tails, rels, mask, k
+            Tensor(heads), Tensor(guidance), table, edges, mask, k
         ).numpy()
-        without_g = attn.weights(
-            Tensor(heads), None, table, tails, rels, mask, k
-        ).numpy()
+        without_g = attn.weights(Tensor(heads), None, table, edges, mask, k).numpy()
         assert not np.allclose(with_g, without_g)
         for got, signal in ((with_g, guidance), (without_g, None)):
             np.testing.assert_allclose(
@@ -256,7 +263,8 @@ class TestKnowledgeAwareAttention:
         mask = np.ones((batch, n_edges), dtype=bool)
         mask[1, -1] = False
         weights = attn.weights(
-            Tensor(heads), Tensor(guidance), table, tails, rels, mask, k
+            Tensor(heads), Tensor(guidance), table,
+            _edges(attn, table, tails, rels), mask, k,
         )
         out = attn(weights, Tensor(child_values))
         assert out.shape == (batch, width, 3)

@@ -233,3 +233,43 @@ class TestVariants:
         m.collab_attention.relation_matrix.data += 10.0
         after = m.score_pairs(users, items).numpy()
         np.testing.assert_allclose(before, after)
+
+
+#: One grid for the ``score_users`` equivalence: every depth, each
+#: ablation switch off, every guidance mode and encoder, a model on the
+#: default implementation, and item blocks smaller than the catalogue.
+SCORE_USERS_GRID = [
+    *[pytest.param({"depth": d}, id=f"depth{d}") for d in range(4)],
+    *[
+        pytest.param({switch: False}, id=f"no_{switch[4:]}")
+        for switch in ("use_attention", "use_guidance", "use_interactive", "use_kg")
+    ],
+    *[pytest.param({"guidance_mode": m}, id=f"mode_{m}") for m in ("ne", "pf", "ag", "full")],
+    *[pytest.param({"encoder": e}, id=f"encoder_{e}") for e in ("sum", "mean", "pmax")],
+    pytest.param("kgcn", id="kgcn_default"),
+    pytest.param("blocks", id="item_blocks"),
+]
+
+
+class TestScoreUsers:
+    @pytest.mark.parametrize("case", SCORE_USERS_GRID)
+    def test_equals_stacked_score_all_items(
+        self, case, tiny_dataset, small_config, monkeypatch
+    ):
+        if case == "kgcn":
+            from repro.baselines import KGCN
+
+            model = KGCN(tiny_dataset, dim=8, depth=2, neighbor_size=2, seed=0)
+        else:
+            if case == "blocks":
+                from repro.baselines import base
+
+                monkeypatch.setattr(base, "ITEM_BLOCK", 7)
+                case = {}
+            model = CGKGR(tiny_dataset, small_config.with_overrides(**case), seed=0)
+        users = [*range(tiny_dataset.n_users), 3]
+        stacked = np.stack([model.score_all_items(u) for u in users])
+        assert np.array_equal(model.score_users(users), stacked)
+
+    def test_no_users(self, model, tiny_dataset):
+        assert model.score_users([]).shape == (0, tiny_dataset.n_items)

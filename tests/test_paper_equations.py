@@ -22,6 +22,8 @@ from repro.core.attention import (
     KnowledgeAwareAttention,
     _collab_scores,
     _guided_relation_scores,
+    edge_rows,
+    tail_projections,
 )
 from repro.core.encoders import mean_encoder, pmax_encoder, sum_encoder
 
@@ -154,13 +156,13 @@ class TestKnowledgeAttentionEquations:
     @staticmethod
     def _scores(attn, entity_table, head_vec, guidance, tails, rels):
         """The fused op's ω for the one parent: (H, K)."""
+        table = Tensor(entity_table)
         raw = _guided_relation_scores(
             Tensor(head_vec),
             guidance,
             attn.relation_matrices,
-            Tensor(entity_table),
-            tails,
-            rels,
+            table,
+            *edge_rows(tail_projections(attn.relation_matrices, table), tails, rels),
             tails.shape[1],
         ).numpy()
         return raw[0, :, 0]
@@ -178,9 +180,10 @@ class TestKnowledgeAttentionEquations:
     def test_eq15_normalized_weights(self, setup):
         attn, entity_table, head_vec, guidance, tails, rels = setup
         mask = np.ones(tails.shape, dtype=bool)
+        table = Tensor(entity_table)
+        edges = edge_rows(tail_projections(attn.relation_matrices, table), tails, rels)
         weights = attn.weights(
-            Tensor(head_vec), Tensor(guidance), Tensor(entity_table),
-            tails, rels, mask, tails.shape[1],
+            Tensor(head_vec), Tensor(guidance), table, edges, mask, tails.shape[1]
         ).numpy()
         expected = self._expected_scores(
             attn, entity_table, head_vec, guidance, tails, rels

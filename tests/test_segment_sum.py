@@ -13,7 +13,11 @@ from repro.autograd import no_grad, ops
 from repro.autograd.ops import _scatter_index, segment_sum
 from repro.autograd.tensor import Tensor
 from repro.core import CGKGR
-from repro.core.attention import _guided_relation_scores
+from repro.core.attention import (
+    _guided_relation_scores,
+    edge_rows,
+    tail_projections,
+)
 from repro.core.config import CGKGRConfig
 
 
@@ -147,7 +151,7 @@ def _guided_grads(rng, batch, width, k, heads, dim, n_entities, n_relations,
     v_t = Tensor(table, requires_grad=True)
     out = _guided_relation_scores(
         Tensor(head, requires_grad=True), Tensor(guidance, requires_grad=True),
-        m_t, v_t, entities, relations, k,
+        m_t, v_t, *edge_rows(tail_projections(m_t, v_t), entities, relations), k,
     )
     out.backward(g)
     ref = _outer_bincount_reference(
@@ -207,3 +211,4 @@ def test_no_grad_scoring_never_calls_segment_sum(tiny_dataset, monkeypatch):
     with no_grad():
         scores = model.score_all_items(int(users[0]))
     assert scores.shape == (tiny_dataset.n_items,)
+    assert model.score_users(users).shape == (len(users), tiny_dataset.n_items)

@@ -217,6 +217,31 @@ class TestServingEngine:
         np.testing.assert_array_equal(items, brute)
         assert engine.metrics.get("fallback_users") == 1
 
+    def test_cold_users_of_one_call_share_one_model_call(
+        self, trained_models, monkeypatch
+    ):
+        model = trained_models["cg-kgr"]
+        engine = ServingEngine(
+            TopKIndex.build(model, users=[0, 1, 2]), model=model, cache_size=0
+        )
+        calls = []
+        score_users = model.score_users
+
+        def counting(users):
+            calls.append(list(users))
+            return score_users(users)
+
+        monkeypatch.setattr(model, "score_users", counting)
+        cold = [7, 3, 11, 5, 9]
+        many = engine.recommend_many(cold, 5)
+        assert len(calls) == 1 and sorted(calls[0]) == sorted(cold)
+        for user, (items, scores) in zip(cold, many):
+            items_1, scores_1 = engine.recommend(user, 5)
+            np.testing.assert_array_equal(items, items_1)
+            np.testing.assert_array_equal(scores, scores_1)
+        assert len(calls) == 1 + len(cold)
+        assert engine.metrics.get("fallback_users") == 2 * len(cold)
+
     def test_cold_user_without_model_errors(self, trained_models):
         engine = ServingEngine(
             TopKIndex.build(trained_models["bprmf"], users=[0, 1])

@@ -206,6 +206,30 @@ class TestServerEndpoints:
         assert "Content-Length" in payload["error"]
 
 
+    @pytest.mark.parametrize("offset", [-1, 5])
+    def test_score_unknown_user_is_404(self, served_checkpoint, offset):
+        """A negative id must not wrap to the last user, nor an id past the
+        end surface as a 500."""
+        base, engine = served_checkpoint
+        user = offset if offset < 0 else engine.index.n_users + offset
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base + "/score", {"user": user, "items": [0, 1]})
+        body = json.loads(excinfo.value.read())
+        assert excinfo.value.code == 404
+        assert body["status"] == 404 and body["request_id"]
+        assert f"unknown user id {user}" in body["error"]
+
+    @pytest.mark.parametrize("items", [5, [[0, 1]], "01"])
+    def test_score_non_list_items_is_400(self, served_checkpoint, items):
+        base, _ = served_checkpoint
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base + "/score", {"user": 1, "items": items})
+        body = json.loads(excinfo.value.read())
+        assert excinfo.value.code == 400
+        assert body["status"] == 400 and body["request_id"]
+        assert "items" in body["error"]
+
+
 class TestRequestTracing:
     def test_request_id_minted_and_echoed(self, served_checkpoint):
         base, _ = served_checkpoint
