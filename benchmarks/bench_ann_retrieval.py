@@ -1,4 +1,4 @@
-"""ANN retrieval — IVF/PQ recall-vs-latency against exact dense scoring.
+"""ANN retrieval — IVF recall-vs-latency against exact dense scoring.
 
 Million-item catalogues make the exact index's O(items) scan per request
 the serving bottleneck; :class:`repro.serve.ann.IVFIndex` bounds the
@@ -8,8 +8,7 @@ synthetic scale:
 * a **recall@20-vs-latency curve** across ``nprobe`` (one build per
   scale, probing widened knob by knob);
 * a **latency/memory sweep** over catalogue sizes (default 10⁵ and 10⁶
-  items; add ``10000000`` to ``REPRO_ANN_SCALES`` for the 10⁷ point),
-  raw float reps vs PQ-compressed residuals.
+  items; add ``10000000`` to ``REPRO_ANN_SCALES`` for the 10⁷ point).
 
 Item/user representations are a topic-mixture (clusterable, like
 trained two-tower embeddings) — isotropic noise would make *any*
@@ -39,7 +38,6 @@ K = 20
 RECALL_TARGET = 0.95
 NPROBE_GRID = (1, 2, 4, 8, 16, 32, 64)
 N_TOPICS = 64
-PQ_M = 8
 
 
 def scales() -> list:
@@ -106,7 +104,7 @@ def _bench_scale(n_items: int, curve_rows: list, sweep_rows: list) -> None:
         if nprobe > index.nlist:
             break
         index.nprobe = nprobe
-        recall = index._measure_recall(items, probe_users=32, k=K, seed=0)[
+        recall = index._measure_recall(probe_users=32, k=K, seed=0)[
             f"recall@{K}"
         ]
         p50 = _p50_ms(lambda u: index.topk([u], K), queries)
@@ -137,17 +135,6 @@ def _bench_scale(n_items: int, curve_rows: list, sweep_rows: list) -> None:
     speedup = exact_p50 / max(op_p50, 1e-9)
     raw_mb = index.memory_bytes() / 2**20
 
-    # Memory sweep: PQ-compressed residuals at the same operating point.
-    tick = time.perf_counter()
-    pq_index = IVFIndex.from_representations(
-        users, items, len(users), n_items,
-        nlist=nlist, nprobe=op_nprobe, pq_m=PQ_M, seed=0,
-    )
-    pq_build_s = time.perf_counter() - tick
-    pq_recall = pq_index.stats[f"recall@{K}"]
-    pq_p50 = _p50_ms(lambda u: pq_index.topk([u], K), queries)
-    pq_mb = pq_index.memory_bytes() / 2**20
-
     harness.record_bench_metrics(
         "serving",
         {
@@ -157,8 +144,6 @@ def _bench_scale(n_items: int, curve_rows: list, sweep_rows: list) -> None:
             f"ann/{label}/speedup_x": speedup,
             f"ann/{label}/build_s": build_s,
             f"ann/{label}/raw_mb": raw_mb,
-            f"ann/{label}/pq_mb": pq_mb,
-            f"ann/{label}/pq_recall@20": pq_recall,
         },
     )
     sweep_rows.append(
@@ -171,11 +156,9 @@ def _bench_scale(n_items: int, curve_rows: list, sweep_rows: list) -> None:
             f"{speedup:.1f}x",
             f"{build_s:.1f}",
             f"{raw_mb:.1f}",
-            f"{pq_mb:.1f} ({pq_recall:.3f})",
         ]
     )
-    del index, pq_index, items, users
-    _ = pq_build_s  # build time folded into the sweep wall clock
+    del index, items, users
 
 
 def run() -> str:
@@ -195,12 +178,12 @@ def run() -> str:
     sweep = format_table(
         [
             "scale", "nlist/nprobe", "recall@20", "p50 (ms)",
-            "exact p50", "speedup", "build (s)", "raw (MB)", "PQ (MB, recall)",
+            "exact p50", "speedup", "build (s)", "raw (MB)",
         ],
         sweep_rows,
         title=(
             f"ANN sweep — operating point = smallest nprobe with "
-            f"recall@{K} ≥ {RECALL_TARGET}; PQ = {PQ_M}-byte residual codes"
+            f"recall@{K} ≥ {RECALL_TARGET}"
         ),
     )
     return curve + "\n\n" + sweep

@@ -17,6 +17,7 @@ from repro.autograd import init, ops
 from repro.autograd.nn import Embedding, Parameter
 from repro.autograd.tensor import Tensor
 from repro.baselines.base import Recommender
+from repro.baselines.transr import transr_kg_loss
 from repro.data.dataset import RecDataset
 
 
@@ -59,31 +60,17 @@ class CKE(Recommender):
         return ops.sum(ops.mul(v_u, v_i), axis=-1)
 
     # ------------------------------------------------------------------
-    def _transr_distance(self, heads, relations, tails) -> Tensor:
-        """``‖M_r h + r - M_r t‖²`` per triple (lower = more plausible)."""
-        h = self.entity_embedding(heads)
-        t = self.entity_embedding(tails)
-        r = self.relation_embedding(relations)
-        projections = ops.index_select(self.relation_projection, relations)  # (B, d, d)
-        h_proj = ops.einsum("bpq,bq->bp", projections, h)
-        t_proj = ops.einsum("bpq,bq->bp", projections, t)
-        diff = ops.sub(ops.add(h_proj, r), t_proj)
-        return ops.sum(ops.mul(diff, diff), axis=-1)
-
     def kg_loss(self) -> Tensor:
         """TransR BPR loss on a random KG batch with corrupted tails."""
-        triples = self.dataset.kg.triples
-        if len(triples) == 0:
-            from repro.autograd.tensor import Tensor as _T
-
-            return _T(0.0)
-        idx = self.rng.integers(0, len(triples), size=min(self.kg_batch_size, len(triples)))
-        batch = triples[idx]
-        corrupt_tails = self.rng.integers(0, self.dataset.n_entities, size=len(batch))
-        pos = self._transr_distance(batch[:, 0], batch[:, 1], batch[:, 2])
-        neg = self._transr_distance(batch[:, 0], batch[:, 1], corrupt_tails)
-        # Prefer small positive distance: -log σ(neg - pos).
-        return ops.neg(ops.mean(ops.log_sigmoid(ops.sub(neg, pos))))
+        return transr_kg_loss(
+            self.entity_embedding,
+            self.relation_embedding,
+            self.relation_projection,
+            self.dataset.kg.triples,
+            self.dataset.n_entities,
+            self.kg_batch_size,
+            self.rng,
+        )
 
     def loss(self, users: np.ndarray, pos_items: np.ndarray, neg_items: np.ndarray) -> Tensor:
         cf = self.bpr_loss(users, pos_items, neg_items)

@@ -24,6 +24,7 @@ from repro.autograd import init, no_grad, ops
 from repro.autograd.nn import Embedding, Parameter
 from repro.autograd.tensor import Tensor
 from repro.baselines.base import Recommender
+from repro.baselines.transr import transr_kg_loss
 from repro.data.dataset import RecDataset
 from repro.graph.sampling import _build_table
 from repro.graph.unified import UnifiedGraph
@@ -144,26 +145,17 @@ class KGAT(Recommender):
         return (v_u * v_i).sum(axis=-1)
 
     # ------------------------------------------------------------------
-    def _transr_distance(self, heads, relations, tails) -> Tensor:
-        h = self.node_embedding(heads)
-        t = self.node_embedding(tails)
-        r = self.relation_embedding(relations)
-        projections = ops.index_select(self.relation_projection, relations)
-        h_proj = ops.einsum("bpq,bq->bp", projections, h)
-        t_proj = ops.einsum("bpq,bq->bp", projections, t)
-        diff = ops.sub(ops.add(h_proj, r), t_proj)
-        return ops.sum(ops.mul(diff, diff), axis=-1)
-
     def kg_loss(self) -> Tensor:
-        triples = self.unified.all_triples()
-        if len(triples) == 0:
-            return Tensor(0.0)
-        idx = self.rng.integers(0, len(triples), size=min(self.kg_batch_size, len(triples)))
-        batch = triples[idx]
-        corrupt = self.rng.integers(0, self.unified.n_nodes, size=len(batch))
-        pos = self._transr_distance(batch[:, 0], batch[:, 1], batch[:, 2])
-        neg = self._transr_distance(batch[:, 0], batch[:, 1], corrupt)
-        return ops.neg(ops.mean(ops.log_sigmoid(ops.sub(neg, pos))))
+        """TransR BPR loss over the unified graph's triples."""
+        return transr_kg_loss(
+            self.node_embedding,
+            self.relation_embedding,
+            self.relation_projection,
+            self.unified.all_triples(),
+            self.unified.n_nodes,
+            self.kg_batch_size,
+            self.rng,
+        )
 
     def loss(self, users: np.ndarray, pos_items: np.ndarray, neg_items: np.ndarray) -> Tensor:
         self._cached_embeddings = None  # parameters are about to change

@@ -26,9 +26,8 @@ telemetry as JSONL; ``train``/``export``/``profile`` additionally accept
 ``--timeline PATH`` (Chrome trace-event JSON for Perfetto, implies
 memory tracking) and ``--track-memory`` (tensor-allocation watermarks,
 ``peak_mem_bytes`` metric, leak detection).  ``obs timeline`` converts
-an existing JSONL trace for Perfetto, ``obs anatomy`` prints the
-epoch-anatomy phase breakdown, and ``obs top`` polls a running server's
-``/metrics``.  ``runs`` inspects the persistent run registry:
+an existing JSONL trace for Perfetto and ``obs anatomy`` prints the
+epoch-anatomy phase breakdown.  ``runs`` inspects the persistent run registry:
 ``list``/``show``, ``compare A B``, and the CI regression gate ``check
 --baseline <ref>`` (exit 1 on regression; see docs/runs.md).  An unknown
 run ref, unreadable trace path, missing file or corrupt artifact
@@ -322,7 +321,6 @@ def _ann_params(args) -> dict:
     return {
         "nlist": args.nlist,
         "nprobe": args.nprobe,
-        "pq_m": args.pq_m,
         "seed": getattr(args, "seed", 0),
     }
 
@@ -334,7 +332,7 @@ def _report_ann_index(index) -> None:
         recall = stats.get(f"recall@{recall_k}", 0.0)
         print(
             f"ann index: nlist={int(stats['nlist'])} "
-            f"nprobe={int(stats['nprobe'])} pq_m={int(stats['pq_m'])} — "
+            f"nprobe={int(stats['nprobe'])} — "
             f"measured recall@{recall_k} = {recall:.4f} "
             f"on {int(stats['probe_users'])} probe users"
         )
@@ -552,34 +550,6 @@ def cmd_profile(args) -> int:
         atomic_write_text(args.json, json.dumps(report.to_json(), indent=1))
         print(f"wrote profile JSON to {args.json}")
     return 0
-
-
-def cmd_obs_top(args) -> int:
-    """Terminal dashboard: poll a server's /metrics on an interval."""
-    from repro.obs.serving import fetch_metrics, sample_from_metrics, top_frame
-
-    previous = None
-    frames = 0
-    try:
-        while True:
-            sample = sample_from_metrics(fetch_metrics(args.url))
-            frame = top_frame(sample, previous, url=args.url)
-            if not args.no_clear and frames:
-                # ANSI clear + home keeps the frame in place like top(1).
-                sys.stdout.write("\x1b[2J\x1b[H")
-            print(frame, flush=True)
-            previous = sample
-            frames += 1
-            if args.count and frames >= args.count:
-                return 0
-            import time as _time
-
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-    except OSError as exc:
-        print(f"error polling {args.url}: {exc}", file=sys.stderr)
-        return 1
 
 
 def _bad_input(exc: Exception) -> int:
@@ -838,11 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--nprobe", type=int, default=8,
         help="ANN clusters probed per query (mode=ann; recall/latency knob)",
     )
-    ann_common.add_argument(
-        "--pq-m", type=int, default=0, metavar="M",
-        help="ANN product-quantization subvectors (0 = keep raw item "
-        "vectors; M must divide the embedding dim)",
-    )
 
     p = sub.add_parser(
         "export", parents=[train_common, ann_common],
@@ -920,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     obs = sub.add_parser(
-        "obs", help="live serving observability (docs/observability.md)"
+        "obs", help="trace views: Perfetto timeline, epoch anatomy (docs/observability.md)"
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
@@ -943,17 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the report as JSON to PATH")
     p.set_defaults(func=cmd_obs_anatomy)
-
-    p = obs_sub.add_parser(
-        "top", help="terminal dashboard polling a running server's /metrics"
-    )
-    p.add_argument("--url", required=True, help="server base URL (http://host:port)")
-    p.add_argument("--interval", type=float, default=2.0, help="poll seconds")
-    p.add_argument("--count", type=int, default=0,
-                   help="frames to render before exiting (0 = until Ctrl-C)")
-    p.add_argument("--no-clear", action="store_true",
-                   help="append frames instead of clearing the screen")
-    p.set_defaults(func=cmd_obs_top)
 
     runs = sub.add_parser(
         "runs", help="inspect and gate on the run registry (docs/runs.md)"

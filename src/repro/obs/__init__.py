@@ -35,8 +35,8 @@ Pillars, shared by training, evaluation, benchmarking, and serving
   :func:`current_request` is :data:`NULL_TRACER` outside one),
   sliding-window SLO/error-budget monitoring
   (:class:`SLOSpec` / :class:`SLOMonitor`), slow-request exemplars
-  (:class:`SlowRequestStore`), and the ``/metrics`` polling behind
-  ``repro obs top``.
+  (:class:`SlowRequestStore`), and the ``/metrics`` exposition linter
+  (:func:`lint_prometheus`).
 """
 
 from repro.obs.events import (
@@ -70,9 +70,7 @@ from repro.obs.serving import (
     SLOSpec,
     SlowRequestStore,
     current_request,
-    fetch_metrics,
     lint_prometheus,
-    parse_prometheus,
     use_request,
 )
 from repro.obs.sentinel import (
@@ -114,9 +112,7 @@ __all__ = [
     "SLOSpec",
     "SLOMonitor",
     "SlowRequestStore",
-    "parse_prometheus",
     "lint_prometheus",
-    "fetch_metrics",
     "HealthMonitor",
     "HealthConfig",
     "NonFiniteLossError",

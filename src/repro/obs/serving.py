@@ -1,4 +1,4 @@
-"""Request-scoped serving observability: traces, SLOs, live polling.
+"""Request-scoped serving observability: traces, SLOs, slow requests.
 
 Three pillars behind the serving stack (``docs/observability.md``):
 
@@ -17,10 +17,9 @@ Three pillars behind the serving stack (``docs/observability.md``):
   consumption and multi-rate burn rates, emitting structured
   ``slo_violation`` trace events on the met→violated edge;
 * **live introspection** — :class:`SlowRequestStore` keeps the N
-  slowest request traces in memory (``GET /debug/slow``), and the
-  :func:`parse_prometheus` / :func:`fetch_metrics` / :func:`top_frame`
-  helpers drive ``repro obs top`` against any running server's
-  ``/metrics`` endpoint.
+  slowest request traces in memory (``GET /debug/slow``), and
+  :func:`lint_prometheus` checks a ``/metrics`` exposition against the
+  text format.
 
 Everything here is stdlib-only and import-light (no ``repro.serve``
 imports), so the serving layer can depend on it without cycles.
@@ -33,7 +32,6 @@ import heapq
 import re
 import threading
 import time
-import urllib.request
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -49,12 +47,7 @@ __all__ = [
     "SLOStatus",
     "SLOMonitor",
     "SlowRequestStore",
-    "parse_prometheus",
     "lint_prometheus",
-    "fetch_metrics",
-    "ServingSample",
-    "sample_from_metrics",
-    "top_frame",
 ]
 
 
@@ -621,172 +614,3 @@ def lint_prometheus(text: str) -> List[str]:
         else:
             seen_series[series] = lineno
     return errors
-
-
-def parse_prometheus(text: str) -> Dict[str, Any]:
-    """Exposition text → ``{"types": {family: type}, "samples": {...}}``.
-
-    Sample keys are the full series (name plus verbatim label block) so
-    ``repro_serve_recommend_latency_seconds{quantile="0.99"}`` stays
-    addressable; values are floats.
-    """
-    types: Dict[str, str] = {}
-    samples: Dict[str, float] = {}
-    for line in text.split("\n"):
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                types[parts[2]] = parts[3].strip()
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            continue
-        key = match.group("name")
-        if match.group("labels") is not None:
-            key += "{" + match.group("labels") + "}"
-        try:
-            samples[key] = float(match.group("value"))
-        except ValueError:
-            continue
-    return {"types": types, "samples": samples}
-
-
-def fetch_metrics(url: str, timeout: float = 5.0) -> Dict[str, Any]:
-    """GET a server's ``/metrics`` endpoint and parse the exposition."""
-    if not url.endswith("/metrics"):
-        url = url.rstrip("/") + "/metrics"
-    with urllib.request.urlopen(url, timeout=timeout) as response:
-        return parse_prometheus(response.read().decode())
-
-
-# ----------------------------------------------------------------------
-# Live polling: samples + terminal frames for ``repro obs top``
-# ----------------------------------------------------------------------
-@dataclass
-class ServingSample:
-    """One poll of a server's ``/metrics``: the series one ``obs top`` frame shows."""
-
-    ts: float
-    requests: float  # cumulative request counter
-    errors: float  # cumulative 4xx/5xx counter sum
-    window_qps: float
-    p50_ms: float
-    p99_ms: float
-    cache_hit_rate: float
-    error_rate: float
-    ann_recall: Optional[float] = None
-    burn_rate: Optional[float] = None
-    budget_consumed: Optional[float] = None
-    slo_violations: float = 0.0
-    uptime_s: float = 0.0
-
-
-def sample_from_metrics(
-    parsed: Dict[str, Any], prefix: str = "repro_serve", ts: Optional[float] = None
-) -> ServingSample:
-    """Reduce one parsed exposition to ``obs top``'s headline series."""
-    samples = parsed.get("samples", {})
-
-    def get(name: str, default: float = 0.0) -> float:
-        return float(samples.get(f"{prefix}_{name}", default))
-
-    p50 = 1e3 * float(
-        samples.get(f'{prefix}_http_request_latency_seconds{{quantile="0.5"}}', 0.0)
-    )
-    p99 = 1e3 * float(
-        samples.get(f'{prefix}_http_request_latency_seconds{{quantile="0.99"}}', 0.0)
-    )
-    # Prefer the sliding-window gauges when the server exports them
-    # (cumulative summaries smear bursts; the window is what SLOs see).
-    if f"{prefix}_window_p50_ms" in samples:
-        p50 = get("window_p50_ms")
-        p99 = get("window_p99_ms")
-    burn_rates = [
-        value
-        for key, value in samples.items()
-        if key.startswith(f"{prefix}_slo_") and "_burn_rate_" in key
-    ]
-    budgets = [
-        value
-        for key, value in samples.items()
-        if key.startswith(f"{prefix}_slo_") and key.endswith("_budget_consumed")
-    ]
-    recall = None
-    for key, value in samples.items():
-        if key.startswith(f"{prefix}_ann_recall_at_"):
-            recall = float(value)
-    return ServingSample(
-        ts=time.time() if ts is None else ts,
-        requests=get("http_requests"),
-        errors=get("http_400") + get("http_404") + get("http_500"),
-        window_qps=get("window_qps"),
-        p50_ms=p50,
-        p99_ms=p99,
-        cache_hit_rate=get("cache_hit_rate"),
-        error_rate=get("window_error_rate"),
-        ann_recall=recall,
-        burn_rate=max(burn_rates) if burn_rates else None,
-        budget_consumed=max(budgets) if budgets else None,
-        slo_violations=get("slo_violations"),
-        uptime_s=get("uptime_seconds"),
-    )
-
-
-def _bar(fraction: float, width: int = 24) -> str:
-    fraction = min(1.0, max(0.0, fraction))
-    filled = int(round(fraction * width))
-    return "█" * filled + "░" * (width - filled)
-
-
-def top_frame(
-    current: ServingSample,
-    previous: Optional[ServingSample] = None,
-    url: str = "",
-    width: int = 64,
-) -> str:
-    """Render one ``repro obs top`` text frame from polled samples."""
-    lines = []
-    title = "repro obs top"
-    if url:
-        title += f" — {url}"
-    lines.append(title)
-    lines.append("─" * min(width, max(len(title), 40)))
-    qps = current.window_qps
-    if previous is not None and current.ts > previous.ts:
-        qps = max(0.0, current.requests - previous.requests) / (
-            current.ts - previous.ts
-        )
-    lines.append(
-        f"requests  {current.requests:>10.0f} total   "
-        f"qps {qps:>8.1f}   uptime {current.uptime_s:>7.0f}s"
-    )
-    lines.append(
-        f"latency   p50 {current.p50_ms:>8.3f} ms   p99 {current.p99_ms:>8.3f} ms"
-    )
-    lines.append(
-        f"errors    {current.errors:>10.0f} total   "
-        f"window error rate {100 * current.error_rate:>6.2f}%"
-    )
-    lines.append(
-        f"cache     hit rate {100 * current.cache_hit_rate:>6.2f}%  "
-        f"[{_bar(current.cache_hit_rate)}]"
-    )
-    if current.ann_recall is not None:
-        lines.append(
-            f"ann       recall   {100 * current.ann_recall:>6.2f}%  "
-            f"[{_bar(current.ann_recall)}]"
-        )
-    if current.burn_rate is not None:
-        # Burn rate 1.0 = consuming budget exactly as fast as allowed;
-        # scale the bar so 2x over-burn fills it.
-        lines.append(
-            f"slo       burn {current.burn_rate:>8.2f}x   "
-            f"budget {100 * (current.budget_consumed or 0.0):>6.1f}%  "
-            f"[{_bar(current.burn_rate / 2.0)}]"
-        )
-        lines.append(
-            f"          violations {current.slo_violations:>4.0f}"
-        )
-    return "\n".join(lines)

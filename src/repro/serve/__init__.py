@@ -4,7 +4,7 @@ Pipeline: train → :func:`save_checkpoint` → :func:`load_checkpoint` →
 :class:`TopKIndex` (precomputed representations) → :class:`ServingEngine`
 (cache, micro-batching, fallback) → :func:`create_server` (HTTP JSON API
 with Prometheus-style metrics). At catalogue scale :class:`IVFIndex`
-(``mode="ann"``) replaces the exact scan with IVF/PQ approximate
+(``mode="ann"``) replaces the exact scan with IVF approximate
 retrieval that self-reports recall@K. See ``docs/serving.md``.
 """
 
@@ -18,13 +18,12 @@ from repro.serve.checkpoint import (
 )
 from repro.serve.engine import MicroBatcher, ServingEngine, engine_from_checkpoint
 from repro.serve.index import TopKIndex, load_index, topk_from_scores
-from repro.serve.ann import IVFIndex, ProductQuantizer, kmeans
+from repro.serve.ann import IVFIndex, kmeans
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.server import RecommendationServer, create_server
 
 __all__ = [
     "IVFIndex",
-    "ProductQuantizer",
     "kmeans",
     "load_index",
     "save_checkpoint",

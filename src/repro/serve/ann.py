@@ -1,4 +1,4 @@
-"""Approximate top-K retrieval: IVF coarse quantization + optional PQ.
+"""Approximate top-K retrieval: IVF coarse quantization.
 
 Exact retrieval (:class:`~repro.serve.index.TopKIndex`) scores every
 item for every query — O(users × items) memory/build and an O(items)
@@ -9,14 +9,12 @@ front of exact scoring:
 
 * :func:`kmeans` — pure-numpy Lloyd iterations with deterministic
   seeding and empty-cluster re-splitting (the coarse quantizer);
-* :class:`ProductQuantizer` — per-subspace codebooks compressing item
-  residuals to ``pq_m`` uint8 codes each, for memory-bounded catalogues;
 * :class:`IVFIndex` — items bucketed into ``nlist`` inverted lists by
   nearest centroid; a query ranks centroids by inner product, probes the
-  best ``nprobe`` lists, and scores only those candidates (exactly, or
-  through a PQ lookup table). Probing widens automatically until enough
-  unmasked candidates exist to fill ``k``, so degenerate configurations
-  degrade toward exact search instead of returning short results.
+  best ``nprobe`` lists, and scores only those candidates exactly.
+  Probing widens automatically until enough unmasked candidates exist to
+  fill ``k``, so degenerate configurations degrade toward exact search
+  instead of returning short results.
 
 Scores are inner products (``u @ I.T``, max-inner-product search), so
 cluster ranking uses ``u @ centroid`` — probing the lists whose *content*
@@ -26,8 +24,8 @@ Every build self-reports recall@K against exact brute force on a
 held-out probe set of users (``IVFIndex.stats``), so the recall knob is
 a number, not a hope; build/probe phases emit
 :mod:`repro.obs` spans. Tie-breaking matches the exact index
-(descending score, ascending item id), so at ``nprobe == nlist`` with PQ
-off the results coincide with brute force.
+(descending score, ascending item id), so at ``nprobe == nlist`` the
+results coincide with brute force.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from repro.obs.events import default_tracer
 from repro.obs.serving import current_request
 from repro.serve.index import TopKIndex, _resolve_users, topk_from_scores
 
-__all__ = ["kmeans", "assign_to_centroids", "ProductQuantizer", "IVFIndex"]
+__all__ = ["kmeans", "assign_to_centroids", "IVFIndex"]
 
 
 # ----------------------------------------------------------------------
@@ -117,101 +115,6 @@ def kmeans(
 
 
 # ----------------------------------------------------------------------
-# Product quantization of residuals
-# ----------------------------------------------------------------------
-class ProductQuantizer:
-    """``m`` per-subspace codebooks; one uint8 code per subvector.
-
-    Compresses an ``(n, d)`` float matrix to ``(n, m)`` uint8 codes plus
-    ``m · ksub · (d/m)`` float codebook entries — a 32×+ reduction for
-    float64 reps at ``m = d/2``. Scoring decodes through a per-query
-    lookup table (asymmetric distance computation), never materializing
-    the reconstruction for more than the probed candidates.
-    """
-
-    def __init__(self, codebooks: np.ndarray):
-        books = np.asarray(codebooks, dtype=np.float64)
-        if books.ndim != 3:
-            raise ValueError("codebooks must be (m, ksub, dsub)")
-        self.codebooks = books
-
-    @property
-    def m(self) -> int:
-        return self.codebooks.shape[0]
-
-    @property
-    def ksub(self) -> int:
-        return self.codebooks.shape[1]
-
-    @property
-    def dsub(self) -> int:
-        return self.codebooks.shape[2]
-
-    @property
-    def dim(self) -> int:
-        return self.m * self.dsub
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def fit(
-        cls, vectors: np.ndarray, m: int, ksub: int = 256, seed: int = 0
-    ) -> "ProductQuantizer":
-        x = np.asarray(vectors, dtype=np.float64)
-        if x.ndim != 2 or not len(x):
-            raise ValueError("fit needs a non-empty (n, d) matrix")
-        dim = x.shape[1]
-        if m < 1 or dim % m:
-            raise ValueError(f"pq_m={m} must divide the embedding dim {dim}")
-        if ksub > 256:
-            raise ValueError("ksub > 256 does not fit uint8 codes")
-        dsub = dim // m
-        books = np.empty((m, ksub, dsub), dtype=np.float64)
-        for sub in range(m):
-            block = x[:, sub * dsub : (sub + 1) * dsub]
-            centroids, _ = kmeans(block, ksub, seed=seed + sub)
-            # Fewer distinct points than ksub → pad by repeating the
-            # first centroid; codes simply never reference the padding.
-            if len(centroids) < ksub:
-                pad = np.repeat(centroids[:1], ksub - len(centroids), axis=0)
-                centroids = np.concatenate([centroids, pad])
-            books[sub] = centroids
-        return cls(books)
-
-    def encode(self, vectors: np.ndarray) -> np.ndarray:
-        x = np.asarray(vectors, dtype=np.float64)
-        if x.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {x.shape[1]}")
-        codes = np.empty((len(x), self.m), dtype=np.uint8)
-        for sub in range(self.m):
-            block = x[:, sub * self.dsub : (sub + 1) * self.dsub]
-            codes[:, sub] = assign_to_centroids(block, self.codebooks[sub])
-        return codes
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        out = np.empty((len(codes), self.dim), dtype=np.float64)
-        for sub in range(self.m):
-            out[:, sub * self.dsub : (sub + 1) * self.dsub] = self.codebooks[
-                sub
-            ][codes[:, sub]]
-        return out
-
-    def lookup_table(self, query: np.ndarray) -> np.ndarray:
-        """``(m, ksub)`` of ``query_sub · codeword`` inner products."""
-        q = np.asarray(query, dtype=np.float64).reshape(self.m, self.dsub)
-        return np.einsum("ms,mks->mk", q, self.codebooks)
-
-    def scores_from_codes(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Inner products of the table's query with the coded vectors."""
-        total = np.zeros(len(codes), dtype=np.float64)
-        for sub in range(self.m):
-            total += table[sub][codes[:, sub]]
-        return total
-
-    def memory_bytes(self) -> int:
-        return self.codebooks.nbytes
-
-
-# ----------------------------------------------------------------------
 # IVF index
 # ----------------------------------------------------------------------
 class IVFIndex(TopKIndex):
@@ -235,10 +138,7 @@ class IVFIndex(TopKIndex):
         list_items: np.ndarray,
         list_offsets: np.ndarray,
         nprobe: int,
-        item_reps: Optional[np.ndarray] = None,
-        pq: Optional[ProductQuantizer] = None,
-        pq_codes: Optional[np.ndarray] = None,
-        item_cluster: Optional[np.ndarray] = None,
+        item_reps: np.ndarray,
         block_size: int = 256,
         stats: Optional[Dict[str, float]] = None,
     ):
@@ -249,24 +149,15 @@ class IVFIndex(TopKIndex):
             "ann",
             mask_table,
             user_reps=np.asarray(user_reps, dtype=np.float64),
-            item_reps=None if item_reps is None else np.asarray(item_reps, dtype=np.float64),
+            item_reps=np.asarray(item_reps, dtype=np.float64),
             block_size=block_size,
         )
-        if (pq is None) != (pq_codes is None):
-            raise ValueError("pq and pq_codes must be supplied together")
-        if item_reps is None and pq is None:
-            raise ValueError("need raw item_reps or a PQ compression")
         self.centroids = np.asarray(centroids, dtype=np.float64)
         #: Item ids grouped by cluster; cluster ``c`` owns
         #: ``list_items[list_offsets[c]:list_offsets[c+1]]`` (ascending ids).
         self.list_items = np.asarray(list_items, dtype=np.int64)
         self.list_offsets = np.asarray(list_offsets, dtype=np.int64)
         self.nprobe = max(1, min(int(nprobe), self.nlist))
-        self.pq = pq
-        self.pq_codes = pq_codes
-        self._item_cluster = (
-            None if item_cluster is None else np.asarray(item_cluster, dtype=np.int64)
-        )
         #: Build-time self-measurement: recall@K vs exact brute force on a
         #: probe set of users, plus the knobs that produced it.
         self.stats: Dict[str, float] = dict(stats or {})
@@ -280,18 +171,13 @@ class IVFIndex(TopKIndex):
     def nlist(self) -> int:
         return len(self.centroids)
 
-    @property
-    def compressed(self) -> bool:
-        return self.pq is not None
-
     def memory_bytes(self) -> int:
-        total = self._user_reps.nbytes + self.centroids.nbytes
-        total += self.list_items.nbytes + self.list_offsets.nbytes
-        if self._item_reps is not None:
-            total += self._item_reps.nbytes
-        if self.pq is not None:
-            total += self.pq.memory_bytes() + self.pq_codes.nbytes
-        return total
+        return (
+            super().memory_bytes()
+            + self.centroids.nbytes
+            + self.list_items.nbytes
+            + self.list_offsets.nbytes
+        )
 
     def candidate_fraction(self) -> float:
         """Mean fraction of the catalogue scanned per query so far."""
@@ -311,7 +197,6 @@ class IVFIndex(TopKIndex):
         mask_table: Optional[List[np.ndarray]] = None,
         nlist: int = 64,
         nprobe: int = 8,
-        pq_m: int = 0,
         seed: int = 0,
         train_size: Optional[int] = None,
         probe_users: int = 32,
@@ -338,7 +223,7 @@ class IVFIndex(TopKIndex):
         rng = np.random.default_rng(seed)
 
         with tracer.span("ann.build", nlist=nlist_eff, nprobe=nprobe,
-                         pq_m=pq_m, n_items=n_items):
+                         n_items=n_items):
             if train_size is None:
                 train_size = min(n_items, max(10 * nlist_eff, 4096))
             with tracer.span("ann.kmeans", train_size=train_size):
@@ -358,26 +243,6 @@ class IVFIndex(TopKIndex):
                 list_offsets = np.zeros(len(centroids) + 1, dtype=np.int64)
                 np.cumsum(counts, out=list_offsets[1:])
 
-            pq = codes = None
-            raw_reps: Optional[np.ndarray] = item_reps
-            if pq_m:
-                with tracer.span("ann.pq", pq_m=pq_m):
-                    residuals = item_reps - centroids[assignments]
-                    # Codebooks train on a sample; encoding still covers
-                    # every item in one blocked pass per subspace.
-                    pq_train = min(n_items, 16384)
-                    if pq_train < n_items:
-                        sample = np.sort(
-                            rng.choice(n_items, size=pq_train, replace=False)
-                        )
-                        pq = ProductQuantizer.fit(
-                            residuals[sample], pq_m, seed=seed
-                        )
-                    else:
-                        pq = ProductQuantizer.fit(residuals, pq_m, seed=seed)
-                    codes = pq.encode(residuals)
-                    raw_reps = None  # compressed mode drops the raw matrix
-
             index = cls(
                 users,
                 n_users,
@@ -388,21 +253,17 @@ class IVFIndex(TopKIndex):
                 list_items=list_items,
                 list_offsets=list_offsets,
                 nprobe=nprobe,
-                item_reps=raw_reps,
-                pq=pq,
-                pq_codes=codes,
-                item_cluster=assignments,
+                item_reps=item_reps,
                 block_size=block_size,
             )
             with tracer.span("ann.recall_probe", probe_users=probe_users):
                 index.stats = index._measure_recall(
-                    item_reps, probe_users=probe_users, k=recall_k, seed=seed
+                    probe_users=probe_users, k=recall_k, seed=seed
                 )
             tracer.event(
                 "ann_built",
                 nlist=nlist_eff,
                 nprobe=index.nprobe,
-                pq_m=pq_m,
                 recall=index.stats.get(f"recall@{recall_k}"),
                 memory_bytes=index.memory_bytes(),
             )
@@ -444,35 +305,13 @@ class IVFIndex(TopKIndex):
         )
 
     # ------------------------------------------------------------------
-    def _candidate_scores(
-        self, user_vec: np.ndarray, candidates: np.ndarray,
-        cluster_scores: np.ndarray,
-    ) -> np.ndarray:
-        """Inner products for the probed candidates only."""
-        if self._item_reps is not None:
-            return self._item_reps[candidates] @ user_vec
-        # PQ path: score = u·centroid(cluster) + u·decode(residual code),
-        # the second term via one (m, ksub) lookup table per query.
-        table = self.pq.lookup_table(user_vec)
-        approx = self.pq.scores_from_codes(table, self.pq_codes[candidates])
-        return approx + cluster_scores[self._item_cluster[candidates]]
-
     def scores_of(self, users: Sequence[int]) -> np.ndarray:
-        """Full score rows (used by ``/score`` fallback): exact when the
-        raw item matrix is retained, PQ-reconstructed otherwise."""
+        """Full score rows (used by ``/score`` fallback), one matvec per
+        user."""
         rows = self._index_rows(users)
-        queries = self._user_reps[rows]
         out = np.empty((len(rows), self.n_items), dtype=np.float64)
-        for pos, query in enumerate(queries):
-            if self._item_reps is not None:
-                out[pos] = self._item_reps @ query
-            else:
-                cluster_scores = self.centroids @ query
-                table = self.pq.lookup_table(query)
-                out[pos] = (
-                    self.pq.scores_from_codes(table, self.pq_codes)
-                    + cluster_scores[self._item_cluster]
-                )
+        for pos, query in enumerate(self._user_reps[rows]):
+            out[pos] = self._item_reps @ query
         return out
 
     def _probe(self, user: int, k: int, mask_seen: bool) -> Tuple[np.ndarray, np.ndarray]:
@@ -514,9 +353,8 @@ class IVFIndex(TopKIndex):
             lists_probed=probed,
             candidates=len(candidates),
             candidate_fraction=round(len(candidates) / max(1, self.n_items), 6),
-            compressed=self.compressed,
         )
-        scores = self._candidate_scores(query, candidates, cluster_scores)
+        scores = self._item_reps[candidates] @ query
         if masked is not None and n_masked:
             scores[np.isin(candidates, masked, assume_unique=False)] = -np.inf
         # Same ordering contract as the exact index: descending score,
@@ -542,7 +380,6 @@ class IVFIndex(TopKIndex):
     # ------------------------------------------------------------------
     def _measure_recall(
         self,
-        exact_item_reps: np.ndarray,
         probe_users: int = 32,
         k: int = 20,
         seed: int = 0,
@@ -553,7 +390,6 @@ class IVFIndex(TopKIndex):
         stats = {
             "nlist": float(self.nlist),
             "nprobe": float(self.nprobe),
-            "pq_m": float(self.pq.m if self.pq is not None else 0),
             "probe_users": float(n_probe),
             "recall_k": float(k),
         }
@@ -566,7 +402,7 @@ class IVFIndex(TopKIndex):
         overlap = 0.0
         for user in chosen:
             row = self._row_of[int(user)]
-            exact_scores = exact_item_reps @ self._user_reps[row]
+            exact_scores = self._item_reps @ self._user_reps[row]
             exact_top, _ = topk_from_scores(
                 exact_scores, k, self.mask_table[int(user)]
             )
@@ -585,11 +421,6 @@ class IVFIndex(TopKIndex):
             list_items=self.list_items,
             list_offsets=self.list_offsets,
         )
-        if self._item_cluster is not None:
-            arrays["item_cluster"] = self._item_cluster
-        if self.pq is not None:
-            arrays["pq_codebooks"] = self.pq.codebooks
-            arrays["pq_codes"] = self.pq_codes
         del meta["mode"]
         meta.update(kind="ivf", nprobe=self.nprobe, stats=self.stats)
         return arrays, meta
@@ -598,8 +429,7 @@ class IVFIndex(TopKIndex):
     def _from_artifact(
         cls, arrays: Dict[str, np.ndarray], meta: dict
     ) -> "IVFIndex":
-        arrays = dict(arrays)
-        codebooks = arrays.pop("pq_codebooks", None)
-        if codebooks is not None:
-            arrays["pq"] = ProductQuantizer(codebooks)
+        # Indexes exported before product quantization was removed also
+        # carry each item's cluster id, which the inverted lists hold.
+        arrays = {k: v for k, v in arrays.items() if k != "item_cluster"}
         return super()._from_artifact(arrays, meta)

@@ -67,7 +67,7 @@ def engine_from_checkpoint(
     the one the weights recorded. ``use_saved_index=False`` forces a
     rebuild. ``mode="ann"`` builds the approximate
     :class:`~repro.serve.ann.IVFIndex` with ``ann_params``
-    (``nlist``/``nprobe``/``pq_m``/...).
+    (``nlist``/``nprobe``/``seed``/...).
     """
     from repro.serve.checkpoint import INDEX_FILE, load_checkpoint, read_manifest
 
@@ -116,7 +116,7 @@ class ServingEngine:
         self._cache: "OrderedDict[Tuple[int, int, bool], Result]" = OrderedDict()
         self._lock = threading.RLock()
         # An approximate index carries its build-time self-measurement
-        # (recall@K vs exact, nlist/nprobe/pq_m); surface it as gauges so
+        # (recall@K vs exact, nlist/nprobe); surface it as gauges so
         # /metrics exports the retrieval quality next to the latency.
         for key, value in (getattr(index, "stats", None) or {}).items():
             self.metrics.set_gauge(

@@ -34,7 +34,7 @@ import numpy as np
 from repro.baselines.base import Recommender
 from repro.eval.ranking import build_mask_table
 from repro.graph.interactions import InteractionGraph
-from repro.utils.artifact import load_npz, save_npz
+from repro.utils.artifact import ArtifactError, load_npz, save_npz
 
 
 def topk_from_scores(
@@ -148,7 +148,7 @@ class TopKIndex:
 
         ``mode="ann"`` builds the approximate
         :class:`~repro.serve.ann.IVFIndex` instead (same query surface;
-        ``ann_params`` forwards ``nlist``/``nprobe``/``pq_m``/``seed``
+        ``ann_params`` forwards ``nlist``/``nprobe``/``seed``
         etc. to :meth:`IVFIndex.from_representations`).
         """
         if mode not in ("auto", "factorized", "dense", "ann"):
@@ -319,6 +319,11 @@ def load_index(path: str) -> TopKIndex:
     arrays, meta = load_npz(path, ("exact", "ivf"))
     if meta["kind"] == "exact":
         return TopKIndex._from_artifact(arrays, meta)
+    if "pq_codebooks" in arrays:
+        raise ArtifactError(
+            f"{path}: PQ-compressed IVF index; product quantization was "
+            "removed, re-export it without PQ"
+        )
     from repro.serve.ann import IVFIndex
 
     return IVFIndex._from_artifact(arrays, meta)

@@ -196,6 +196,25 @@ def _result(user, items: np.ndarray, scores: np.ndarray) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_shape(
+    payload: dict, ints: Sequence[str] = (), int_lists: Sequence[str] = ()
+) -> None:
+    """``ValueError`` (a 400) naming the first field present in ``payload``
+    that is not a JSON integer (``ints``) or a flat list of them
+    (``int_lists``); a bool is neither."""
+    for name in ints:
+        if name in payload and not _is_int(payload[name]):
+            raise ValueError(f"'{name}' must be an integer")
+    for name in int_lists:
+        value = payload.get(name, [])
+        if not isinstance(value, list) or not all(map(_is_int, value)):
+            raise ValueError(f"'{name}' must be a flat list of integers")
+
+
 class _Handler(BaseHTTPRequestHandler):
     server: RecommendationServer
 
@@ -351,9 +370,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _route_post(self, url) -> int:
         payload = self._read_json()
         if url.path == "/recommend":
-            k = int(payload.get("k", 10))
+            _check_shape(payload, ints=("user", "k"), int_lists=("users",))
+            k = payload.get("k", 10)
             if "users" in payload:
-                users = [int(u) for u in payload["users"]]
+                users = payload["users"]
                 results = self.server.engine.recommend_many(users, k)
                 return self._send_json(
                     {
@@ -365,18 +385,14 @@ class _Handler(BaseHTTPRequestHandler):
                     }
                 )
             if "user" in payload:
-                return self._send_json(self._recommendation(int(payload["user"]), k))
+                return self._send_json(self._recommendation(payload["user"], k))
             raise ValueError("body needs 'user' or 'users'")
         if url.path == "/score":
             if "user" not in payload or "items" not in payload:
                 raise ValueError("body needs 'user' and 'items'")
-            items = payload["items"]
-            if not isinstance(items, list) or not all(
-                isinstance(i, int) and not isinstance(i, bool) for i in items
-            ):
-                raise ValueError("'items' must be a flat list of integer item ids")
-            items = np.asarray(items, dtype=np.int64)
-            scores = self.server.engine.score(int(payload["user"]), items)
+            _check_shape(payload, ints=("user",), int_lists=("items",))
+            items = np.asarray(payload["items"], dtype=np.int64)
+            scores = self.server.engine.score(payload["user"], items)
             return self._send_json(_result(payload["user"], items, scores))
         self.server.metrics.inc("http_404")
         return self._send_error_json(404, "not found")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.autograd.tensor import Tensor
 from repro.baselines import NFM, BPRMF, RippleNet, KGAT
+from repro.baselines.transr import transr_distance
 from repro.eval.ctr import _sigmoid
 
 
@@ -73,7 +74,10 @@ class TestKGATInternals:
         heads = rng.integers(0, model.unified.n_nodes, size=6)
         rels = rng.integers(0, model.unified.n_relations, size=6)
         tails = rng.integers(0, model.unified.n_nodes, size=6)
-        distances = model._transr_distance(heads, rels, tails).numpy()
+        distances = transr_distance(
+            model.node_embedding, model.relation_embedding,
+            model.relation_projection, heads, rels, tails,
+        ).numpy()
         assert np.all(distances >= 0.0)
 
     def test_unified_interaction_edges_present(self, tiny_dataset):

@@ -28,7 +28,6 @@ def fast_env(monkeypatch):
         "book_model_comparison.py",
         "custom_dataset.py",
         "explainable_recommendation.py",
-        "kg_embedding.py",
         "cold_start_study.py",
     ],
 )

@@ -350,6 +350,34 @@ class TestProfiler:
         json.dumps(payload)  # must be serializable
         assert payload["ops"][0]["total_s"] >= payload["ops"][-1]["total_s"]
 
+    def test_item_side_work_is_on_the_relation_scores_row(
+        self, tiny_dataset, monkeypatch
+    ):
+        # The table projection and the per-hop edge gather run as plain
+        # numpy on the item side; their adjoint lives in the backward of
+        # the fused relation-score op, so their forward reports on its row.
+        from repro.core import attention
+
+        fused_calls = []
+        fused = attention._guided_relation_scores
+
+        def counted(*args, **kwargs):
+            fused_calls.append(1)
+            return fused(*args, **kwargs)
+
+        monkeypatch.setattr(attention, "_guided_relation_scores", counted)
+        cfg = CGKGRConfig(dim=8, depth=2, n_heads=2, kg_sample_size=3)
+        model = CGKGR(tiny_dataset, cfg, seed=0)
+        users = tiny_dataset.train.users[:16]
+        items = tiny_dataset.train.items[:16]
+        with profile() as prof:
+            model.loss(users, items, items).backward()
+        row = next(r for r in prof.report().rows if r["op"] == "relation_scores")
+        assert len(fused_calls) == 2  # one per hop
+        # + one table projection per forward + one edge gather per hop
+        assert row["calls"] == len(fused_calls) + 1 + 2
+        assert row["bwd_calls"] > 0
+
     def test_not_reentrant(self):
         with profile() as prof:
             with pytest.raises(RuntimeError):

@@ -1,6 +1,6 @@
 """Unit tests for the serving-observability layer: request-scoped
-tracing, sliding-window SLO accounting, slow-request exemplars, the
-strict Prometheus exposition linter, and the ``obs top`` frames.
+tracing, sliding-window SLO accounting, slow-request exemplars
+and the strict Prometheus exposition linter.
 """
 
 import dataclasses
@@ -14,15 +14,11 @@ from repro.obs.events import NULL_TRACER
 from repro.obs.metrics import MetricsRegistry, SlidingWindowStats
 from repro.obs.serving import (
     RequestContext,
-    ServingSample,
     SLOMonitor,
     SLOSpec,
     SlowRequestStore,
     current_request,
     lint_prometheus,
-    parse_prometheus,
-    sample_from_metrics,
-    top_frame,
     use_request,
 )
 
@@ -421,95 +417,3 @@ class TestLintPrometheus:
             "# HELP repro_serve_http_requests Total HTTP requests received."
             in text
         )
-
-
-class TestParsePrometheus:
-    def test_round_trip(self):
-        parsed = parse_prometheus(VALID_EXPOSITION)
-        assert parsed["types"]["repro_serve_http_requests"] == "counter"
-        assert parsed["samples"]["repro_serve_http_requests"] == 42.0
-        assert parsed["samples"]['repro_serve_lat{quantile="0.99"}'] == 0.004
-
-
-# ----------------------------------------------------------------------
-# Dashboard reductions and renderers
-# ----------------------------------------------------------------------
-def _synthetic_sample(ts=0.0, requests=100.0, **overrides):
-    sample = ServingSample(
-        ts=ts,
-        requests=requests,
-        errors=2.0,
-        window_qps=50.0,
-        p50_ms=1.2,
-        p99_ms=8.0,
-        cache_hit_rate=0.75,
-        error_rate=0.02,
-        ann_recall=0.97,
-        burn_rate=0.5,
-        budget_consumed=0.1,
-        slo_violations=0.0,
-        uptime_s=120.0,
-    )
-    for key, value in overrides.items():
-        setattr(sample, key, value)
-    return sample
-
-
-class TestSampleFromMetrics:
-    def test_reads_window_gauges_and_slo(self):
-        samples = {
-            "repro_serve_http_requests": 100.0,
-            "repro_serve_http_404": 3.0,
-            "repro_serve_window_qps": 25.0,
-            "repro_serve_window_p50_ms": 1.5,
-            "repro_serve_window_p99_ms": 9.0,
-            "repro_serve_window_error_rate": 0.01,
-            "repro_serve_cache_hit_rate": 0.8,
-            "repro_serve_ann_recall_at_20": 0.96,
-            "repro_serve_slo_latency_p99_burn_rate_60s": 2.5,
-            "repro_serve_slo_latency_p99_budget_consumed": 1.2,
-            "repro_serve_slo_violations": 1.0,
-            "repro_serve_uptime_seconds": 33.0,
-        }
-        sample = sample_from_metrics({"samples": samples}, ts=7.0)
-        assert sample.requests == 100.0
-        assert sample.errors == 3.0
-        assert sample.p50_ms == 1.5
-        assert sample.p99_ms == 9.0
-        assert sample.ann_recall == 0.96
-        assert sample.burn_rate == 2.5
-        assert sample.budget_consumed == 1.2
-        assert sample.slo_violations == 1.0
-        assert sample.uptime_s == 33.0
-
-    def test_falls_back_to_summary_quantiles(self):
-        samples = {
-            'repro_serve_http_request_latency_seconds{quantile="0.5"}': 0.002,
-            'repro_serve_http_request_latency_seconds{quantile="0.99"}': 0.010,
-        }
-        sample = sample_from_metrics({"samples": samples})
-        assert sample.p50_ms == pytest.approx(2.0)
-        assert sample.p99_ms == pytest.approx(10.0)
-        assert sample.ann_recall is None
-        assert sample.burn_rate is None
-
-
-class TestTopFrame:
-    def test_renders_headline_series(self):
-        frame = top_frame(_synthetic_sample(), url="http://h:1")
-        assert "repro obs top — http://h:1" in frame
-        assert "p50" in frame and "p99" in frame
-        assert "hit rate" in frame
-        assert "recall" in frame
-        assert "burn" in frame
-
-    def test_qps_from_counter_delta(self):
-        prev = _synthetic_sample(ts=0.0, requests=100.0)
-        cur = _synthetic_sample(ts=2.0, requests=150.0)
-        assert "qps     25.0" in top_frame(cur, previous=prev)
-
-    def test_optional_sections_omitted(self):
-        sample = _synthetic_sample(ann_recall=None, burn_rate=None)
-        frame = top_frame(sample)
-        assert "recall" not in frame
-        assert "burn" not in frame

@@ -1,8 +1,8 @@
-"""Approximate retrieval semantics: k-means, PQ, and the IVF index.
+"""Approximate retrieval semantics: k-means and the IVF index.
 
 The load-bearing guarantees: the coarse quantizer is deterministic and
-never leaves a cluster empty; at ``nprobe == nlist`` with PQ off the
-IVF index reproduces the exact index bit-for-bit (same tie-breaking);
+never leaves a cluster empty; at ``nprobe == nlist`` the IVF index
+reproduces the exact index bit-for-bit (same tie-breaking);
 and every build self-reports its recall@K against brute force.
 """
 
@@ -14,7 +14,6 @@ from repro.core import CGKGR, CGKGRConfig
 from repro.eval.ranking import build_mask_table, rank_items
 from repro.serve import (
     IVFIndex,
-    ProductQuantizer,
     ServingEngine,
     TopKIndex,
     kmeans,
@@ -22,6 +21,7 @@ from repro.serve import (
 )
 from repro.serve.ann import assign_to_centroids
 from repro.training import Trainer, TrainerConfig
+from repro.utils.artifact import save_npz
 
 
 def structured_reps(n_users, n_items, dim=16, n_topics=8, seed=0):
@@ -107,37 +107,6 @@ class TestKMeans:
         )
 
 
-class TestProductQuantizer:
-    def test_round_trip_shrinks_error(self, reps):
-        _, items = reps
-        pq = ProductQuantizer.fit(items, m=4, seed=0)
-        codes = pq.encode(items)
-        assert codes.dtype == np.uint8 and codes.shape == (len(items), 4)
-        recon = pq.decode(codes)
-        err = np.linalg.norm(recon - items) / np.linalg.norm(items)
-        assert err < 0.5  # coarse but informative compression
-
-    def test_lookup_table_matches_decode(self, reps):
-        users, items = reps
-        pq = ProductQuantizer.fit(items, m=4, seed=0)
-        codes = pq.encode(items)
-        table = pq.lookup_table(users[0])
-        np.testing.assert_allclose(
-            pq.scores_from_codes(table, codes),
-            pq.decode(codes) @ users[0],
-        )
-
-    def test_m_must_divide_dim(self, reps):
-        _, items = reps
-        with pytest.raises(ValueError, match="divide"):
-            ProductQuantizer.fit(items, m=5)
-
-    def test_memory_is_codebooks(self, reps):
-        _, items = reps
-        pq = ProductQuantizer.fit(items, m=2, seed=0)
-        assert pq.memory_bytes() == pq.codebooks.nbytes
-
-
 class TestIVFIndex:
     def test_full_probe_matches_exact(self, reps):
         users, items = reps
@@ -155,7 +124,7 @@ class TestIVFIndex:
         index = IVFIndex.from_representations(
             users, items, len(users), len(items), nlist=16, nprobe=4, seed=0
         )
-        for key in ("nlist", "nprobe", "pq_m", "probe_users", "recall@20"):
+        for key in ("nlist", "nprobe", "probe_users", "recall@20"):
             assert key in index.stats
         assert 0.0 <= index.stats["recall@20"] <= 1.0
         # Structured topics: even a narrow probe finds most of the top-20.
@@ -235,32 +204,18 @@ class TestIVFIndex:
                 np.testing.assert_array_equal(got[user][50:], mask_table[user][:5])
                 assert np.isneginf(got_scores[user][50:]).all()
 
-    def test_pq_mode_drops_raw_matrix(self, reps):
-        users, items = reps
-        raw = IVFIndex.from_representations(
-            users, items, len(users), len(items), nlist=16, nprobe=8, seed=0
-        )
-        compressed = IVFIndex.from_representations(
-            users, items, len(users), len(items),
-            nlist=16, nprobe=8, pq_m=4, seed=0,
-        )
-        assert compressed.compressed and not raw.compressed
-        assert compressed.memory_bytes() < raw.memory_bytes()
-        assert compressed.stats["recall@20"] > 0.5
-
     def test_memory_accounting_sums_components(self, reps):
         users, items = reps
         index = IVFIndex.from_representations(
             users, items, len(users), len(items),
-            nlist=16, nprobe=8, pq_m=4, seed=0,
+            nlist=16, nprobe=8, seed=0,
         )
         expected = (
             index._user_reps.nbytes
+            + index._item_reps.nbytes
             + index.centroids.nbytes
             + index.list_items.nbytes
             + index.list_offsets.nbytes
-            + index.pq.memory_bytes()
-            + index.pq_codes.nbytes
         )
         assert index.memory_bytes() == expected
 
@@ -281,12 +236,10 @@ class TestIVFIndex:
         )
         assert index.nprobe == 4
 
-    @pytest.mark.parametrize("pq_m", [0, 4])
-    def test_save_load_round_trip(self, reps, tmp_path, pq_m):
+    def test_save_load_round_trip(self, reps, tmp_path):
         users, items = reps
         index = IVFIndex.from_representations(
-            users, items, len(users), len(items),
-            nlist=16, nprobe=8, pq_m=pq_m, seed=0,
+            users, items, len(users), len(items), nlist=16, nprobe=8, seed=0
         )
         loaded = load_index(index.save(str(tmp_path / "ann.npz")))
         assert isinstance(loaded, IVFIndex)
@@ -298,6 +251,49 @@ class TestIVFIndex:
         loaded_got, loaded_scores = loaded.topk(np.arange(len(users)), 10)
         np.testing.assert_array_equal(loaded_got, got)
         np.testing.assert_array_equal(loaded_scores, scores)
+
+    def test_scores_of_is_one_matvec_per_user(self, reps):
+        users, items = reps
+        index = IVFIndex.from_representations(
+            users, items, len(users), len(items), nlist=16, nprobe=4, seed=0
+        )
+        rows = index.scores_of([5, 0, 7])
+        for row, user in zip(rows, (5, 0, 7)):
+            np.testing.assert_array_equal(row, items @ users[user])
+
+    def test_artifact_with_item_cluster_still_loads(self, reps, tmp_path):
+        # Raw IVF indexes exported while PQ existed also stored each
+        # item's cluster id; the loader drops it.
+        users, items = reps
+        index = IVFIndex.from_representations(
+            users, items, len(users), len(items), nlist=16, nprobe=4, seed=0
+        )
+        arrays, meta = index._artifact()
+        arrays["item_cluster"] = assign_to_centroids(items, index.centroids)
+        path = str(tmp_path / "old.npz")
+        save_npz(path, arrays, meta)
+        loaded = load_index(path)
+        assert isinstance(loaded, IVFIndex)
+        got, scores = index.topk(np.arange(len(users)), 10)
+        loaded_got, loaded_scores = loaded.topk(np.arange(len(users)), 10)
+        np.testing.assert_array_equal(loaded_got, got)
+        np.testing.assert_array_equal(loaded_scores, scores)
+
+    def test_pq_artifact_is_a_typed_error(self, reps, tmp_path):
+        users, items = reps
+        index = IVFIndex.from_representations(
+            users, items, len(users), len(items), nlist=16, nprobe=4, seed=0
+        )
+        arrays, meta = index._artifact()
+        del arrays["item_reps"]
+        arrays.update(
+            item_cluster=assign_to_centroids(items, index.centroids),
+            pq_codebooks=np.zeros((4, 256, 4)),
+        )
+        path = str(tmp_path / "pq.npz")
+        save_npz(path, arrays, meta)
+        with pytest.raises(ValueError, match="pq.npz.*re-export it without PQ"):
+            load_index(path)
 
     def test_ivf_loader_rejects_exact_file(
         self, trained_bprmf, tmp_path

@@ -229,6 +229,25 @@ class TestServerEndpoints:
         assert body["status"] == 400 and body["request_id"]
         assert "items" in body["error"]
 
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            ("/recommend", {"users": 5}, "users"),
+            ("/recommend", {"users": [[1]]}, "users"),
+            ("/score", {"user": [1], "items": [0]}, "user"),
+            ("/recommend", {"user": 1, "k": [5]}, "k"),
+            ("/recommend", {"user": True}, "user"),
+        ],
+    )
+    def test_wrongly_typed_field_is_400(self, served_checkpoint, path, body, field):
+        base, _ = served_checkpoint
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base + path, body)
+        payload = json.loads(excinfo.value.read())
+        assert excinfo.value.code == 400
+        assert payload["status"] == 400 and payload["request_id"]
+        assert f"'{field}'" in payload["error"]
+
 
 class TestRequestTracing:
     def test_request_id_minted_and_echoed(self, served_checkpoint):
@@ -368,13 +387,8 @@ class TestRequestTracing:
 class TestSLOEndToEnd:
     def test_impossible_slo_violates_and_burns(self, served_checkpoint, tmp_path):
         """A server with an unmeetable SLO emits a slo_violation event,
-        exports a nonzero burn rate, and `obs top` shows the burn."""
+        and exports a nonzero burn rate on /metrics."""
         from repro.obs.events import Tracer
-        from repro.obs.serving import (
-            fetch_metrics,
-            sample_from_metrics,
-            top_frame,
-        )
 
         _, engine = served_checkpoint
         trace_path = str(tmp_path / "serve.jsonl")
@@ -392,12 +406,20 @@ class TestSLOEndToEnd:
             base = f"http://127.0.0.1:{server.port}"
             for user in (0, 1, 2):
                 _get(base + f"/recommend?user={user}&k=3")
-            parsed = fetch_metrics(base)
-            sample = sample_from_metrics(parsed)
-            assert sample.slo_violations >= 1
-            assert sample.burn_rate is not None and sample.burn_rate > 0
-            frame = top_frame(sample, url=base)
-            assert "burn" in frame and "violations" in frame
+            with urllib.request.urlopen(base + "/metrics", timeout=10) as response:
+                text = response.read().decode()
+            series = dict(
+                line.rsplit(" ", 1)
+                for line in text.splitlines()
+                if line and not line.startswith("#")
+            )
+            assert float(series["repro_serve_slo_violations"]) >= 1
+            burn_rates = [
+                float(value)
+                for name, value in series.items()
+                if name.startswith("repro_serve_slo_") and "_burn_rate_" in name
+            ]
+            assert burn_rates and max(burn_rates) > 0
         finally:
             server.shutdown()
             server.server_close()
@@ -516,19 +538,11 @@ def test_serve_cli_parser_wiring():
 def test_obs_cli_parser_wiring():
     from repro.cli import build_parser
 
-    args = build_parser().parse_args(
-        ["obs", "top", "--url", "http://h:1", "--count", "2", "--no-clear"]
-    )
-    assert args.url == "http://h:1"
-    assert args.count == 2
-    assert args.no_clear
-
-
-def test_obs_top_cli_renders_live_server(served_checkpoint, capsys):
-    """`repro obs top --count N` renders N frames and exits cleanly."""
-    base, _ = served_checkpoint
-    code = main(["obs", "top", "--url", base, "--count", "1", "--no-clear"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "repro obs top" in out
-    assert "requests" in out and "latency" in out
+    parser = build_parser()
+    args = parser.parse_args(["obs", "timeline", "t.jsonl", "-o", "t.json"])
+    assert (args.trace, args.out, args.no_check) == ("t.jsonl", "t.json", False)
+    args = parser.parse_args(["obs", "anatomy", "t.jsonl", "--json", "a.json"])
+    assert (args.trace, args.json) == ("t.jsonl", "a.json")
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["obs", "top", "--url", "http://h:1"])
+    assert exc.value.code == 2
