@@ -20,20 +20,26 @@ runs the paired multi-seed protocol and prints a Table IV-style block;
 ``export`` trains and writes a serving checkpoint; ``serve`` boots the
 HTTP recommendation server from one (see docs/serving.md); ``profile``
 runs instrumented training steps and prints the per-op autograd profile
-(see docs/observability.md).  ``train``/``export``/``serve`` accept
+(see docs/observability.md).  ``train`` and ``export`` build one
+``Trainer``; ``profile`` steps that trainer's optimizer; ``serve`` makes
+one ``engine_from_checkpoint`` call.
+
+Telemetry flags: ``train``/``export``/``profile``/``serve`` accept
 ``--trace PATH`` (alias ``--log-jsonl``) to write structured span/event
-telemetry as JSONL; ``train``/``export``/``profile`` additionally accept
+telemetry as JSONL; ``train``/``export``/``profile`` also accept
 ``--timeline PATH`` (Chrome trace-event JSON for Perfetto, implies
 memory tracking) and ``--track-memory`` (tensor-allocation watermarks,
-``peak_mem_bytes`` metric, leak detection).  ``obs timeline`` converts
-an existing JSONL trace for Perfetto and ``obs anatomy`` prints the
-epoch-anatomy phase breakdown.  ``runs`` inspects the persistent run registry:
-``list``/``show``, ``compare A B``, and the CI regression gate ``check
---baseline <ref>`` (exit 1 on regression; see docs/runs.md).  An unknown
-run ref, unreadable trace path, missing file or corrupt artifact
-(checkpoint, index, prepared dataset) exits 2 with a one-line error.
-``train`` and ``export`` accept ``--record`` to persist the fit into the
-registry.
+``peak_mem_bytes`` metric, leak detection).  Only ``train`` and
+``export`` accept ``--record`` (with ``--runs-dir``) to persist the fit
+into the run registry; ``compare`` takes none of these flags.
+
+``obs timeline`` converts an existing JSONL trace for Perfetto and ``obs
+anatomy`` prints the epoch-anatomy phase breakdown.  ``runs`` inspects
+the persistent run registry: ``list``/``show``, ``compare A B``, and the
+CI regression gate ``check --baseline <ref>`` (exit 1 on regression; see
+docs/runs.md).  An unknown run ref, unreadable trace path, missing file
+or corrupt artifact (checkpoint, index, prepared dataset) exits 2 with a
+one-line error; so does a malformed flag value (argparse).
 """
 
 from __future__ import annotations
@@ -159,93 +165,91 @@ def _make_tracer(args, keep_events: bool = True):
     gets an in-memory tracer (no JSONL file).  Returns None when neither
     flag asked for tracing.  ``keep_events=False`` only writes the file.
     """
-    if not getattr(args, "trace", None):
-        if getattr(args, "timeline", None):
-            from repro.obs import Tracer
-
-            return Tracer(path=None)
+    if not (args.trace or getattr(args, "timeline", None)):
         return None
     from repro.obs import Tracer
 
     return Tracer(path=args.trace, keep_events=keep_events)
 
 
-def _close_tracer(tracer) -> None:
-    if tracer is not None:
-        tracer.close()
-        if tracer.path:
-            print(f"wrote trace to {tracer.path} (run {tracer.run_id})")
-
-
-def _maybe_write_timeline(args, tracer) -> None:
-    """Export ``tracer``'s events as Chrome trace JSON (``--timeline``)."""
-    if not getattr(args, "timeline", None) or tracer is None:
+def _close_tracer(args, tracer) -> None:
+    """Write ``--timeline`` from ``tracer``'s events, then close it."""
+    if tracer is None:
         return
-    from repro.obs import write_timeline
+    if getattr(args, "timeline", None):
+        from repro.obs import write_timeline
 
-    trace = write_timeline(tracer.events, args.timeline)
-    print(
-        f"wrote timeline ({len(trace['traceEvents'])} events) to "
-        f"{args.timeline} — open in https://ui.perfetto.dev"
+        trace = write_timeline(tracer.events, args.timeline)
+        print(
+            f"wrote timeline ({len(trace['traceEvents'])} events) to "
+            f"{args.timeline} — open in https://ui.perfetto.dev"
+        )
+    tracer.close()
+    if tracer.path:
+        print(f"wrote trace to {tracer.path} (run {tracer.run_id})")
+
+
+def _trainer_config(args, **extra) -> TrainerConfig:
+    """The ``TrainerConfig`` of ``train``/``export``/``compare``."""
+    return TrainerConfig(
+        epochs=args.epochs,
+        early_stop_patience=args.patience,
+        eval_task="topk",
+        eval_metric=f"recall@{args.k}",
+        eval_k=args.k,
+        eval_max_users=args.eval_users,
+        objective=args.objective,
+        **extra,
     )
 
 
-def _configure_verbose_logging(args) -> None:
-    """Route the trainer's per-epoch log lines to stdout under --verbose."""
-    if getattr(args, "verbose", False):
-        logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
+def _fit(args):
+    """Build the dataset and model of ``train``/``export`` and fit them.
 
-
-def _make_run_store(args):
-    """Build a RunStore from ``--record`` / ``--runs-dir`` (else None)."""
-    if not getattr(args, "record", False):
-        return None
-    from repro.obs import RunStore
-
-    return RunStore(getattr(args, "runs_dir", None))
-
-
-def _report_recorded_run(trainer) -> None:
-    record = trainer.last_run_record
-    if record is not None:
-        print(f"recorded run {record.run_id} (config {record.config_hash})")
-
-
-def cmd_train(args) -> int:
+    Returns ``(model, trainer, fit, tracer)``; the tracer stays open so
+    ``export`` can trace its index build into the same file.
+    """
     dataset = _load_dataset(args)
     model = _make_model(args.model, dataset, args.seed)
     print(f"training {model.name} on {dataset.name}: {dataset.summary()}")
-    _configure_verbose_logging(args)
+    if args.verbose:
+        # Route the trainer's per-epoch log lines to stdout.
+        logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
     tracer = _make_tracer(args)
+    run_store = None
+    if args.record:
+        from repro.obs import RunStore
+
+        run_store = RunStore(args.runs_dir)
     trainer = Trainer(
         model,
-        TrainerConfig(
-            epochs=args.epochs,
-            early_stop_patience=args.patience,
-            eval_task="topk",
-            eval_metric=f"recall@{args.k}",
-            eval_k=args.k,
-            eval_max_users=args.eval_users,
-            objective=args.objective,
+        _trainer_config(
+            args,
             verbose=args.verbose,
             seed=args.seed,
             tracer=tracer,
             track_memory=args.track_memory or bool(args.timeline),
-            run_store=_make_run_store(args),
+            run_store=run_store,
         ),
     )
     fit = trainer.fit()
-    _maybe_write_timeline(args, tracer)
-    _close_tracer(tracer)
-    _report_recorded_run(trainer)
-    mem_summary = getattr(trainer, "_memory_summary", None)
-    if mem_summary:
+    record = trainer.last_run_record
+    if record is not None:
+        print(f"recorded run {record.run_id} (config {record.config_hash})")
+    return model, trainer, fit, tracer
+
+
+def cmd_train(args) -> int:
+    model, trainer, fit, tracer = _fit(args)
+    _close_tracer(args, tracer)
+    memory = trainer.memory_summary
+    if memory:
         print(
-            f"memory: peak {mem_summary['peak_bytes'] / 1048576:.1f} MiB over "
-            f"{mem_summary['n_allocs']} allocations"
+            f"memory: peak {memory['peak_bytes'] / 1048576:.1f} MiB over "
+            f"{memory['n_allocs']} allocations"
             + (
-                f", LEAKED {mem_summary['leaked_tensors']} tensor(s)"
-                if mem_summary.get("leaked_tensors")
+                f", LEAKED {memory['leaked_tensors']} tensor(s)"
+                if memory.get("leaked_tensors")
                 else ""
             )
         )
@@ -253,6 +257,7 @@ def cmd_train(args) -> int:
         f"best epoch {fit.best_epoch} (val recall@{args.k} = {fit.best_metric:.4f}), "
         f"{fit.time_per_epoch:.2f}s/epoch"
     )
+    dataset = model.dataset
     topk = evaluate_topk(
         model, dataset.test, k_values=(args.k,),
         mask_splits=[dataset.train, dataset.valid],
@@ -275,15 +280,7 @@ def cmd_compare(args) -> int:
         args.dataset,
         factories,
         seeds=list(range(args.seeds)),
-        trainer_config=TrainerConfig(
-            epochs=args.epochs,
-            early_stop_patience=args.patience,
-            eval_task="topk",
-            eval_metric=f"recall@{args.k}",
-            eval_k=args.k,
-            eval_max_users=args.eval_users,
-            objective=args.objective,
-        ),
+        trainer_config=_trainer_config(args),
         topk_values=(args.k,),
         eval_ctr_too=True,
         max_eval_users=args.eval_users,
@@ -341,31 +338,9 @@ def _report_ann_index(index) -> None:
 def cmd_export(args) -> int:
     from repro.serve import save_checkpoint
 
-    dataset = _load_dataset(args)
-    model = _make_model(args.model, dataset, args.seed)
-    print(f"training {model.name} on {dataset.name} for export")
-    _configure_verbose_logging(args)
-    tracer = _make_tracer(args)
-    trainer = Trainer(
-        model,
-        TrainerConfig(
-            epochs=args.epochs,
-            early_stop_patience=args.patience,
-            eval_task="topk",
-            eval_metric=f"recall@{args.k}",
-            eval_k=args.k,
-            eval_max_users=args.eval_users,
-            objective=args.objective,
-            verbose=args.verbose,
-            seed=args.seed,
-            tracer=tracer,
-            track_memory=args.track_memory or bool(args.timeline),
-            run_store=_make_run_store(args),
-        ),
-    )
-    fit = trainer.fit()
-    _report_recorded_run(trainer)
-    if getattr(args, "data_dir", None):
+    model, _, fit, tracer = _fit(args)
+    dataset = model.dataset
+    if args.data_dir:
         dataset_spec = {"data_dir": args.data_dir, "seed": args.seed}
     else:
         dataset_spec = {
@@ -391,8 +366,7 @@ def cmd_export(args) -> int:
         finally:
             set_default_tracer(None)
         _report_ann_index(index)
-    _maybe_write_timeline(args, tracer)
-    _close_tracer(tracer)
+    _close_tracer(args, tracer)
     save_checkpoint(
         model,
         args.out,
@@ -413,37 +387,17 @@ def cmd_export(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.serve import create_server, engine_from_checkpoint, read_manifest
+    from repro.serve import create_server, engine_from_checkpoint
 
-    manifest = read_manifest(args.checkpoint)
-    print(f"loading {manifest['model_name']} checkpoint from {args.checkpoint}")
-    ann_params = _ann_params(args) if args.index_mode == "ann" else None
     engine = engine_from_checkpoint(
         args.checkpoint,
+        index_users=args.index_users,
         mode=args.index_mode,
         cache_size=args.cache_size,
-        ann_params=ann_params,
+        ann_params=_ann_params(args) if args.index_mode == "ann" else None,
         use_saved_index=not args.rebuild_index,
     )
-    if args.index_users and args.index_users < engine.index.n_users:
-        # Re-index only the most active training users; the engine falls
-        # back to on-the-fly model scoring for everyone else.
-        train = engine.model.dataset.train
-        degree = np.zeros(train.n_users, dtype=np.int64)
-        np.add.at(degree, train.users, 1)
-        users = np.argsort(-degree, kind="stable")[: args.index_users]
-        from repro.serve import ServingEngine, TopKIndex
-
-        index = TopKIndex.build(
-            engine.model,
-            users=users,
-            mask_splits=[engine.model.dataset.train, engine.model.dataset.valid],
-            mode=args.index_mode,
-            ann_params=ann_params,
-        )
-        engine = ServingEngine(
-            index, model=engine.model, cache_size=args.cache_size
-        )
+    print(f"loaded {engine.model.name} checkpoint from {args.checkpoint}")
     _report_ann_index(engine.index)
     # A long-running server must not keep every event in memory.
     tracer = _make_tracer(args, keep_events=False)
@@ -470,24 +424,20 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.server_close()
-        _close_tracer(tracer)
+        _close_tracer(args, tracer)
     return 0
 
 
 def cmd_profile(args) -> int:
     """Run instrumented training steps and print the per-op profile."""
-    from repro.autograd.optim import Adam
     from repro.data.negative_sampling import sample_training_negatives
     from repro.obs import NULL_TRACER, profile
 
     dataset = _load_dataset(args)
     model = _make_model(args.model, dataset, args.seed)
-    model.objective = args.objective
-    optimizer = Adam(
-        model.parameters(),
-        lr=model.lr,
-        weight_decay=0.0 if args.objective == "bpr" else model.l2,
-    )
+    # The trainer sets the objective on the model and owns the optimizer
+    # rule (no weight decay under "bpr"); step exactly what fit would.
+    optimizer = Trainer(model, TrainerConfig(objective=args.objective)).optimizer
     train = dataset.train
     rng = np.random.default_rng(args.seed)
     negatives = sample_training_negatives(
@@ -539,8 +489,7 @@ def cmd_profile(args) -> int:
             f"memory: peak {summary['peak_bytes'] / 1048576:.1f} MiB over "
             f"{summary['n_allocs']} allocations"
         )
-    _maybe_write_timeline(args, tracer)
-    _close_tracer(tracer)
+    _close_tracer(args, tracer)
     print(
         f"\nprofiled {args.steps} training step(s) of {model.name} on "
         f"{dataset.name} (batch size {batch_size}, "
@@ -688,15 +637,23 @@ def cmd_runs_check(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type for counts: an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _positive_float(text: str) -> float:
@@ -708,6 +665,16 @@ def _positive_float(text: str) -> float:
     if not 0.0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
     return value
+
+
+def _slo_spec(text: str):
+    """argparse type for ``--slo``: a parsed ``SLOSpec``."""
+    from repro.obs.serving import SLOSpec
+
+    try:
+        return SLOSpec.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -754,44 +721,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", type=int, default=0)
     p.set_defaults(func=cmd_prep)
 
-    train_common = argparse.ArgumentParser(add_help=False, parents=[common])
-    train_common.add_argument("--epochs", type=_positive_int, default=30)
-    train_common.add_argument("--patience", type=_positive_int, default=8)
-    train_common.add_argument("--k", type=_positive_int, default=20)
-    train_common.add_argument("--eval-users", type=_positive_int, default=60)
-    train_common.add_argument(
+    objective = argparse.ArgumentParser(add_help=False)
+    objective.add_argument(
         "--objective", default="ce", choices=["ce", "bpr"],
         help="training objective: 'ce' = pointwise sigmoid-CE (Eq. 22, "
         "default), 'bpr' = pairwise BPR + batch-row embedding L2 "
         "(the KGAT/RecBole recipe; see docs/training.md)",
     )
-    train_common.add_argument(
+    train_common = argparse.ArgumentParser(add_help=False, parents=[common, objective])
+    train_common.add_argument("--epochs", type=_positive_int, default=30)
+    train_common.add_argument("--patience", type=_positive_int, default=8)
+    train_common.add_argument("--k", type=_positive_int, default=20)
+    train_common.add_argument("--eval-users", type=_positive_int, default=60)
+
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument(
         "--trace", "--log-jsonl", dest="trace", metavar="PATH", default=None,
-        help="write obs span/event telemetry as JSONL to PATH",
+        help="write obs span/event telemetry as JSONL to PATH "
+        "(docs/observability.md)",
     )
-    train_common.add_argument(
+    telemetry = argparse.ArgumentParser(add_help=False, parents=[trace])
+    telemetry.add_argument(
         "--timeline", metavar="PATH", default=None,
         help="export a Chrome trace-event timeline JSON to PATH (implies "
         "tracing + memory tracking; open in https://ui.perfetto.dev)",
     )
-    train_common.add_argument(
+    telemetry.add_argument(
         "--track-memory", action="store_true",
         help="track tensor allocations: peak_mem_bytes metric, per-op "
         "attribution, epoch-boundary leak detection (docs/observability.md)",
     )
-    train_common.add_argument(
-        "--record", action="store_true",
-        help="persist this fit into the run registry (docs/runs.md)",
-    )
-    train_common.add_argument(
+    runs_common = argparse.ArgumentParser(add_help=False)
+    runs_common.add_argument(
         "--runs-dir", default=None, metavar="DIR",
         help="run registry root (default $REPRO_RUNS_DIR or ./runs)",
     )
+    fit = argparse.ArgumentParser(
+        add_help=False, parents=[train_common, telemetry, runs_common]
+    )
+    fit.add_argument(
+        "--record", action="store_true",
+        help="persist this fit into the run registry (docs/runs.md)",
+    )
+    fit.add_argument("--model", default="cg-kgr")
+    fit.add_argument("--data-dir", default=None, help="load real data instead of a profile")
+    fit.add_argument("--verbose", action="store_true")
 
-    p = sub.add_parser("train", parents=[train_common], help="train one model")
-    p.add_argument("--model", default="cg-kgr")
-    p.add_argument("--data-dir", default=None, help="load real data instead of a profile")
-    p.add_argument("--verbose", action="store_true")
+    p = sub.add_parser("train", parents=[fit], help="train one model")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", parents=[train_common], help="multi-seed model comparison")
@@ -801,20 +777,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     ann_common = argparse.ArgumentParser(add_help=False)
     ann_common.add_argument(
-        "--nlist", type=int, default=64,
+        "--nlist", type=_positive_int, default=64,
         help="ANN coarse clusters (mode=ann; clamped to the catalogue size)",
     )
     ann_common.add_argument(
-        "--nprobe", type=int, default=8,
+        "--nprobe", type=_positive_int, default=8,
         help="ANN clusters probed per query (mode=ann; recall/latency knob)",
     )
 
     p = sub.add_parser(
-        "export", parents=[train_common, ann_common],
+        "export", parents=[fit, ann_common],
         help="train and write a serving checkpoint",
     )
-    p.add_argument("--model", default="cg-kgr")
-    p.add_argument("--data-dir", default=None, help="load real data instead of a profile")
     p.add_argument("--out", required=True, help="checkpoint directory to create")
     p.add_argument(
         "--index-mode", default="none",
@@ -822,43 +796,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="also build this retrieval index and ship it as index.npz "
         "(repro serve then boots without rebuilding)",
     )
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser(
-        "serve", parents=[ann_common],
+        "serve", parents=[ann_common, trace],
         help="serve recommendations from a checkpoint",
     )
     p.add_argument("--checkpoint", required=True, help="directory written by `repro export`")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080, help="0 picks an ephemeral port")
-    p.add_argument("--cache-size", type=int, default=1024, help="LRU result-cache entries")
-    p.add_argument("--index-users", type=int, default=0,
+    p.add_argument("--cache-size", type=_non_negative_int, default=1024,
+                   help="LRU result-cache entries (0 = no cache)")
+    p.add_argument("--index-users", type=_non_negative_int, default=0,
                    help="index only the N most active users (0 = everyone)")
     p.add_argument("--index-mode", default="auto",
                    choices=["auto", "factorized", "dense", "ann"])
     p.add_argument("--rebuild-index", action="store_true",
                    help="ignore a prebuilt index.npz in the checkpoint")
-    p.add_argument("--batch-size", type=int, default=64, help="micro-batch size")
+    p.add_argument("--batch-size", type=_positive_int, default=64, help="micro-batch size")
     p.add_argument("--no-batch", action="store_true", help="disable request micro-batching")
     p.add_argument(
-        "--trace", "--log-jsonl", dest="trace", metavar="PATH", default=None,
-        help="write each HTTP request's span and its stage spans "
-        "(batch.wait, cache.lookup, index.query, ...) as JSONL to PATH",
-    )
-    p.add_argument(
-        "--slo", action="append", metavar="SPEC", default=None,
+        "--slo", action="append", type=_slo_spec, metavar="SPEC", default=None,
         help="SLO objective, e.g. 'p99<25ms' or 'availability>=99.9%%' "
         "(repeatable; default: p99<25ms + availability>=99.9%%)",
     )
     p.add_argument(
-        "--slow-log", type=int, default=16, metavar="N",
+        "--slow-log", type=_positive_int, default=16, metavar="N",
         help="slowest request traces kept for GET /debug/slow",
     )
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
-        "profile", parents=[common],
+        "profile", parents=[common, objective, telemetry],
         help="profile training steps per autograd op (docs/observability.md)",
     )
     p.add_argument("model", nargs="?", default="cg-kgr",
@@ -866,22 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=3, help="training steps to profile")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the report as JSON to PATH")
-    p.add_argument(
-        "--trace", "--log-jsonl", dest="trace", metavar="PATH", default=None,
-        help="write per-op slices + step spans as JSONL to PATH",
-    )
-    p.add_argument(
-        "--timeline", metavar="PATH", default=None,
-        help="export the profiled steps as Chrome trace JSON (Perfetto)",
-    )
-    p.add_argument(
-        "--track-memory", action="store_true",
-        help="also track tensor allocations during the profiled steps",
-    )
-    p.add_argument(
-        "--objective", default="ce", choices=["ce", "bpr"],
-        help="profile the 'ce' or 'bpr' training objective",
-    )
     p.set_defaults(func=cmd_profile)
 
     obs = sub.add_parser(
@@ -913,11 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
         "runs", help="inspect and gate on the run registry (docs/runs.md)"
     )
     runs_sub = runs.add_subparsers(dest="runs_command", required=True)
-    runs_common = argparse.ArgumentParser(add_help=False)
-    runs_common.add_argument(
-        "--runs-dir", default=None, metavar="DIR",
-        help="run registry root (default $REPRO_RUNS_DIR or ./runs)",
-    )
 
     p = runs_sub.add_parser("list", parents=[runs_common], help="list recorded runs")
     p.add_argument("--kind", default=None, choices=["train", "bench"])

@@ -11,7 +11,7 @@ apart without re-reading logs:
   environment (``REPRO_*`` knobs, numpy/python versions, platform);
 * outcome — per-epoch history from ``Trainer.fit``, final metrics
   (scalars or per-trial lists, which the regression sentinel bootstraps),
-  wall time, and a span summary distilled from the run's tracer;
+  wall time, and the run tracer's span summary;
 * health — structured anomalies collected by the
   :class:`~repro.obs.health.HealthMonitor` and bench failures.
 
@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.obs.events import _jsonable
 from repro.utils.artifact import atomic_write_text
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "config_hash",
     "dataset_fingerprint",
     "capture_env",
-    "distill_trace",
     "default_runs_dir",
 ]
 
@@ -62,20 +62,6 @@ def default_runs_dir() -> str:
 # ----------------------------------------------------------------------
 # Provenance helpers
 # ----------------------------------------------------------------------
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item") and getattr(value, "size", None) == 1:
-        return value.item()
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    return repr(value)
-
-
 def config_hash(config: Dict[str, Any]) -> str:
     """Stable short hash of a config dict (canonical-JSON sha256)."""
     canonical = json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
@@ -124,36 +110,6 @@ def capture_env() -> Dict[str, Any]:
             for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
         },
     }
-
-
-def distill_trace(source) -> Dict[str, Dict[str, float]]:
-    """Span summary from a live tracer, or by re-reading a ``trace.jsonl``.
-
-    Accepts a :class:`~repro.obs.events.Tracer` (uses its in-memory
-    :meth:`summary`), a path to a JSONL trace, or ``None``.
-    """
-    if source is None:
-        return {}
-    if hasattr(source, "summary"):
-        return source.summary()
-    out: Dict[str, Dict[str, float]] = {}
-    path = Path(source)
-    if not path.exists():
-        return {}
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:  # crashed run: partial last line
-                continue
-            if event.get("kind") != "span_end":
-                continue
-            agg = out.setdefault(event["name"], {"count": 0, "total_s": 0.0})
-            agg["count"] += 1
-            agg["total_s"] += float(event.get("dur", 0.0))
-    for agg in out.values():
-        agg["mean_s"] = agg["total_s"] / agg["count"]
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -45,58 +45,65 @@ Result = Tuple[np.ndarray, np.ndarray]  # (items, scores), each length k
 def engine_from_checkpoint(
     path: str,
     dataset=None,
-    users: Optional[Sequence[int]] = None,
-    mask_valid: bool = True,
+    index_users: int = 0,
     mode: str = "auto",
     cache_size: int = 1024,
-    metrics: Optional[MetricsRegistry] = None,
     ann_params: Optional[dict] = None,
     use_saved_index: bool = True,
 ) -> "ServingEngine":
     """Checkpoint directory → ready-to-serve engine (offline → online).
 
     Loads the model (:func:`repro.serve.checkpoint.load_checkpoint`),
-    precomputes the retrieval index over ``users`` (default: everyone)
-    with the user's known history masked, and attaches the model for
-    cold-user fallback.
+    precomputes the retrieval index with each user's train + valid
+    history masked, and attaches the model for cold-user fallback.
+
+    ``index_users=N`` indexes only the ``N`` most active training users
+    (ties broken by user id); everyone else takes the model fallback.
+    ``0``, or ``N`` at least the number of users, indexes everyone.
 
     A checkpoint exported with a prebuilt index (``repro export
     --index-mode ...`` writes ``index.npz`` next to the weights) boots
-    without rebuilding, when the saved index covers the request
-    (``users=None`` and a compatible ``mode``); its sha256 must match
-    the one the weights recorded. ``use_saved_index=False`` forces a
-    rebuild. ``mode="ann"`` builds the approximate
+    without rebuilding when every user is indexed and ``mode`` is
+    ``"auto"`` or the saved index's mode; its sha256 must match the one
+    the weights recorded. ``use_saved_index=False`` forces a rebuild.
+    ``mode="ann"`` builds the approximate
     :class:`~repro.serve.ann.IVFIndex` with ``ann_params``
     (``nlist``/``nprobe``/``seed``/...).
     """
     from repro.serve.checkpoint import INDEX_FILE, load_checkpoint, read_manifest
 
+    if index_users < 0:
+        raise ValueError(f"index_users must be >= 0, got {index_users}")
     model = load_checkpoint(path, dataset)
+    users = None
+    train = model.dataset.train
+    if 0 < index_users < model.dataset.n_users:
+        degree = np.zeros(train.n_users, dtype=np.int64)
+        np.add.at(degree, train.users, 1)
+        users = np.argsort(-degree, kind="stable")[:index_users]
     index = None
-    shipped = read_manifest(path)["index"]
-    if use_saved_index and users is None and shipped:
-        from repro.serve.index import load_index
+    if use_saved_index and users is None:
+        shipped = read_manifest(path)["index"]
+        if shipped:
+            from repro.serve.index import load_index
 
-        index_path = os.path.join(path, INDEX_FILE)
-        saved = load_index(index_path)
-        if saved.sha256 != shipped["sha256"]:
-            raise ArtifactError(
-                f"{index_path}: sha256 fingerprint mismatch with the manifest"
-            )
-        if mode in ("auto", saved.mode):
-            index = saved
+            index_path = os.path.join(path, INDEX_FILE)
+            saved = load_index(index_path)
+            if saved.sha256 != shipped["sha256"]:
+                raise ArtifactError(
+                    f"{index_path}: sha256 fingerprint mismatch with the manifest"
+                )
+            if mode in ("auto", saved.mode):
+                index = saved
     if index is None:
-        mask_splits = [model.dataset.train]
-        if mask_valid:
-            mask_splits.append(model.dataset.valid)
         index = TopKIndex.build(
             model,
             users=users,
-            mask_splits=mask_splits,
+            mask_splits=[train, model.dataset.valid],
             mode=mode,
             ann_params=ann_params,
         )
-    return ServingEngine(index, model=model, cache_size=cache_size, metrics=metrics)
+    return ServingEngine(index, model=model, cache_size=cache_size)
 
 
 class ServingEngine:
@@ -230,7 +237,10 @@ class ServingEngine:
     def score(self, user: int, items: Sequence[int]) -> np.ndarray:
         """Raw scores of explicit (user, item) candidates."""
         user = self._known_user(user)
-        item_arr = np.asarray(items, dtype=np.int64)
+        try:
+            item_arr = np.asarray(items, dtype=np.int64)
+        except OverflowError:  # an id beyond int64 is out of range too
+            raise KeyError("item id out of range") from None
         if item_arr.size and (
             item_arr.min() < 0 or item_arr.max() >= self.index.n_items
         ):

@@ -391,9 +391,11 @@ class _Handler(BaseHTTPRequestHandler):
             if "user" not in payload or "items" not in payload:
                 raise ValueError("body needs 'user' and 'items'")
             _check_shape(payload, ints=("user",), int_lists=("items",))
-            items = np.asarray(payload["items"], dtype=np.int64)
+            items = payload["items"]
             scores = self.server.engine.score(payload["user"], items)
-            return self._send_json(_result(payload["user"], items, scores))
+            return self._send_json(
+                _result(payload["user"], np.asarray(items, dtype=np.int64), scores)
+            )
         self.server.metrics.inc("http_404")
         return self._send_error_json(404, "not found")
 

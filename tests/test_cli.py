@@ -180,6 +180,7 @@ def test_bad_artifact_is_a_one_line_error(case, named, tmp_path, capsys):
 
 
 _SMALL = ["--dataset", "music", "--scale", "0.3"]
+_SERVE = ["serve", "--checkpoint", "/nonexistent", "--port", "0"]
 
 
 @pytest.mark.parametrize(
@@ -193,6 +194,15 @@ _SMALL = ["--dataset", "music", "--scale", "0.3"]
         (["profile", "cg-kgr", *_SMALL, "--steps", "-3"], "--steps"),
         (["compare", *_SMALL, "--seeds", "0"], "--seeds"),
         (["prep", "--data-dir", "raw", "--out", "out", "--min-user-k", "0"], "--min-user-k"),
+        ([*_SERVE, "--slow-log", "0"], "--slow-log"),
+        ([*_SERVE, "--batch-size", "-1"], "--batch-size"),
+        ([*_SERVE, "--nlist", "0"], "--nlist"),
+        ([*_SERVE, "--nprobe", "0"], "--nprobe"),
+        ([*_SERVE, "--cache-size", "-1"], "--cache-size"),
+        ([*_SERVE, "--index-users", "-5"], "--index-users"),
+        ([*_SERVE, "--slo", "p99<"], "--slo"),
+        ([*_SERVE, "--slo", "p99<0ms"], "--slo"),
+        (["export", *_SMALL, "--out", "out", "--nprobe", "-1"], "--nprobe"),
     ],
 )
 def test_bad_count_flag_is_an_argparse_error(argv, flag, capsys):
@@ -201,3 +211,38 @@ def test_bad_count_flag_is_an_argparse_error(argv, flag, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: argument {flag}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--record", "--trace", "--timeline", "--track-memory", "--runs-dir"])
+def test_compare_takes_no_telemetry_or_record_flags(flag, capsys):
+    """`compare` runs no single fit to trace or record, so these flags
+    are refused rather than silently ignored."""
+    argv = ["compare", *_SMALL, flag] + ([] if flag in ("--record", "--track-memory") else ["x"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("objective", ["bpr", "ce"])
+def test_profile_steps_the_trainer_optimizer(objective, tiny_dataset, monkeypatch, capsys):
+    """`profile` steps the optimizer `Trainer` builds: under "bpr" no
+    weight decay (EmbLoss carries λ), under "ce" the model's l2."""
+    from repro.autograd.optim import Adam
+    from repro.baselines import BPRMF
+
+    stepped = []
+    step = Adam.step
+
+    def recording_step(self):
+        stepped.append(self)
+        return step(self)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    code = main(["profile", "bprmf", *_SMALL, "--steps", "2", "--objective", objective])
+    assert code == 0
+    assert len(stepped) == 3  # warm-up + 2 profiled steps
+    assert len(set(map(id, stepped))) == 1
+    expected = 0.0 if objective == "bpr" else BPRMF(tiny_dataset).l2
+    assert expected > 0.0 or objective == "bpr"
+    assert stepped[0].weight_decay == expected

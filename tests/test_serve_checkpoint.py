@@ -134,3 +134,92 @@ def test_strict_load_rejects_incomplete_state(tiny_dataset):
     state.pop(next(iter(state)))
     with pytest.raises(KeyError, match="missing"):
         model.load_state_dict(state)
+
+
+# ----------------------------------------------------------------------
+# engine_from_checkpoint(index_users=N): one serve boot
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def shipped_cgkgr(tiny_dataset, tmp_path_factory):
+    """A trained CG-KGR checkpoint that ships its dense index."""
+    from repro.serve import TopKIndex
+
+    model = CGKGR(tiny_dataset, CGKGRConfig(dim=8, depth=2, n_heads=2), seed=3)
+    _train_briefly(model)
+    path = str(tmp_path_factory.mktemp("shipped") / "ckpt")
+    index = TopKIndex.build(model, mask_splits=[tiny_dataset.train, tiny_dataset.valid])
+    save_checkpoint(model, path, index=index)
+    return path
+
+
+def _two_engine_boot(path, dataset, n):
+    """The subset boot as `repro serve --index-users N` did it before it
+    was one call: boot from the shipped index, rank users by training
+    degree, build a second index over the top N and a second engine."""
+    from repro.serve import ServingEngine, TopKIndex
+    from repro.serve.engine import engine_from_checkpoint
+
+    engine = engine_from_checkpoint(path, dataset=dataset)
+    train = engine.model.dataset.train
+    degree = np.zeros(train.n_users, dtype=np.int64)
+    np.add.at(degree, train.users, 1)
+    users = np.argsort(-degree, kind="stable")[:n]
+    index = TopKIndex.build(
+        engine.model,
+        users=users,
+        mask_splits=[engine.model.dataset.train, engine.model.dataset.valid],
+    )
+    return ServingEngine(index, model=engine.model)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_index_users_boot_matches_the_two_engine_boot(shipped_cgkgr, tiny_dataset, n):
+    from repro.serve.engine import engine_from_checkpoint
+
+    engine = engine_from_checkpoint(shipped_cgkgr, dataset=tiny_dataset, index_users=n)
+    reference = _two_engine_boot(shipped_cgkgr, tiny_dataset, n)
+    assert engine.index.n_indexed_users == n
+    np.testing.assert_array_equal(engine.index.user_ids, reference.index.user_ids)
+    for user in range(tiny_dataset.n_users):
+        items, scores = engine.recommend(user, 5)
+        ref_items, ref_scores = reference.recommend(user, 5)
+        np.testing.assert_array_equal(items, ref_items)
+        np.testing.assert_array_equal(scores, ref_scores)
+
+
+def test_index_users_never_loads_the_shipped_index(
+    shipped_cgkgr, tiny_dataset, monkeypatch
+):
+    import repro.serve.index as index_mod
+    from repro.serve.engine import engine_from_checkpoint
+
+    real_load = index_mod.load_index
+    calls = []
+
+    def refuse(path):
+        raise AssertionError(f"load_index({path}) on a subset boot")
+
+    monkeypatch.setattr(index_mod, "load_index", refuse)
+    engine = engine_from_checkpoint(shipped_cgkgr, dataset=tiny_dataset, index_users=3)
+    assert engine.index.n_indexed_users == 3 and engine.index.sha256 is None
+
+    def counting(path):
+        calls.append(path)
+        return real_load(path)
+
+    # N >= n_users means everyone: the shipped index, checked and loaded.
+    monkeypatch.setattr(index_mod, "load_index", counting)
+    for n in (0, tiny_dataset.n_users, tiny_dataset.n_users + 5):
+        engine = engine_from_checkpoint(
+            shipped_cgkgr, dataset=tiny_dataset, index_users=n
+        )
+        assert engine.index.n_indexed_users == tiny_dataset.n_users
+        assert engine.index.sha256 == read_manifest(shipped_cgkgr)["index"]["sha256"]
+    assert len(calls) == 3
+
+
+def test_negative_index_users_rejected(shipped_cgkgr, tiny_dataset):
+    from repro.serve.engine import engine_from_checkpoint
+
+    with pytest.raises(ValueError, match="index_users"):
+        engine_from_checkpoint(shipped_cgkgr, dataset=tiny_dataset, index_users=-5)

@@ -219,6 +219,18 @@ class TestServerEndpoints:
         assert body["status"] == 404 and body["request_id"]
         assert f"unknown user id {user}" in body["error"]
 
+    @pytest.mark.parametrize("item", [10**30, -(10**30), 2**63])
+    def test_score_item_beyond_int64_is_404(self, served_checkpoint, item):
+        """An item id no int64 holds is out of range like any other,
+        not a 500 from the int64 conversion."""
+        base, _ = served_checkpoint
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base + "/score", {"user": 1, "items": [0, item]})
+        body = json.loads(excinfo.value.read())
+        assert excinfo.value.code == 404
+        assert body["status"] == 404 and body["request_id"]
+        assert body["error"] == "item id out of range"
+
     @pytest.mark.parametrize("items", [5, [[0, 1]], "01"])
     def test_score_non_list_items_is_400(self, served_checkpoint, items):
         base, _ = served_checkpoint
@@ -523,6 +535,7 @@ def test_serve_trace_keeps_no_events_in_memory(
 
 def test_serve_cli_parser_wiring():
     from repro.cli import build_parser
+    from repro.obs.serving import SLOSpec
 
     args = build_parser().parse_args(
         ["serve", "--checkpoint", "/tmp/x", "--port", "0", "--index-users", "5",
@@ -531,7 +544,7 @@ def test_serve_cli_parser_wiring():
     assert args.checkpoint == "/tmp/x"
     assert args.port == 0
     assert args.index_users == 5
-    assert args.slo == ["p99<10ms", "availability>=99%"]
+    assert args.slo == [SLOSpec.parse("p99<10ms"), SLOSpec.parse("availability>=99%")]
     assert args.slow_log == 8
 
 
