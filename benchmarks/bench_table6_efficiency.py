@@ -13,6 +13,8 @@ import time
 import numpy as np
 
 from benchmarks import harness
+from repro.data.negative_sampling import MAX_TRIES
+from repro.graph.sampling import NeighborSampler, _build_table
 from repro.utils import format_table
 
 
@@ -38,6 +40,51 @@ def _mask_table_reference(splits, n_users):
     ]
 
 
+class LoopNeighborSampler(NeighborSampler):
+    """``NeighborSampler`` whose uniform tables are redrawn one node at a
+    time (the pre-vectorization code path: same distribution as
+    ``NeighborSampler.resample``, different rng stream)."""
+
+    def resample(self) -> None:
+        inter = self.interactions
+        self._user_items, _, self._user_has = _build_table(
+            lambda u: [(0, i) for i in inter.items_of(u)],
+            inter.n_users,
+            self.user_sample_size,
+            self._rng,
+        )
+        self._item_users, _, self._item_has = _build_table(
+            lambda i: [(0, u) for u in inter.users_of(i)],
+            inter.n_items,
+            self.item_sample_size,
+            self._rng,
+        )
+        self._kg_neighbors, self._kg_relations, self._kg_has = _build_table(
+            self.kg.neighbors,
+            self.kg.n_entities,
+            self.kg_sample_size,
+            self._rng,
+        )
+
+
+def negatives_reference(
+    positives, all_positive_items, n_items, rng, max_tries=MAX_TRIES
+):
+    """Per-row draw-and-reject training negatives (the pre-vectorization
+    code path: same contract as ``sample_training_negatives``, different
+    rng stream)."""
+    negatives = np.empty(len(positives.users), dtype=np.int64)
+    for row, user in enumerate(positives.users):
+        seen = all_positive_items.get(int(user), set())
+        candidate = int(rng.integers(0, n_items))
+        for _ in range(max_tries):
+            if candidate not in seen:
+                break
+            candidate = int(rng.integers(0, n_items))
+        negatives[row] = candidate
+    return negatives
+
+
 def hotpath_microbench(dataset_name: str) -> str:
     """Loop-vs-vectorized timings for the per-epoch sampling hot paths."""
     from repro.data import generate_profile
@@ -46,15 +93,16 @@ def hotpath_microbench(dataset_name: str) -> str:
         sample_training_negatives,
     )
     from repro.eval.ranking import build_mask_table
-    from repro.graph.sampling import NeighborSampler
 
     ds = generate_profile(dataset_name, seed=0)
     sizes = (8, 8, 8)
     samplers = {
-        impl: NeighborSampler(
-            ds.kg, ds.train, *sizes, np.random.default_rng(0), impl=impl
-        )
-        for impl in ("loop", "vectorized")
+        "loop": LoopNeighborSampler(
+            ds.kg, ds.train, *sizes, np.random.default_rng(0)
+        ),
+        "vectorized": NeighborSampler(
+            ds.kg, ds.train, *sizes, np.random.default_rng(0)
+        ),
     }
     allpos = ds.all_positive_items()
     index = PositivePairIndex(allpos, ds.n_items)
@@ -64,13 +112,14 @@ def hotpath_microbench(dataset_name: str) -> str:
             impl: _time_ms(samplers[impl].resample) for impl in samplers
         },
         "negatives": {
-            impl: _time_ms(
-                lambda impl=impl: sample_training_negatives(
-                    ds.train, allpos, ds.n_items, rng,
-                    impl=impl, index=index if impl == "vectorized" else None,
+            "loop": _time_ms(
+                lambda: negatives_reference(ds.train, allpos, ds.n_items, rng)
+            ),
+            "vectorized": _time_ms(
+                lambda: sample_training_negatives(
+                    ds.train, allpos, ds.n_items, rng, index=index
                 )
-            )
-            for impl in ("loop", "vectorized")
+            ),
         },
         "mask_table": {
             "loop": _time_ms(

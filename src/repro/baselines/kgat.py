@@ -71,14 +71,18 @@ class KGAT(Recommender):
         ]
 
         self._sample_rng = np.random.default_rng(seed + 1)
+        # Structural, so built once; each epoch only redraws the tables.
+        self._adjacency = self.unified.adjacency()
         self._resample_adjacency()
         self._cached_embeddings: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def _resample_adjacency(self) -> None:
-        adjacency = self.unified.adjacency()
         self._neighbors, self._relations, self._has = _build_table(
-            lambda n: adjacency[n], self.unified.n_nodes, self.neighbor_size, self._sample_rng
+            self._adjacency.__getitem__,
+            self.unified.n_nodes,
+            self.neighbor_size,
+            self._sample_rng,
         )
 
     def begin_epoch(self, epoch: int) -> None:

@@ -39,7 +39,9 @@ the persistent run registry: ``list``/``show``, ``compare A B``, and the
 CI regression gate ``check --baseline <ref>`` (exit 1 on regression; see
 docs/runs.md).  An unknown run ref, unreadable trace path, missing file
 or corrupt artifact (checkpoint, index, prepared dataset) exits 2 with a
-one-line error; so does a malformed flag value (argparse).
+one-line error; so does a malformed flag value (argparse), and an
+``--index-mode factorized|ann`` on a model without factorized
+representations (``export`` checks this before training).
 """
 
 from __future__ import annotations
@@ -203,14 +205,20 @@ def _trainer_config(args, **extra) -> TrainerConfig:
     )
 
 
-def _fit(args):
+def _fit(args, index_mode: str = "none"):
     """Build the dataset and model of ``train``/``export`` and fit them.
 
     Returns ``(model, trainer, fit, tracer)``; the tracer stays open so
-    ``export`` can trace its index build into the same file.
+    ``export`` can trace its index build into the same file.  An
+    ``index_mode`` the model cannot be indexed with raises
+    :class:`~repro.serve.index.IndexModeError` before training.
     """
     dataset = _load_dataset(args)
     model = _make_model(args.model, dataset, args.seed)
+    if index_mode in ("factorized", "ann"):
+        from repro.serve.index import factorized_representations
+
+        factorized_representations(model, index_mode)
     print(f"training {model.name} on {dataset.name}: {dataset.summary()}")
     if args.verbose:
         # Route the trainer's per-epoch log lines to stdout.
@@ -337,8 +345,12 @@ def _report_ann_index(index) -> None:
 
 def cmd_export(args) -> int:
     from repro.serve import save_checkpoint
+    from repro.serve.index import IndexModeError
 
-    model, _, fit, tracer = _fit(args)
+    try:
+        model, _, fit, tracer = _fit(args, args.index_mode)
+    except IndexModeError as exc:
+        return _bad_input(exc)
     dataset = model.dataset
     if args.data_dir:
         dataset_spec = {"data_dir": args.data_dir, "seed": args.seed}
@@ -388,15 +400,19 @@ def cmd_export(args) -> int:
 
 def cmd_serve(args) -> int:
     from repro.serve import create_server, engine_from_checkpoint
+    from repro.serve.index import IndexModeError
 
-    engine = engine_from_checkpoint(
-        args.checkpoint,
-        index_users=args.index_users,
-        mode=args.index_mode,
-        cache_size=args.cache_size,
-        ann_params=_ann_params(args) if args.index_mode == "ann" else None,
-        use_saved_index=not args.rebuild_index,
-    )
+    try:
+        engine = engine_from_checkpoint(
+            args.checkpoint,
+            index_users=args.index_users,
+            mode=args.index_mode,
+            cache_size=args.cache_size,
+            ann_params=_ann_params(args) if args.index_mode == "ann" else None,
+            use_saved_index=not args.rebuild_index,
+        )
+    except IndexModeError as exc:
+        return _bad_input(exc)
     print(f"loaded {engine.model.name} checkpoint from {args.checkpoint}")
     _report_ann_index(engine.index)
     # A long-running server must not keep every event in memory.
@@ -502,7 +518,8 @@ def cmd_profile(args) -> int:
 
 
 def _bad_input(exc: Exception) -> int:
-    """One-line report of an unknown run ref, bad path or bad artifact; exit 2.
+    """One-line report of an unknown run ref, bad path, bad artifact or an
+    index mode the model cannot take; exit 2.
 
     ``KeyError`` messages name the ref, the others the path.
     """

@@ -11,7 +11,7 @@ Two flavours are needed:
 The training sampler runs as batched draw-and-reject rounds against a
 :class:`PositivePairIndex` (sorted ``user * n_items + item`` keys with
 ``searchsorted`` membership), so an epoch's negatives cost a handful of
-vectorized draws instead of one Python loop iteration per interaction.
+vectorized draws, at most ``1 + MAX_TRIES`` per row.
 """
 
 from __future__ import annotations
@@ -58,28 +58,8 @@ class PositivePairIndex:
         return self._keys[pos] == queries
 
 
-def _sample_negatives_vectorized(
-    users: np.ndarray,
-    index: PositivePairIndex,
-    n_items: int,
-    rng: np.random.Generator,
-    max_tries: int,
-) -> np.ndarray:
-    """Batched draw-and-reject: redraw only still-colliding rows.
-
-    Matches the loop implementation's contract — at most ``1 + max_tries``
-    draws per row, with a documented soft fallback (keep the last draw)
-    for users who have interacted with (nearly) the whole catalogue.
-    """
-    negatives = rng.integers(0, n_items, size=len(users)).astype(np.int64)
-    pending = np.flatnonzero(index.contains(users, negatives))
-    tries = 0
-    while pending.size and tries < max_tries:
-        redraw = rng.integers(0, n_items, size=pending.size).astype(np.int64)
-        negatives[pending] = redraw
-        pending = pending[index.contains(users[pending], redraw)]
-        tries += 1
-    return negatives
+#: Redraw rounds per row before a training negative keeps its last draw.
+MAX_TRIES = 50
 
 
 def sample_training_negatives(
@@ -87,42 +67,32 @@ def sample_training_negatives(
     all_positive_items: Dict[int, Set[int]],
     n_items: int,
     rng: np.random.Generator,
-    max_tries: int = 50,
-    impl: str = "vectorized",
     index: Optional[PositivePairIndex] = None,
 ) -> np.ndarray:
     """One negative item per positive pair, avoiding observed positives.
 
-    Returns an int array aligned with ``positives.pairs()`` rows.  Users
-    who have interacted with (nearly) the whole catalogue fall back to a
-    random item after ``max_tries`` rejections — with a balanced synthetic
-    catalogue this is vanishingly rare, and a soft fallback beats an
-    infinite loop.
+    Returns an int array aligned with ``positives.pairs()`` rows.  Rows are
+    drawn in one batch, then only the rows that hit an observed positive
+    are redrawn, at most :data:`MAX_TRIES` times.  A user who has
+    interacted with (nearly) the whole catalogue keeps the last draw —
+    with a balanced synthetic catalogue this is vanishingly rare, and a
+    soft fallback beats an infinite loop.
 
-    ``impl="vectorized"`` (default) runs batched draw-and-reject rounds
-    against a :class:`PositivePairIndex` (pass a prebuilt one via
-    ``index`` to amortize construction across epochs); ``impl="loop"``
-    keeps the original per-row rejection loop (same distribution,
-    different rng stream — retained for parity tests).
+    Pass a prebuilt :class:`PositivePairIndex` as ``index`` to amortize
+    its construction across epochs; ``None`` builds one from
+    ``all_positive_items``.
     """
-    users = positives.users
-    if impl == "vectorized":
-        if index is None:
-            index = PositivePairIndex(all_positive_items, n_items)
-        return _sample_negatives_vectorized(
-            np.asarray(users, dtype=np.int64), index, n_items, rng, max_tries
-        )
-    if impl != "loop":
-        raise ValueError(f"unknown negative-sampling impl {impl!r}")
-    negatives = np.empty(len(users), dtype=np.int64)
-    for row, user in enumerate(users):
-        seen = all_positive_items.get(int(user), set())
-        candidate = int(rng.integers(0, n_items))
-        for _ in range(max_tries):
-            if candidate not in seen:
-                break
-            candidate = int(rng.integers(0, n_items))
-        negatives[row] = candidate
+    if index is None:
+        index = PositivePairIndex(all_positive_items, n_items)
+    users = np.asarray(positives.users, dtype=np.int64)
+    negatives = rng.integers(0, n_items, size=len(users)).astype(np.int64)
+    pending = np.flatnonzero(index.contains(users, negatives))
+    tries = 0
+    while pending.size and tries < MAX_TRIES:
+        redraw = rng.integers(0, n_items, size=pending.size).astype(np.int64)
+        negatives[pending] = redraw
+        pending = pending[index.contains(users[pending], redraw)]
+        tries += 1
     return negatives
 
 

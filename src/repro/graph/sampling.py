@@ -6,6 +6,9 @@ propagation has a rectangular shape.  Like the official KGCN-family
 implementations, we materialize padded *adjacency tables* once per sampler
 (``(n_nodes, K)`` arrays) and re-draw them on demand (per epoch) — node-flow
 construction is then pure numpy indexing, which keeps the engine fast.
+A redraw is a few batched rng calls over CSR adjacencies
+(:func:`_sample_table_csr`); :func:`_build_table` is the per-node loop
+that only KGAT's unified graph is sampled with.
 
 Nodes with no neighbors are padded with themselves and masked out; the
 attention layers use :func:`~repro.autograd.ops.masked_softmax`, so padded
@@ -63,19 +66,16 @@ class NodeFlow:
         return len(self.entities) - 1
 
 
-def _build_table(
-    adjacency_of,
-    n_nodes: int,
-    size: int,
-    rng: np.random.Generator,
-    weight_of=None,
-):
-    """Sample a ``(n_nodes, size)`` neighbor table with replacement.
+def _build_table(adjacency_of, n_nodes: int, size: int, rng: np.random.Generator):
+    """Sample a ``(n_nodes, size)`` neighbor table with replacement, one
+    node at a time.
 
-    ``weight_of(relation, neighbor) -> float`` optionally biases the draw
-    (the paper's future-work "non-uniform sampler to screen out
-    representative neighbors"); ``None`` keeps the paper's uniform
-    sampling.
+    Only KGAT samples with this loop (its unified graph); every other
+    sampler runs :func:`_sample_table_csr`.  It stays because KGAT's rng
+    draw order pins its trained parameters and the CI-gated
+    ``topk/movie/KGAT/obj-*/recall@20`` numbers: switching KGAT to the CSR
+    draws moved movie@0 recall@20 from 0.3217 to 0.3033 (ce) and 0.2971
+    (bpr), outside the gate's 0.016.
     """
     neighbor_table = np.zeros((n_nodes, size), dtype=np.int64)
     relation_table = np.zeros((n_nodes, size), dtype=np.int64)
@@ -89,25 +89,7 @@ def _build_table(
             continue
         has_neighbors[node] = True
         n = len(neighbors)
-        probabilities = None
-        if weight_of is not None:
-            raw = np.asarray([weight_of(rel, other) for rel, other in neighbors])
-            total = raw.sum()
-            if total > 0:
-                probabilities = raw / total
-        if n >= size and (
-            probabilities is None or np.count_nonzero(probabilities) >= size
-        ):
-            chosen = rng.choice(n, size=size, replace=False, p=probabilities)
-        else:
-            # Fewer neighbors — or fewer *selectable* (non-zero weight)
-            # neighbors — than slots: draw with replacement.  Without the
-            # support check, ``rng.choice(..., replace=False, p=...)``
-            # raises ``ValueError: Fewer non-zero entries in p than size``
-            # whenever a weighted node has enough neighbors but some carry
-            # zero weight (e.g. a zero-degree neighbor under the "degree"
-            # strategy).
-            chosen = rng.choice(n, size=size, replace=True, p=probabilities)
+        chosen = rng.choice(n, size=size, replace=n < size)
         for slot, k in enumerate(chosen):
             rel, other = neighbors[k]
             neighbor_table[node, slot] = other
@@ -156,7 +138,7 @@ def _sample_table_csr(
     rng: np.random.Generator,
     weights: Optional[np.ndarray] = None,
 ):
-    """Vectorized equivalent of :func:`_build_table` over a CSR adjacency.
+    """Sample a ``(n_nodes, size)`` neighbor table over a CSR adjacency.
 
     Nodes with at least ``size`` (selectable) neighbors are sampled
     without replacement via random sort keys (exponential keys over the
@@ -182,8 +164,7 @@ def _sample_table_csr(
             (weights > 0).astype(np.int64),
             np.minimum(lo, len(weights) - 1),
         ) * has
-        # Nodes whose weights sum to zero fall back to uniform draws,
-        # matching the loop implementation.
+        # Nodes whose weights sum to zero fall back to uniform draws.
         uniform_rows = has & (totals <= 0)
         weighted = has & ~uniform_rows
         exact = weighted & (support >= size)
@@ -228,8 +209,7 @@ def _sample_table_csr(
         fill(exact_rows, lo[exact_rows, None] + chosen)
 
     # Weighted nodes with fewer selectable neighbors than slots: draw
-    # with replacement by inverse CDF over the per-node weight segment
-    # (mirrors the loop implementation's replace=True fallback).
+    # with replacement by inverse CDF over the per-node weight segment.
     replace_rows = np.flatnonzero(replace_w)
     if replace_rows.size:
         base = cum0[lo[replace_rows]]
@@ -260,11 +240,13 @@ class NeighborSampler:
         ``|S(u)|``, ``|S_UI(i)|`` and ``|S_KG(e)|`` of Table III.
     rng:
         Source of sampling randomness.
-    impl:
-        ``"vectorized"`` (default) redraws tables as batched draws over
-        CSR offset arrays built once here; ``"loop"`` keeps the original
-        per-node implementation (same distribution, different rng stream —
-        retained for parity tests and as an executable specification).
+    kg_strategy:
+        ``"uniform"`` (the paper) or ``"degree"``: bias KG draws toward
+        well-connected neighbors (the future-work non-uniform sampler of
+        Sec. VI).
+
+    Tables are redrawn as batched draws over CSR adjacencies built once
+    here (:func:`_sample_table_csr`).
     """
 
     def __init__(
@@ -276,21 +258,17 @@ class NeighborSampler:
         kg_sample_size: int,
         rng: np.random.Generator,
         kg_strategy: str = "uniform",
-        impl: str = "vectorized",
     ):
         if min(user_sample_size, item_sample_size, kg_sample_size) < 1:
             raise ValueError("sample sizes must be >= 1")
         if kg_strategy not in ("uniform", "degree"):
             raise ValueError(f"unknown kg sampling strategy {kg_strategy!r}")
-        if impl not in ("vectorized", "loop"):
-            raise ValueError(f"unknown sampler impl {impl!r}")
         self.kg = kg
         self.interactions = interactions
         self.user_sample_size = int(user_sample_size)
         self.item_sample_size = int(item_sample_size)
         self.kg_sample_size = int(kg_sample_size)
         self.kg_strategy = kg_strategy
-        self.impl = impl
         self._rng = rng
         # CSR adjacencies are structural: built once, reused every epoch.
         self._user_csr = _csr_from_pairs(
@@ -320,12 +298,6 @@ class NeighborSampler:
         """Redraw all adjacency tables (call once per epoch for fresh
         fixed-size random samples, matching the paper's per-iteration
         ``Sample_neighbor``)."""
-        if self.impl == "vectorized":
-            self._resample_vectorized()
-        else:
-            self._resample_loop()
-
-    def _resample_vectorized(self) -> None:
         self._user_items, _, self._user_has = _sample_table_csr(
             self._user_csr, self.user_sample_size, self._rng
         )
@@ -334,33 +306,6 @@ class NeighborSampler:
         )
         self._kg_neighbors, self._kg_relations, self._kg_has = _sample_table_csr(
             self._kg_csr, self.kg_sample_size, self._rng, weights=self._kg_weights
-        )
-
-    def _resample_loop(self) -> None:
-        inter = self.interactions
-        self._user_items, _, self._user_has = _build_table(
-            lambda u: [(0, i) for i in inter.items_of(u)],
-            inter.n_users,
-            self.user_sample_size,
-            self._rng,
-        )
-        self._item_users, _, self._item_has = _build_table(
-            lambda i: [(0, u) for u in inter.users_of(i)],
-            inter.n_items,
-            self.item_sample_size,
-            self._rng,
-        )
-        weight_of = None
-        if self.kg_strategy == "degree":
-            # Future-work extension (Sec. VI): bias toward well-connected
-            # neighbors, which tend to be the representative ones.
-            weight_of = lambda rel, other: float(self.kg.degree(other))
-        self._kg_neighbors, self._kg_relations, self._kg_has = _build_table(
-            self.kg.neighbors,
-            self.kg.n_entities,
-            self.kg_sample_size,
-            self._rng,
-            weight_of=weight_of,
         )
 
     # ------------------------------------------------------------------

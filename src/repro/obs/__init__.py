@@ -26,7 +26,7 @@ Pillars, shared by training, evaluation, benchmarking, and serving
 * :mod:`repro.obs.sentinel` — tolerance-gated regression comparison and
   the repo-root ``BENCH_*.json`` trajectory files;
 * :mod:`repro.obs.health` — training-health monitor emitting structured
-  ``anomaly`` events (:class:`HealthMonitor`,
+  ``anomaly`` events at fixed thresholds (:class:`HealthMonitor`,
   :class:`NonFiniteLossError`);
 * :mod:`repro.obs.report` — the run table (``repro runs list``) and the
   epoch-anatomy report (:func:`epoch_anatomy`; ``repro obs anatomy``);
@@ -46,12 +46,7 @@ from repro.obs.events import (
     default_tracer,
     set_default_tracer,
 )
-from repro.obs.health import (
-    HealthConfig,
-    HealthMonitor,
-    NonFiniteLossError,
-    TrainingHealthError,
-)
+from repro.obs.health import HealthMonitor, NonFiniteLossError
 from repro.obs.hooks import GuidanceAttentionRecorder, capture_attention
 from repro.obs.memory import MemoryTracker, track_memory
 from repro.obs.metrics import MetricsRegistry, SlidingWindowStats
@@ -114,9 +109,7 @@ __all__ = [
     "SlowRequestStore",
     "lint_prometheus",
     "HealthMonitor",
-    "HealthConfig",
     "NonFiniteLossError",
-    "TrainingHealthError",
     "Tolerance",
     "DEFAULT_TOLERANCES",
     "SentinelReport",

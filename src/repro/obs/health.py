@@ -7,41 +7,50 @@ run's tracer whenever something looks pathological:
 
 * ``nonfinite_loss``     — NaN/inf batch loss (always fatal: the trainer
   raises :class:`NonFiniteLossError` with epoch/batch context);
-* ``grad_explosion``     — batch gradient norm above a threshold
-  (rate-limited to one event per epoch);
-* ``grad_vanishing``     — epoch-mean gradient norm below a floor;
+* ``grad_explosion``     — batch gradient norm above
+  :data:`GRAD_EXPLODE` (rate-limited to one event per epoch);
+* ``grad_vanishing``     — epoch-mean gradient norm below
+  :data:`GRAD_VANISH`;
 * ``dead_embeddings``    — embedding-table rows whose L2 norm is ~0 at
   the end of training (untrained ids, bad init, or over-regularization);
 * ``eval_plateau``       — validation metric flat or declining for
-  ``plateau_patience`` consecutive evals;
+  :data:`PLATEAU_PATIENCE` consecutive evals;
 * ``memory_growth``      — live tensor bytes at the epoch boundary grew
-  monotonically for ``mem_growth_epochs`` consecutive epochs (fed by the
-  :class:`~repro.obs.memory.MemoryTracker` when memory tracking is on —
-  the classic tape-leak signature).
+  monotonically for :data:`MEM_GROWTH_EPOCHS` consecutive epochs (fed by
+  the :class:`~repro.obs.memory.MemoryTracker` when memory tracking is
+  on — the classic tape-leak signature).
 
-Gradient-based checks only run when gradient norms are being measured
-(tracing enabled, or ``HealthConfig.track_grads=True``), keeping the
-untraced hot path unchanged.  Kinds listed in ``HealthConfig.abort_on``
-abort the run with a :class:`TrainingHealthError` carrying a one-line
-diagnosis plus every anomaly observed so far.  All anomalies also land in
-the :class:`~repro.obs.runs.RunRecord` when a run store is attached.
+The thresholds are fixed module constants.  Gradient norms are measured
+only while a tracer is on, so the gradient checks run exactly then and
+the untraced hot path stays unchanged.  Anomalies other than
+``nonfinite_loss`` never stop a run; they land in the tracer and, when a
+run store is attached, in the :class:`~repro.obs.runs.RunRecord`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.obs.events import NULL_TRACER
 
-__all__ = [
-    "HealthConfig",
-    "HealthMonitor",
-    "NonFiniteLossError",
-    "TrainingHealthError",
-]
+__all__ = ["HealthMonitor", "NonFiniteLossError"]
+
+#: Batch grad norm above this is an explosion.
+GRAD_EXPLODE = 1e3
+#: Epoch-mean grad norm below this is vanishing.
+GRAD_VANISH = 1e-8
+#: Consecutive non-improving evals before an ``eval_plateau`` anomaly.
+PLATEAU_PATIENCE = 8
+#: Embedding rows with L2 norm below this count as dead.
+DEAD_ROW_TOL = 1e-10
+#: Fraction of dead rows in one table that triggers the anomaly.
+DEAD_ROW_FRACTION = 0.05
+#: Consecutive epochs of growing live bytes before ``memory_growth``.
+MEM_GROWTH_EPOCHS = 3
+#: Relative per-epoch growth below this is noise, not growth.
+MEM_GROWTH_REL = 0.01
 
 
 class NonFiniteLossError(RuntimeError):
@@ -58,46 +67,11 @@ class NonFiniteLossError(RuntimeError):
         )
 
 
-class TrainingHealthError(RuntimeError):
-    """Run aborted by the health monitor; carries a diagnosis."""
-
-    def __init__(self, diagnosis: str, anomalies: List[Dict[str, Any]]):
-        self.diagnosis = diagnosis
-        self.anomalies = list(anomalies)
-        super().__init__(diagnosis)
-
-
-@dataclass
-class HealthConfig:
-    """Thresholds of the monitor's detectors."""
-
-    #: Batch grad norm above this is an explosion.
-    grad_explode: float = 1e3
-    #: Epoch-mean grad norm below this is vanishing.
-    grad_vanish: float = 1e-8
-    #: Consecutive non-improving evals before an ``eval_plateau`` anomaly.
-    plateau_patience: int = 8
-    #: Embedding rows with L2 norm below this count as dead.
-    dead_row_tol: float = 1e-10
-    #: Fraction of dead rows in one table that triggers the anomaly.
-    dead_row_fraction: float = 0.05
-    #: Force per-batch grad-norm measurement even without a tracer.
-    track_grads: bool = False
-    #: Consecutive epochs of growing live bytes before ``memory_growth``.
-    mem_growth_epochs: int = 3
-    #: Relative per-epoch growth below this is noise, not growth.
-    mem_growth_rel: float = 0.01
-    #: Anomaly kinds that abort the run via :class:`TrainingHealthError`
-    #: (``nonfinite_loss`` is always fatal regardless of this list).
-    abort_on: Tuple[str, ...] = ()
-
-
 class HealthMonitor:
     """Collects anomalies and mirrors them as tracer ``anomaly`` events."""
 
-    def __init__(self, config: Optional[HealthConfig] = None, tracer=None):
-        self.config = config or HealthConfig()
-        self.tracer = tracer
+    def __init__(self, tracer=None):
+        self.tracer = tracer or NULL_TRACER
         self.anomalies: List[Dict[str, Any]] = []
         self._explosion_epochs: set = set()
         self._plateau_count = 0
@@ -108,23 +82,11 @@ class HealthMonitor:
         self._mem_growth_reported = False
 
     # ------------------------------------------------------------------
-    def bind(self, tracer) -> "HealthMonitor":
-        """Attach the trainer's tracer (kept if one was set explicitly)."""
-        if self.tracer is None:
-            self.tracer = tracer
-        return self
-
-    @property
-    def wants_grad_norms(self) -> bool:
-        return self.config.track_grads
-
     def record(self, kind: str, **context: Any) -> Dict[str, Any]:
         """Append one anomaly and emit it as a structured tracer event."""
         anomaly = {"kind": kind, **context}
         self.anomalies.append(anomaly)
-        (self.tracer or NULL_TRACER).event("anomaly", **anomaly)
-        if kind in self.config.abort_on:
-            raise TrainingHealthError(self.diagnosis(), self.anomalies)
+        self.tracer.event("anomaly", **anomaly)
         return anomaly
 
     # ------------------------------------------------------------------
@@ -144,15 +106,9 @@ class HealthMonitor:
         return NonFiniteLossError(model, loss, epoch, batch_start)
 
     def observe_batch(
-        self,
-        epoch: int,
-        batch_start: int,
-        loss: float,
-        grad_norm: Optional[float] = None,
+        self, epoch: int, batch_start: int, loss: float, grad_norm: float
     ) -> None:
-        if grad_norm is None:
-            return
-        if not np.isfinite(grad_norm) or grad_norm > self.config.grad_explode:
+        if not np.isfinite(grad_norm) or grad_norm > GRAD_EXPLODE:
             # One event per epoch: a diverging run would otherwise flood
             # the trace with thousands of identical anomalies.
             if epoch not in self._explosion_epochs:
@@ -163,7 +119,7 @@ class HealthMonitor:
                     batch_start=batch_start,
                     grad_norm=float(grad_norm),
                     loss=float(loss),
-                    threshold=self.config.grad_explode,
+                    threshold=GRAD_EXPLODE,
                 )
 
     def observe_epoch(
@@ -172,14 +128,14 @@ class HealthMonitor:
         if (
             mean_grad_norm is not None
             and np.isfinite(mean_grad_norm)
-            and mean_grad_norm < self.config.grad_vanish
+            and mean_grad_norm < GRAD_VANISH
         ):
             self.record(
                 "grad_vanishing",
                 epoch=epoch,
                 grad_norm=float(mean_grad_norm),
                 loss=float(mean_loss),
-                threshold=self.config.grad_vanish,
+                threshold=GRAD_VANISH,
             )
 
     def observe_eval(self, epoch: int, metric: str, value: float) -> None:
@@ -190,7 +146,7 @@ class HealthMonitor:
             return
         self._plateau_count += 1
         if (
-            self._plateau_count >= self.config.plateau_patience
+            self._plateau_count >= PLATEAU_PATIENCE
             and not self._plateau_reported
         ):
             self._plateau_reported = True
@@ -207,23 +163,24 @@ class HealthMonitor:
         """Epoch-boundary live-byte sample from the memory tracker.
 
         Steady-state training should return to the same live footprint at
-        every epoch boundary; ``mem_growth_epochs`` consecutive boundaries
-        each more than ``mem_growth_rel`` above the last mean the tape (or
-        a cache) is retaining tensors — the monotonic-growth anomaly.
+        every epoch boundary; :data:`MEM_GROWTH_EPOCHS` consecutive
+        boundaries each more than :data:`MEM_GROWTH_REL` above the last mean
+        the tape (or a cache) is retaining tensors — the monotonic-growth
+        anomaly.
         """
         live_bytes = int(live_bytes)
         prev = self._last_live_bytes
         self._last_live_bytes = live_bytes
         if prev is None:
             return
-        grew = live_bytes > prev + max(1024.0, self.config.mem_growth_rel * prev)
+        grew = live_bytes > prev + max(1024.0, MEM_GROWTH_REL * prev)
         if not grew:
             self._mem_growth_streak = 0
             self._mem_growth_reported = False
             return
         self._mem_growth_streak += 1
         if (
-            self._mem_growth_streak >= self.config.mem_growth_epochs
+            self._mem_growth_streak >= MEM_GROWTH_EPOCHS
             and not self._mem_growth_reported
         ):
             self._mem_growth_reported = True
@@ -232,7 +189,7 @@ class HealthMonitor:
                 epoch=epoch,
                 live_bytes=live_bytes,
                 consecutive_epochs=self._mem_growth_streak,
-                threshold_rel=self.config.mem_growth_rel,
+                threshold_rel=MEM_GROWTH_REL,
             )
 
     def check_embeddings(self, model) -> None:
@@ -246,8 +203,8 @@ class HealthMonitor:
             if data.ndim != 2 or data.shape[0] <= data.shape[1]:
                 continue
             row_norms = np.sqrt(np.sum(data * data, axis=1))
-            dead = int(np.count_nonzero(row_norms < self.config.dead_row_tol))
-            if dead and dead >= self.config.dead_row_fraction * data.shape[0]:
+            dead = int(np.count_nonzero(row_norms < DEAD_ROW_TOL))
+            if dead and dead >= DEAD_ROW_FRACTION * data.shape[0]:
                 self.record(
                     "dead_embeddings",
                     parameter=name,

@@ -38,7 +38,12 @@ from repro.baselines.base import Recommender
 from repro.graph.interactions import InteractionGraph
 from repro.obs.events import default_tracer
 from repro.obs.serving import current_request
-from repro.serve.index import TopKIndex, _resolve_users, topk_from_scores
+from repro.serve.index import (
+    TopKIndex,
+    _resolve_users,
+    factorized_representations,
+    topk_from_scores,
+)
 
 __all__ = ["kmeans", "assign_to_centroids", "IVFIndex"]
 
@@ -285,13 +290,7 @@ class IVFIndex(TopKIndex):
         way — use the exact dense index for them.
         """
         dataset = model.dataset
-        reps = model.representations()
-        if reps is None:
-            raise ValueError(
-                f"{model.name} does not expose factorized representations; "
-                "mode='ann' needs them — use mode='dense' instead"
-            )
-        user_matrix, item_matrix = reps
+        user_matrix, item_matrix = factorized_representations(model, "ann")
         user_ids, mask_table = _resolve_users(dataset, users, mask_splits)
         return cls.from_representations(
             np.ascontiguousarray(np.asarray(user_matrix, dtype=np.float64)[user_ids]),

@@ -74,6 +74,23 @@ def topk_from_scores(
     return (order if ids is None else ids[order]), row[order]
 
 
+class IndexModeError(ValueError):
+    """The model cannot be indexed in the requested mode."""
+
+
+def factorized_representations(model: Recommender, mode: str):
+    """``model.representations()`` for index ``mode`` ("factorized" or
+    "ann"); a model without them is an :class:`IndexModeError` naming the
+    mode and the model."""
+    reps = model.representations()
+    if reps is None:
+        raise IndexModeError(
+            f"index mode {mode!r} needs factorized representations, which "
+            f"{model.name} does not expose; use 'dense' or 'auto'"
+        )
+    return reps
+
+
 def _resolve_users(
     dataset,
     users: Optional[Sequence[int]],
@@ -168,12 +185,10 @@ class TopKIndex:
         dataset = model.dataset
         user_ids, mask_table = _resolve_users(dataset, users, mask_splits)
 
-        reps = None if mode == "dense" else model.representations()
-        if mode == "factorized" and reps is None:
-            raise ValueError(
-                f"{model.name} does not expose factorized representations; "
-                "use mode='dense' (or 'auto')"
-            )
+        if mode == "factorized":
+            reps = factorized_representations(model, mode)
+        else:
+            reps = None if mode == "dense" else model.representations()
         if reps is not None:
             user_matrix, item_matrix = reps
             return cls(

@@ -37,6 +37,8 @@ from repro.eval.ranking import build_mask_table, evaluate_topk
 from repro.obs.events import NULL_TRACER
 from repro.obs.health import HealthMonitor
 
+_LOG = logging.getLogger("repro.training")
+
 
 @dataclass
 class TrainerConfig:
@@ -59,7 +61,7 @@ class TrainerConfig:
     objective: str = "ce"
     #: Cap on evaluated validation users per epoch (speed).
     eval_max_users: Optional[int] = 80
-    shuffle: bool = True
+    #: Log one line per epoch to the ``repro.training`` logger.
     verbose: bool = False
     seed: int = 0
     #: Track tensor allocations during ``fit`` with a
@@ -67,17 +69,9 @@ class TrainerConfig:
     #: attribution, epoch-boundary leak detection, and (with a tracer)
     #: a ``memory`` counter track in the exported timeline.
     track_memory: bool = False
-    #: Destination of per-epoch progress lines (``verbose``); defaults to
-    #: the ``repro.training`` logger, so output works with or without an
-    #: ``obs`` tracer attached.
-    logger: Optional[logging.Logger] = None
     #: ``repro.obs.Tracer`` receiving fit/epoch/eval spans and telemetry
     #: events; ``None`` disables tracing at (near) zero overhead.
     tracer: Optional[object] = None
-    #: ``repro.obs.HealthMonitor`` watching the run; ``None`` creates a
-    #: default monitor (custom thresholds / abort policy via an explicit
-    #: instance).
-    health: Optional[object] = None
     #: ``repro.obs.RunStore`` to persist this fit into (config hash,
     #: per-epoch history, final metrics, anomalies); ``None`` skips it.
     run_store: Optional[object] = None
@@ -132,11 +126,8 @@ class Trainer:
         )
         # Built lazily on first top-k eval, reused across eval epochs.
         self._mask_table = None
-        self.logger = self.config.logger or logging.getLogger("repro.training")
         self.tracer = self.config.tracer or NULL_TRACER
-        self.health: HealthMonitor = (
-            self.config.health or HealthMonitor()
-        ).bind(self.tracer)
+        self.health = HealthMonitor(self.tracer)
         #: Telemetry of the most recent ``train_epoch`` call (examples,
         #: batches, mean grad norm when tracing is enabled).
         self.last_epoch_stats: Dict[str, float] = {}
@@ -183,21 +174,15 @@ class Trainer:
             self._neg_rng,
             index=self._positive_index,
         )
-        order = (
-            np.random.default_rng(cfg.seed + epoch).permutation(len(users))
-            if cfg.shuffle
-            else np.arange(len(users))
-        )
+        order = np.random.default_rng(cfg.seed + epoch).permutation(len(users))
         if traced:
             tick = self._phase("epoch.prepare", tick)
         total_loss = 0.0
         n_batches = 0
         batch_size = model.batch_size
         # Grad norms cost an extra O(|Θ|) pass per batch, so they are only
-        # measured when a tracer is attached or the health monitor asks
-        # for them (keeps the untraced hot path within the <3% overhead
-        # budget of bench_table6).
-        track_grads = traced or self.health.wants_grad_norms
+        # measured when a tracer is attached (keeps the untraced hot path
+        # within the <3% overhead budget of bench_table6).
         grad_norm_sum = 0.0
         for start in range(0, len(users), batch_size):
             batch = order[start : start + batch_size]
@@ -220,12 +205,10 @@ class Trainer:
             del loss
             if traced:
                 tick = self._phase("backward", tick)
-            if track_grads:
                 grad_norm = self._global_grad_norm()
                 grad_norm_sum += grad_norm
                 self.health.observe_batch(epoch, start, loss_value, grad_norm)
-                if traced:
-                    tick = self._phase("grad_norm", tick)
+                tick = self._phase("grad_norm", tick)
             self.optimizer.step()
             total_loss += loss_value
             n_batches += 1
@@ -237,7 +220,7 @@ class Trainer:
         }
         mean_loss = total_loss / max(1, n_batches)
         mean_grad = None
-        if track_grads and n_batches:
+        if traced and n_batches:
             mean_grad = grad_norm_sum / n_batches
             self.last_epoch_stats["grad_norm"] = mean_grad
         self.health.observe_epoch(epoch, mean_loss, mean_grad)
@@ -361,7 +344,7 @@ class Trainer:
                     if mem is not None:
                         # Intermediates born this epoch must be dead by now;
                         # survivors are tape/cache leaks (health anomaly
-                        # after `mem_growth_epochs` growing boundaries).
+                        # after `MEM_GROWTH_EPOCHS` growing boundaries).
                         boundary = mem.epoch_boundary(epoch)
                         self.health.observe_memory(
                             epoch, boundary["live_bytes"]
@@ -375,7 +358,7 @@ class Trainer:
                             best_epoch=result.best_epoch,
                         )
                     if cfg.verbose:
-                        self.logger.info(
+                        _LOG.info(
                             "[%s] %s",
                             self.model.name,
                             ", ".join(f"{k}={v:.4f}" for k, v in record.items()),

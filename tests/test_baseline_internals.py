@@ -1,11 +1,14 @@
 """Deeper unit checks on individual baseline mechanisms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.autograd.tensor import Tensor
 from repro.baselines import NFM, BPRMF, RippleNet, KGAT
 from repro.baselines.transr import transr_distance
+from repro.data import generate_profile
 from repro.eval.ctr import _sigmoid
 
 
@@ -94,6 +97,26 @@ class TestKGATInternals:
         neg = np.array([1])
         model.loss(np.array([0]), np.array([0]), neg)
         assert model._cached_embeddings is None
+
+    def test_seed0_neighbor_tables_are_pinned(self):
+        # KGAT draws its unified-graph tables with the per-node
+        # `_build_table` loop; the rng draw order fixes its trained
+        # parameters and the CI-gated topk/movie/KGAT recall, so any
+        # change to that order (or to the adjacency it walks) shows here.
+        def digest(model):
+            h = hashlib.sha256()
+            for table in (model._neighbors, model._relations, model._has):
+                h.update(np.ascontiguousarray(table).tobytes())
+            return h.hexdigest()
+
+        model = KGAT(generate_profile("movie", seed=0), seed=0)
+        assert digest(model) == (
+            "2a3e3329541fc9afb9b5bd3ab4bea1eaf68bb3da16fc7ff7a8dec217d5bbb58e"
+        )
+        model.begin_epoch(1)
+        assert digest(model) == (
+            "242f536f8ad3936401c49cb3e0d70d3a083e3b054c8cdcd09f3b64e22479c810"
+        )
 
 
 class TestBPRLossSemantics:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.training import Trainer
 
 
 class TestParser:
@@ -211,6 +212,47 @@ def test_bad_count_flag_is_an_argparse_error(argv, flag, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: argument {flag}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["ann", "factorized"])
+def test_export_index_mode_without_factorization_fails_before_training(
+    mode, tmp_path, monkeypatch, capsys
+):
+    """CG-KGR's scores are user-conditioned, so it has no factorized
+    representations: `export` says so in one line before it trains."""
+    fits = []
+    monkeypatch.setattr(Trainer, "fit", lambda self: fits.append(self))
+    out = tmp_path / "ckpt"
+    argv = ["export", "--model", "cg-kgr", *_SMALL, "--index-mode", mode,
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: index mode '{mode}' ")
+    assert "CG-KGR" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert fits == [] and not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["ann", "factorized"])
+def test_serve_index_mode_without_factorization_is_a_one_line_error(
+    mode, tmp_path, capsys
+):
+    from repro.core import CGKGR, paper_config
+    from repro.data import generate_profile
+    from repro.serve import save_checkpoint
+
+    dataset = generate_profile("music", seed=0, scale=0.3)
+    save_checkpoint(
+        CGKGR(dataset, paper_config("music"), seed=0),
+        str(tmp_path),
+        dataset_spec={"profile": "music", "seed": 0, "scale": 0.3},
+    )
+    argv = ["serve", "--checkpoint", str(tmp_path), "--port", "0",
+            "--index-mode", mode]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: index mode '{mode}' ") and "CG-KGR" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--record", "--trace", "--timeline", "--track-memory", "--runs-dir"])

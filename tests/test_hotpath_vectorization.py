@@ -1,15 +1,24 @@
 """Hot-path vectorization: CSR sampler, batched negatives, cached mask
 tables, and the trainer bugfixes that rode along (degree-weighted crash,
-patience semantics, registry loss)."""
+patience semantics, registry loss).
+
+The per-row reference loops the vectorized paths are checked against live
+beside the bench that times them (``benchmarks/bench_table6_efficiency``).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from benchmarks.bench_table6_efficiency import (
+    LoopNeighborSampler,
+    negatives_reference,
+)
 from repro.baselines.bprmf import BPRMF
 from repro.core import CGKGR
 from repro.core.config import CGKGRConfig
+from repro.data import negative_sampling
 from repro.data.negative_sampling import (
     PositivePairIndex,
     sample_training_negatives,
@@ -18,7 +27,6 @@ from repro.data.synthetic import generate_profile
 from repro.eval.ranking import build_mask_table, evaluate_topk
 from repro.graph.sampling import (
     NeighborSampler,
-    _build_table,
     _csr_from_pairs,
     _sample_table_csr,
 )
@@ -35,31 +43,10 @@ def music_dataset():
 # Satellite: degree-weighted sampling crash (sampling.py)
 # ----------------------------------------------------------------------
 class TestDegreeWeightCrashRegression:
-    def _adjacency(self, node):
-        # 4 neighbors; the weight function below zeroes out two of them.
-        return [(0, 10), (0, 11), (1, 12), (1, 13)]
-
-    def test_loop_zero_weight_support_smaller_than_size(self):
-        # support (2 non-zero weights) < size (3) used to raise
-        # "Fewer non-zero entries in p than size" from rng.choice.
-        weight_of = lambda rel, other: 1.0 if other in (10, 12) else 0.0
-        neighbors, _, has = _build_table(
-            self._adjacency, 1, 3, np.random.default_rng(0), weight_of=weight_of
-        )
-        assert has[0]
-        # The with-replacement fallback still honours the weights: only
-        # positively-weighted neighbors appear.
-        assert set(neighbors[0]) <= {10, 12}
-
-    def test_loop_all_zero_weights_fall_back_to_uniform(self):
-        weight_of = lambda rel, other: 0.0
-        neighbors, _, has = _build_table(
-            self._adjacency, 1, 3, np.random.default_rng(0), weight_of=weight_of
-        )
-        assert has[0]
-        assert set(neighbors[0]) <= {10, 11, 12, 13}
-
     def test_vectorized_zero_weight_support_smaller_than_size(self):
+        # support (2 non-zero weights) < size (3): the with-replacement
+        # fallback still honours the weights, so only positively-weighted
+        # neighbors appear.
         csr = _csr_from_pairs([0, 0, 0, 0], [10, 11, 12, 13], 1)
         weights = np.array([1.0, 0.0, 1.0, 0.0])
         rng = np.random.default_rng(0)
@@ -79,13 +66,12 @@ class TestDegreeWeightCrashRegression:
 
     def test_degree_strategy_end_to_end(self, music_dataset):
         ds = music_dataset
-        for impl in ("vectorized", "loop"):
-            sampler = NeighborSampler(
-                ds.kg, ds.train, 4, 4, 4,
-                np.random.default_rng(0), kg_strategy="degree", impl=impl,
-            )
-            sampler.resample()  # no crash, tables populated
-            assert sampler._kg_neighbors.shape == (ds.kg.n_entities, 4)
+        sampler = NeighborSampler(
+            ds.kg, ds.train, 4, 4, 4,
+            np.random.default_rng(0), kg_strategy="degree",
+        )
+        sampler.resample()  # no crash, tables populated
+        assert sampler._kg_neighbors.shape == (ds.kg.n_entities, 4)
 
 
 # ----------------------------------------------------------------------
@@ -141,8 +127,8 @@ class TestVectorizedSampler:
     def test_loop_and_vectorized_have_matching_has_flags(self, music_dataset):
         ds = music_dataset
         vec = NeighborSampler(ds.kg, ds.train, 4, 4, 4, np.random.default_rng(0))
-        loop = NeighborSampler(
-            ds.kg, ds.train, 4, 4, 4, np.random.default_rng(0), impl="loop"
+        loop = LoopNeighborSampler(
+            ds.kg, ds.train, 4, 4, 4, np.random.default_rng(0)
         )
         assert np.array_equal(vec._user_has, loop._user_has)
         assert np.array_equal(vec._item_has, loop._item_has)
@@ -197,25 +183,28 @@ class TestVectorizedNegatives:
     def test_loop_impl_same_contract(self, music_dataset):
         ds = music_dataset
         allpos = ds.all_positive_items()
-        neg = sample_training_negatives(
-            ds.train, allpos, ds.n_items, np.random.default_rng(0), impl="loop"
+        neg = negatives_reference(
+            ds.train, allpos, ds.n_items, np.random.default_rng(0)
         )
         for user, item in zip(ds.train.users, neg):
             assert int(item) not in allpos.get(int(user), set())
 
-    def test_saturated_user_soft_fallback_terminates(self):
+    def test_saturated_user_soft_fallback_terminates(self, monkeypatch):
         # A user who owns the whole catalogue cannot get a clean negative;
-        # both impls must fall back after max_tries instead of spinning.
+        # both paths must fall back after max_tries instead of spinning.
         from repro.graph.interactions import InteractionGraph
 
+        monkeypatch.setattr(negative_sampling, "MAX_TRIES", 5)
         inter = InteractionGraph(
             [(0, i) for i in range(4)], n_users=1, n_items=4
         )
         allpos = {0: set(range(4))}
-        for impl in ("vectorized", "loop"):
-            neg = sample_training_negatives(
-                inter, allpos, 4, np.random.default_rng(0), max_tries=5, impl=impl
-            )
+        for neg in (
+            sample_training_negatives(inter, allpos, 4, np.random.default_rng(0)),
+            negatives_reference(
+                inter, allpos, 4, np.random.default_rng(0), max_tries=5
+            ),
+        ):
             assert neg.shape == (4,)
             assert ((neg >= 0) & (neg < 4)).all()
 
@@ -236,10 +225,8 @@ class TestImplMetricParity:
             if impl == "loop":
                 import repro.training.trainer as trainer_mod
 
-                original = sample_training_negatives
-
                 def loop_negatives(train, allpos, n_items, rng, index=None):
-                    return original(train, allpos, n_items, rng, impl="loop")
+                    return negatives_reference(train, allpos, n_items, rng)
 
                 monkeypatch.setattr(
                     trainer_mod, "sample_training_negatives", loop_negatives
@@ -251,11 +238,11 @@ class TestImplMetricParity:
             )
             model = CGKGR(ds, cfg, seed=0)
             if impl == "loop":
-                model.sampler = NeighborSampler(
+                model.sampler = LoopNeighborSampler(
                     ds.kg, ds.train,
                     cfg.user_sample_size, cfg.item_sample_size,
                     cfg.kg_sample_size, np.random.default_rng(1),
-                    cfg.kg_sampling, impl="loop",
+                    cfg.kg_sampling,
                 )
             trainer = Trainer(
                 model,

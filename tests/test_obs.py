@@ -702,21 +702,3 @@ class TestTrainerTelemetry:
             self._fit(tiny_dataset, verbose=True)
         lines = [r.message for r in caplog.records]
         assert any("loss=" in line and "[CG-KGR]" in line for line in lines)
-
-    def test_custom_logger_threaded_through_config(self, tiny_dataset):
-        records = []
-
-        class _Capture(logging.Handler):
-            def emit(self, record):
-                records.append(record.getMessage())
-
-        logger = logging.getLogger("repro.test.capture")
-        logger.setLevel(logging.INFO)
-        logger.propagate = False
-        handler = _Capture()
-        logger.addHandler(handler)
-        try:
-            self._fit(tiny_dataset, verbose=True, logger=logger)
-        finally:
-            logger.removeHandler(handler)
-        assert any("loss=" in line for line in records)

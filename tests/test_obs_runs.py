@@ -19,19 +19,18 @@ from repro.baselines.base import Recommender
 from repro.cli import main as cli_main
 from repro.eval.significance import bootstrap_mean_diff
 from repro.obs import (
-    HealthConfig,
     HealthMonitor,
     NonFiniteLossError,
     RunRecord,
     RunStore,
     Tolerance,
     Tracer,
-    TrainingHealthError,
     append_trajectory,
     compare_metrics,
     compare_runs,
     load_trajectory,
 )
+from repro.obs import health
 from repro.obs.runs import (
     capture_env,
     config_hash,
@@ -288,10 +287,8 @@ class _ScriptedLossModel(Recommender):
 
 
 class TestHealthMonitor:
-    def _trainer(self, dataset, model, tracer=None, health=None, epochs=1):
-        config = TrainerConfig(
-            epochs=epochs, eval_task="none", tracer=tracer, health=health
-        )
+    def _trainer(self, dataset, model, tracer=None, epochs=1):
+        config = TrainerConfig(epochs=epochs, eval_task="none", tracer=tracer)
         return Trainer(model, config)
 
     def test_nan_loss_raises_with_context_and_emits_anomaly(self, tiny_dataset):
@@ -336,13 +333,6 @@ class TestHealthMonitor:
         kinds = [a["kind"] for a in trainer.health.anomalies]
         assert "grad_vanishing" in kinds
 
-    def test_grad_checks_without_tracer_via_track_grads(self, tiny_dataset):
-        model = _ScriptedLossModel(tiny_dataset, p_value=1e6)
-        monitor = HealthMonitor(HealthConfig(track_grads=True))
-        trainer = self._trainer(tiny_dataset, model, health=monitor)
-        trainer.fit()
-        assert any(a["kind"] == "grad_explosion" for a in monitor.anomalies)
-
     def test_healthy_run_has_no_anomalies(self, tiny_dataset):
         model = BPRMF(tiny_dataset, dim=8, lr=1e-2, seed=0)
         trainer = Trainer(model, TrainerConfig(epochs=2, eval_task="none"))
@@ -350,8 +340,9 @@ class TestHealthMonitor:
         assert trainer.health.anomalies == []
         assert trainer.health.diagnosis().startswith("healthy")
 
-    def test_eval_plateau(self):
-        monitor = HealthMonitor(HealthConfig(plateau_patience=3))
+    def test_eval_plateau(self, monkeypatch):
+        monkeypatch.setattr(health, "PLATEAU_PATIENCE", 3)
+        monitor = HealthMonitor()
         monitor.observe_eval(1, "recall@20", 0.10)
         for epoch in range(2, 8):
             monitor.observe_eval(epoch, "recall@20", 0.09)
@@ -375,17 +366,6 @@ class TestHealthMonitor:
         dead = [a for a in monitor.anomalies if a["kind"] == "dead_embeddings"]
         assert len(dead) == 1
         assert dead[0]["dead_rows"] == 4 and dead[0]["total_rows"] == 10
-
-    def test_abort_on_raises_training_health_error(self, tiny_dataset):
-        model = _ScriptedLossModel(tiny_dataset, p_value=1e6)
-        monitor = HealthMonitor(
-            HealthConfig(track_grads=True, abort_on=("grad_explosion",))
-        )
-        trainer = self._trainer(tiny_dataset, model, health=monitor)
-        with pytest.raises(TrainingHealthError) as excinfo:
-            trainer.fit()
-        assert "grad_explosion" in excinfo.value.diagnosis
-        assert excinfo.value.anomalies
 
 
 # ----------------------------------------------------------------------

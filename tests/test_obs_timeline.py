@@ -18,7 +18,6 @@ from repro.autograd.tensor import Tensor
 from repro.core import CGKGR
 from repro.core.config import CGKGRConfig
 from repro.obs import (
-    HealthConfig,
     HealthMonitor,
     Tracer,
     build_timeline,
@@ -29,6 +28,7 @@ from repro.obs import (
     validate_timeline,
     write_timeline,
 )
+from repro.obs import health
 from repro.training import Trainer, TrainerConfig
 
 
@@ -311,7 +311,7 @@ class TestMemoryTracker:
 # ----------------------------------------------------------------------
 class TestMemoryGrowthAnomaly:
     def test_monotonic_growth_trips_once(self):
-        monitor = HealthMonitor(HealthConfig(mem_growth_epochs=3))
+        monitor = HealthMonitor()
         base = 1_000_000
         monitor.observe_memory(0, base)
         for epoch in range(1, 4):  # +10% per epoch, 3 growing boundaries
@@ -325,7 +325,7 @@ class TestMemoryGrowthAnomaly:
         assert len(monitor.anomalies) == 1
 
     def test_flat_footprint_resets_streak(self):
-        monitor = HealthMonitor(HealthConfig(mem_growth_epochs=3))
+        monitor = HealthMonitor()
         monitor.observe_memory(0, 1_000_000)
         monitor.observe_memory(1, 1_100_000)
         monitor.observe_memory(2, 1_210_000)
@@ -334,8 +334,9 @@ class TestMemoryGrowthAnomaly:
         monitor.observe_memory(5, 1_464_000)
         assert monitor.anomalies == []
 
-    def test_jitter_below_threshold_is_ignored(self):
-        monitor = HealthMonitor(HealthConfig(mem_growth_epochs=2))
+    def test_jitter_below_threshold_is_ignored(self, monkeypatch):
+        monkeypatch.setattr(health, "MEM_GROWTH_EPOCHS", 2)
+        monitor = HealthMonitor()
         live = 10_000_000
         for epoch in range(6):  # +0.5% per epoch < 1% threshold
             monitor.observe_memory(epoch, live)
