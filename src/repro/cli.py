@@ -628,7 +628,8 @@ def cmd_runs_compare(args) -> int:
 
 
 def cmd_runs_check(args) -> int:
-    """CI regression gate: exit 1 when any metric regressed vs baseline."""
+    """CI regression gate: exit 1 when any metric regressed vs baseline,
+    2 when the two runs share no metric."""
     from repro.obs import compare_runs
 
     store = _runs_store(args)
@@ -640,6 +641,14 @@ def cmd_runs_check(args) -> int:
     report = compare_runs(
         baseline, current, tolerances=_parse_tolerances(args.tolerance)
     )
+    if not report.verdicts:
+        # An empty comparison would pass the gate whatever the run measured.
+        print(
+            f"error: baseline {args.baseline!r} and run {args.run!r} "
+            "share no metric; nothing to check",
+            file=sys.stderr,
+        )
+        return 2
     print(report.render())
     if args.json:
         atomic_write_text(args.json, json.dumps(report.to_json(), indent=1))

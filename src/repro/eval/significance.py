@@ -6,6 +6,10 @@ at a 95% confidence level.  :func:`bootstrap_mean_diff` additionally
 provides a nonparametric confidence interval on a mean difference, used
 by the cross-run regression sentinel (:mod:`repro.obs.sentinel`) where
 trials are independent rather than paired.
+
+Only :func:`wilcoxon_improvement` needs scipy: it imports ``scipy.stats``
+on its first call, so importing this module (and ``repro``) loads no
+scipy.  :func:`bootstrap_mean_diff` is pure numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy import stats
 
 
 def wilcoxon_improvement(
@@ -27,6 +30,8 @@ def wilcoxon_improvement(
     Identical paired samples (all differences zero) are reported as not
     significant with p = 1.
     """
+    from scipy import stats
+
     candidate = np.asarray(candidate, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if candidate.shape != reference.shape:

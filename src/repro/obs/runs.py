@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.obs.events import _jsonable
-from repro.utils.artifact import atomic_write_text
+from repro.utils.artifact import ArtifactError, atomic_write_text
 
 __all__ = [
     "RunRecord",
@@ -198,6 +198,20 @@ class RunRecord:
         }
 
 
+def _read_object(raw: bytes, where: str) -> Dict[str, Any]:
+    """One JSON object from *raw*; anything else raises
+    :class:`~repro.utils.artifact.ArtifactError` naming *where*."""
+    try:
+        payload = json.loads(raw)
+    except ValueError as exc:
+        raise ArtifactError(f"{where}: not a JSON run record ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ArtifactError(
+            f"{where}: not a JSON run record (a {type(payload).__name__})"
+        )
+    return payload
+
+
 class RunStore:
     """Append-only on-disk run registry (``<root>/<run_id>.json``)."""
 
@@ -244,12 +258,12 @@ class RunStore:
         if not index.exists():
             return []
         entries = []
-        with index.open(encoding="utf-8") as handle:
-            for line in handle:
+        with index.open("rb") as handle:
+            for lineno, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
-                entry = json.loads(line)
+                entry = _read_object(line, f"{index}:{lineno}")
                 if kind and entry.get("kind") != kind:
                     continue
                 if model and entry.get("model") != model:
@@ -263,18 +277,20 @@ class RunStore:
         path = self.path_of(run_id)
         if not path.exists():
             raise KeyError(f"run {run_id!r} not found under {self.root}")
-        return RunRecord.from_json(json.loads(path.read_text()))
+        return RunRecord.from_json(_read_object(path.read_bytes(), str(path)))
 
     def resolve(self, ref: str, kind: Optional[str] = None) -> RunRecord:
         """Load by exact id, unique id prefix, ``latest``/``latest~N``,
         or a path to a run JSON file (for committed baselines).
 
-        An unknown, ambiguous or malformed ref raises ``KeyError`` naming it.
+        An unknown, ambiguous or malformed ref raises ``KeyError`` naming it;
+        a record file that is not a JSON object raises
+        :class:`~repro.utils.artifact.ArtifactError` naming the file.
         """
         if os.path.sep in ref or ref.endswith(".json"):
             path = Path(ref)
             if path.exists():
-                return RunRecord.from_json(json.loads(path.read_text()))
+                return RunRecord.from_json(_read_object(path.read_bytes(), ref))
         if ref.startswith("latest"):
             head, _, raw = ref.partition("~")
             if head != "latest" or not (raw.isdigit() or raw == ""):

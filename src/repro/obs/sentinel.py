@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.eval.significance import bootstrap_mean_diff
 from repro.utils.artifact import atomic_write_text
 
 __all__ = [
@@ -212,8 +213,6 @@ def compare_metrics(
     bootstrap CI to the verdict.  Metrics present on only one side are
     ignored (the registry schema may grow between versions).
     """
-    from repro.eval.significance import bootstrap_mean_diff
-
     tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     report = SentinelReport()
     for name in sorted(set(baseline) & set(current)):

@@ -159,7 +159,9 @@ def load_checkpoint(
 
     With ``dataset=None`` the manifest's ``dataset_spec`` is used to
     regenerate the dataset (synthetic profiles are deterministic given
-    profile/seed/scale, so id spaces line up exactly).
+    profile/seed/scale, so id spaces line up exactly).  The returned
+    model carries the verified manifest as ``model.manifest``, so a
+    caller that needs it does not read ``weights.npz`` a second time.
     """
     arrays, manifest = load_npz(os.path.join(path, WEIGHTS_FILE), "checkpoint")
     if dataset is None:
@@ -199,4 +201,5 @@ def load_checkpoint(
     model.load_state_dict(params)
     if extra:
         model.load_extra_state(extra)
+    model.manifest = manifest
     return model

@@ -65,12 +65,13 @@ def engine_from_checkpoint(
     --index-mode ...`` writes ``index.npz`` next to the weights) boots
     without rebuilding when every user is indexed and ``mode`` is
     ``"auto"`` or the saved index's mode; its sha256 must match the one
-    the weights recorded. ``use_saved_index=False`` forces a rebuild.
+    the weights recorded, which are read and verified once per boot.
+    ``use_saved_index=False`` forces a rebuild.
     ``mode="ann"`` builds the approximate
     :class:`~repro.serve.ann.IVFIndex` with ``ann_params``
     (``nlist``/``nprobe``/``seed``/...).
     """
-    from repro.serve.checkpoint import INDEX_FILE, load_checkpoint, read_manifest
+    from repro.serve.checkpoint import INDEX_FILE, load_checkpoint
 
     if index_users < 0:
         raise ValueError(f"index_users must be >= 0, got {index_users}")
@@ -83,7 +84,7 @@ def engine_from_checkpoint(
         users = np.argsort(-degree, kind="stable")[:index_users]
     index = None
     if use_saved_index and users is None:
-        shipped = read_manifest(path)["index"]
+        shipped = model.manifest["index"]
         if shipped:
             from repro.serve.index import load_index
 

@@ -469,9 +469,14 @@ class TestRunsCli:
         record = RunRecord.from_json(json.loads(legacy_file.read_text()))
         assert record.config["trainer"]["grad_shards"] == 4
         assert record.metric_value("recall@20") == pytest.approx(0.10)
-        for baseline in (committed, legacy_file):
+        # A rerun that measured what the committed baseline did passes it.
+        rerun = make_record(
+            run_id="ddd-smoke", metrics=json.loads(committed.read_text())["metrics"]
+        )
+        RunStore(store_dir).save(rerun)
+        for baseline, run in ((committed, "ddd-smoke"), (legacy_file, "bbb-good")):
             code = cli_main([
-                "runs", "check", "--baseline", str(baseline), "--run", "bbb-good",
+                "runs", "check", "--baseline", str(baseline), "--run", run,
                 "--runs-dir", store_dir,
             ])
             assert code == 0
@@ -517,6 +522,42 @@ class TestRunsCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, garbled",
+        [
+            (["runs", "show", "latest"], "ccc-bad.json"),
+            (["runs", "list"], "index.jsonl"),
+            (["runs", "check", "--baseline", "baseline.json"], "baseline.json"),
+        ],
+        ids=["run-file", "index-line", "baseline-file"],
+    )
+    def test_malformed_record_is_a_one_line_error(
+        self, store_dir, tmp_path, monkeypatch, capsys, argv, garbled
+    ):
+        monkeypatch.chdir(tmp_path)
+        folder = tmp_path if garbled == "baseline.json" else Path(store_dir)
+        with (folder / garbled).open("ab") as handle:
+            handle.write(b"{not json\n")
+        assert cli_main(argv + ["--runs-dir", store_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{garbled}:" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_check_refuses_a_baseline_sharing_no_metric(
+        self, store_dir, tmp_path, capsys
+    ):
+        baseline = tmp_path / "renamed.json"
+        baseline.write_text(json.dumps({"run_id": "x"}))
+        code = cli_main([
+            "runs", "check", "--baseline", str(baseline), "--run", "bbb-good",
+            "--runs-dir", store_dir,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(baseline) in captured.err and "bbb-good" in captured.err
+        assert "no metric regressed" not in captured.out
 
     def test_empty_registry(self, tmp_path, capsys):
         assert cli_main(["runs", "list", "--runs-dir", str(tmp_path)]) == 0

@@ -218,6 +218,32 @@ def test_index_users_never_loads_the_shipped_index(
     assert len(calls) == 3
 
 
+def test_full_boot_reads_the_weights_once(shipped_cgkgr, tiny_dataset, monkeypatch):
+    """A boot that serves the shipped index verifies ``weights.npz`` once,
+    and answers with the shipped index's rankings, score for score."""
+    import repro.serve.checkpoint as checkpoint_mod
+    from repro.serve.engine import engine_from_checkpoint
+    from repro.serve.index import load_index
+
+    real_load = checkpoint_mod.load_npz
+    kinds = []
+
+    def counting(path, kind):
+        kinds.append(kind)
+        return real_load(path, kind)
+
+    monkeypatch.setattr(checkpoint_mod, "load_npz", counting)
+    engine = engine_from_checkpoint(shipped_cgkgr, dataset=tiny_dataset, index_users=0)
+    assert kinds == ["checkpoint"]
+    assert engine.index.sha256 == engine.model.manifest["index"]["sha256"]
+    shipped = load_index(f"{shipped_cgkgr}/{checkpoint_mod.INDEX_FILE}")
+    for user in range(tiny_dataset.n_users):
+        items, scores = engine.recommend(user, 5)
+        ref_items, ref_scores = shipped.topk([user], 5)
+        np.testing.assert_array_equal(items, ref_items[0])
+        np.testing.assert_array_equal(scores, ref_scores[0])
+
+
 def test_negative_index_users_rejected(shipped_cgkgr, tiny_dataset):
     from repro.serve.engine import engine_from_checkpoint
 
