@@ -35,11 +35,12 @@ into the run registry; ``compare`` takes none of these flags.
 
 ``obs timeline`` converts an existing JSONL trace for Perfetto and ``obs
 anatomy`` prints the epoch-anatomy phase breakdown.  ``runs`` inspects
-the persistent run registry: ``list``/``show``, ``compare A B``, and the
-CI regression gate ``check --baseline <ref>`` (exit 1 on regression; see
-docs/runs.md).  An unknown run ref, unreadable trace path, missing file
-or corrupt artifact (checkpoint, index, prepared dataset) exits 2 with a
-one-line error; so does a malformed flag value (argparse), and an
+the persistent run registry: ``list``/``show`` and the CI regression
+gate ``check --baseline <ref>`` (exit 1 on regression; see
+docs/runs.md).  An unknown run ref, unreadable trace path, missing file,
+corrupt artifact (checkpoint, index, prepared dataset) or mistyped run
+record exits 2 with a one-line error; so does a malformed flag value
+(argparse, e.g. a negative ``--tolerance``), and an
 ``--index-mode factorized|ann`` on a model without factorized
 representations (``export`` checks this before training).
 """
@@ -573,33 +574,15 @@ def _runs_store(args):
     return RunStore(args.runs_dir)
 
 
-def _parse_tolerances(specs: List[str]):
-    """``metric=rel`` or ``metric=rel:abs`` overrides for the sentinel."""
-    from repro.obs import Tolerance
-
-    tolerances = {}
-    for spec in specs or []:
-        try:
-            metric, raw = spec.split("=", 1)
-            parts = raw.split(":")
-            rel = float(parts[0])
-            abs_tol = float(parts[1]) if len(parts) > 1 else 0.0
-        except (ValueError, IndexError):
-            raise SystemExit(
-                f"bad --tolerance {spec!r}; expected metric=rel or metric=rel:abs"
-            )
-        tolerances[metric] = Tolerance(rel=rel, abs=abs_tol)
-    return tolerances
-
-
 def cmd_runs_list(args) -> int:
     from repro.obs.report import run_table
 
-    entries = _runs_store(args).list(kind=args.kind)
-    if not entries:
-        print(f"no runs recorded under {_runs_store(args).root}")
+    store = _runs_store(args)
+    records = store.list(kind=args.kind)
+    if not records:
+        print(f"no runs recorded under {store.root}")
         return 0
-    print(run_table(entries))
+    print(run_table(records))
     return 0
 
 
@@ -612,24 +595,9 @@ def cmd_runs_show(args) -> int:
     return 0
 
 
-def cmd_runs_compare(args) -> int:
-    from repro.obs import compare_runs
-
-    store = _runs_store(args)
-    try:
-        baseline, current = store.resolve(args.baseline), store.resolve(args.run)
-    except KeyError as exc:
-        return _bad_input(exc)
-    report = compare_runs(
-        baseline, current, tolerances=_parse_tolerances(args.tolerance)
-    )
-    print(report.render())
-    return 1 if report.regressed else 0
-
-
 def cmd_runs_check(args) -> int:
     """CI regression gate: exit 1 when any metric regressed vs baseline,
-    2 when the two runs share no metric."""
+    2 on bad input, including two runs that share no metric."""
     from repro.obs import compare_runs
 
     store = _runs_store(args)
@@ -638,9 +606,7 @@ def cmd_runs_check(args) -> int:
         current = store.resolve(args.run, kind=args.kind)
     except KeyError as exc:
         return _bad_input(exc)
-    report = compare_runs(
-        baseline, current, tolerances=_parse_tolerances(args.tolerance)
-    )
+    report = compare_runs(baseline, current, tolerances=dict(args.tolerance or []))
     if not report.verdicts:
         # An empty comparison would pass the gate whatever the run measured.
         print(
@@ -703,8 +669,34 @@ def _slo_spec(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _tolerance_spec(text: str):
+    """argparse type for ``--tolerance``: ``METRIC=REL[:ABS]`` with finite,
+    non-negative slacks, as a ``(metric, Tolerance)`` pair."""
+    from repro.obs.sentinel import Tolerance
+
+    metric, _, raw = text.partition("=")
+    try:
+        slacks = [float(part) for part in raw.split(":")]
+    except ValueError:
+        slacks = []
+    if not (metric and 1 <= len(slacks) <= 2
+            and all(0.0 <= s < float("inf") for s in slacks)):
+        raise argparse.ArgumentTypeError(
+            f"expected METRIC=REL[:ABS] with finite non-negative numbers, got {text!r}"
+        )
+    return metric, Tolerance(*slacks)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag like any other bad input: one ``error:`` line,
+    exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    parser = _Parser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datasets", help="list synthetic benchmark profiles")
@@ -902,16 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_runs_show)
 
     p = runs_sub.add_parser(
-        "compare", parents=[runs_common],
-        help="sentinel comparison of two runs (exit 1 on regression)",
-    )
-    p.add_argument("baseline", help="baseline run ref")
-    p.add_argument("run", help="candidate run ref")
-    p.add_argument("--tolerance", action="append", metavar="METRIC=REL[:ABS]",
-                   help="override a per-metric tolerance")
-    p.set_defaults(func=cmd_runs_compare)
-
-    p = runs_sub.add_parser(
         "check", parents=[runs_common],
         help="CI regression gate vs a baseline run or committed JSON",
     )
@@ -921,7 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate run ref (default: latest)")
     p.add_argument("--kind", default=None, choices=["train", "bench"],
                    help="restrict latest-resolution to one run kind")
-    p.add_argument("--tolerance", action="append", metavar="METRIC=REL[:ABS]",
+    p.add_argument("--tolerance", action="append", type=_tolerance_spec,
+                   metavar="METRIC=REL[:ABS]",
                    help="override a per-metric tolerance")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the sentinel verdicts as JSON")

@@ -1,7 +1,8 @@
 """Text and JSON reports over recorded runs and traces.
 
 * :func:`run_table` — the run-registry table ``repro runs list`` prints
-  (id, kind, model/dataset, wall time, anomalies, headline metrics);
+  from the recorded runs (id, kind, model/dataset, wall time, anomalies,
+  headline metrics);
 * :func:`epoch_anatomy` — the ``repro obs anatomy`` breakdown of a
   traced training run into phases ranked by exclusive time and
   allocation, as a text table or JSON.
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import time
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.obs.sentinel import _as_scalar
 
 __all__ = [
     "run_table",
@@ -28,36 +31,35 @@ def _fmt_ts(ts: float) -> str:
 def _fmt_metrics(metrics: Dict[str, Any], limit: int = 3) -> str:
     parts = []
     for name, value in list(metrics.items())[:limit]:
-        if isinstance(value, float):
-            parts.append(f"{name}={value:.4g}")
-        elif value is not None:
-            parts.append(f"{name}={value}")
+        scalar = _as_scalar(value)
+        if scalar is not None:
+            parts.append(f"{name}={scalar:.4g}")
     return ", ".join(parts)
 
 
-def run_table(entries: Sequence[Dict[str, Any]]) -> str:
-    """Text table over ``RunStore.list()`` index entries (newest last)."""
+def run_table(records: Sequence[Any]) -> str:
+    """Text table over the :class:`~repro.obs.runs.RunRecord`\\ s that
+    ``RunStore.list()`` returns (newest last)."""
     from repro.utils import format_table
 
-    rows = []
-    for entry in entries:
-        rows.append(
-            [
-                entry["run_id"],
-                entry.get("kind", "?"),
-                entry.get("model") or "-",
-                entry.get("dataset") or "-",
-                _fmt_ts(entry.get("created_at", 0.0)),
-                f"{entry.get('wall_time_s', 0.0):.1f}",
-                str(entry.get("n_anomalies", 0)),
-                _fmt_metrics(entry.get("metrics", {})),
-            ]
-        )
+    rows = [
+        [
+            r.run_id,
+            r.kind,
+            r.model or "-",
+            r.dataset or "-",
+            _fmt_ts(r.created_at),
+            f"{r.wall_time_s:.1f}",
+            str(len(r.anomalies)),
+            _fmt_metrics(r.metrics),
+        ]
+        for r in records
+    ]
     return format_table(
         ["run", "kind", "model", "dataset", "created (UTC)", "wall s",
          "anom", "metrics"],
         rows,
-        title=f"run registry — {len(entries)} run(s)",
+        title=f"run registry — {len(records)} run(s)",
     )
 
 

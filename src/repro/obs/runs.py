@@ -1,9 +1,9 @@
 """Persistent experiment-run registry (``repro.obs.runs``).
 
 A :class:`RunStore` is an append-only on-disk registry of experiment
-runs: each run is one JSON document under ``<root>/<run_id>.json`` plus
-one compact line in ``<root>/index.jsonl`` for cheap listing.  A
-:class:`RunRecord` captures everything needed to compare two runs months
+runs: each run is one JSON document under ``<root>/<run_id>.json``, and
+that file is the registry's only record of it.  A :class:`RunRecord`
+captures everything needed to compare two runs months
 apart without re-reading logs:
 
 * identity — run id, kind (``train`` / ``bench``), creation time;
@@ -31,7 +31,7 @@ import platform
 import sys
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-INDEX_FILE = "index.jsonl"
 
 #: Environment variable overriding the default registry location.
 RUNS_DIR_ENV = "REPRO_RUNS_DIR"
@@ -152,50 +151,49 @@ class RunRecord:
     notes: str = ""
     format_version: int = FORMAT_VERSION
 
-    # ------------------------------------------------------------------
-    def metric_value(self, name: str) -> Optional[float]:
-        """Scalar view of a metric (mean of per-trial lists)."""
-        value = self.metrics.get(name)
-        if value is None:
-            return None
-        if isinstance(value, (list, tuple)):
-            return float(sum(value) / len(value)) if value else None
-        return float(value)
-
-    def metric_samples(self, name: str) -> Optional[List[float]]:
-        """Per-trial samples when the metric was stored as a list."""
-        value = self.metrics.get(name)
-        if isinstance(value, (list, tuple)) and len(value) >= 2:
-            return [float(v) for v in value]
-        return None
-
     def to_json(self) -> Dict[str, Any]:
         return _jsonable(asdict(self))
 
     @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "RunRecord":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+    def from_json(cls, payload: Dict[str, Any], where: str = "run record") -> "RunRecord":
+        """A record from its JSON object.  A known field of the wrong JSON
+        type raises :class:`~repro.utils.artifact.ArtifactError` naming
+        *where* and the field; unknown fields (older schemas) are ignored."""
+        known = {}
+        for spec in fields(cls):
+            if spec.name not in payload:
+                continue
+            value = payload[spec.name]
+            kind = type(spec.default if spec.default_factory is MISSING
+                        else spec.default_factory())
+            if not _has_json_type(value, kind):
+                got = _JSON_NAMES.get(type(value), type(value).__name__)
+                raise ArtifactError(
+                    f"{where}: field {spec.name!r} must be {_JSON_NAMES[kind]}, got {got}"
+                )
+            known[spec.name] = value
+        for name, value in known.get("metrics", {}).items():
+            samples = value if isinstance(value, list) else [value]
+            if not all(_has_json_type(v, float) for v in samples):
+                raise ArtifactError(
+                    f"{where}: field 'metrics' entry {name!r} must be a number "
+                    "or an array of numbers"
+                )
+        return cls(**known)
 
-    def index_entry(self) -> Dict[str, Any]:
-        """The compact line appended to ``index.jsonl``."""
-        headline = {
-            k: self.metric_value(k)
-            for k in list(self.metrics)[:4]
-        }
-        return {
-            "run_id": self.run_id,
-            "kind": self.kind,
-            "model": self.model,
-            "dataset": self.dataset,
-            "seed": self.seed,
-            "created_at": self.created_at,
-            "config_hash": self.config_hash,
-            "wall_time_s": round(self.wall_time_s, 3),
-            "n_anomalies": len(self.anomalies),
-            "n_failures": len(self.failures),
-            "metrics": headline,
-        }
+
+_JSON_NAMES = {
+    str: "a string", float: "a number", int: "an integer", bool: "a boolean",
+    dict: "an object", list: "an array", type(None): "null",
+}
+
+
+def _has_json_type(value: Any, kind: type) -> bool:
+    """Whether *value* is a JSON value of Python type *kind*: a float field
+    takes any number (NaN and inf included), and a bool is no number."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _read_object(raw: bytes, where: str) -> Dict[str, Any]:
@@ -204,12 +202,14 @@ def _read_object(raw: bytes, where: str) -> Dict[str, Any]:
     try:
         payload = json.loads(raw)
     except ValueError as exc:
-        raise ArtifactError(f"{where}: not a JSON run record ({exc})") from None
+        raise ArtifactError(f"{where}: not a JSON object ({exc})") from None
     if not isinstance(payload, dict):
-        raise ArtifactError(
-            f"{where}: not a JSON run record (a {type(payload).__name__})"
-        )
+        raise ArtifactError(f"{where}: not a JSON object (a {type(payload).__name__})")
     return payload
+
+
+def _read_record(path: Path) -> RunRecord:
+    return RunRecord.from_json(_read_object(path.read_bytes(), str(path)), str(path))
 
 
 class RunStore:
@@ -242,55 +242,35 @@ class RunStore:
                 "(the registry is append-only)"
             )
         atomic_write_text(path, json.dumps(record.to_json(), indent=1) + "\n")
-        with (self.root / INDEX_FILE).open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record.index_entry()) + "\n")
         return path
 
     # ------------------------------------------------------------------
-    def list(
-        self,
-        kind: Optional[str] = None,
-        model: Optional[str] = None,
-        dataset: Optional[str] = None,
-    ) -> List[Dict[str, Any]]:
-        """Index entries (oldest first), optionally filtered."""
-        index = self.root / INDEX_FILE
-        if not index.exists():
-            return []
-        entries = []
-        with index.open("rb") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                entry = _read_object(line, f"{index}:{lineno}")
-                if kind and entry.get("kind") != kind:
-                    continue
-                if model and entry.get("model") != model:
-                    continue
-                if dataset and entry.get("dataset") != dataset:
-                    continue
-                entries.append(entry)
-        return entries
+    def list(self, kind: Optional[str] = None) -> List[RunRecord]:
+        """Every recorded run, optionally of one kind, oldest first by
+        ``(created_at, run_id)``."""
+        records = [_read_record(path) for path in self.root.glob("*.json")]
+        records.sort(key=lambda r: (r.created_at, r.run_id))
+        return [r for r in records if kind is None or r.kind == kind]
 
     def load(self, run_id: str) -> RunRecord:
         path = self.path_of(run_id)
         if not path.exists():
             raise KeyError(f"run {run_id!r} not found under {self.root}")
-        return RunRecord.from_json(_read_object(path.read_bytes(), str(path)))
+        return _read_record(path)
 
     def resolve(self, ref: str, kind: Optional[str] = None) -> RunRecord:
         """Load by exact id, unique id prefix, ``latest``/``latest~N``,
         or a path to a run JSON file (for committed baselines).
 
         An unknown, ambiguous or malformed ref raises ``KeyError`` naming it;
-        a record file that is not a JSON object raises
-        :class:`~repro.utils.artifact.ArtifactError` naming the file.
+        a record file that is not a JSON object, or has a field of the
+        wrong type, raises :class:`~repro.utils.artifact.ArtifactError`
+        naming the file.
         """
         if os.path.sep in ref or ref.endswith(".json"):
             path = Path(ref)
             if path.exists():
-                return RunRecord.from_json(_read_object(path.read_bytes(), ref))
+                return _read_record(path)
         if ref.startswith("latest"):
             head, _, raw = ref.partition("~")
             if head != "latest" or not (raw.isdigit() or raw == ""):
@@ -298,20 +278,18 @@ class RunStore:
                     f"malformed run ref {ref!r}; expected latest or latest~N"
                 )
             offset = int(raw or 0)
-            entries = self.list(kind=kind)
-            if len(entries) <= offset:
+            records = self.list(kind=kind)
+            if len(records) <= offset:
                 raise KeyError(
-                    f"registry {self.root} has {len(entries)} run(s); "
+                    f"registry {self.root} has {len(records)} run(s); "
                     f"cannot resolve {ref!r}"
                 )
-            return self.load(entries[-1 - offset]["run_id"])
+            return records[-1 - offset]
         if self.path_of(ref).exists():
             return self.load(ref)
-        matches = [
-            e["run_id"] for e in self.list() if e["run_id"].startswith(ref)
-        ]
+        matches = [r for r in self.list() if r.run_id.startswith(ref)]
         if len(matches) == 1:
-            return self.load(matches[0])
+            return matches[0]
         if not matches:
             raise KeyError(f"no run matches {ref!r} under {self.root}")
-        raise KeyError(f"ambiguous run ref {ref!r}: {matches}")
+        raise KeyError(f"ambiguous run ref {ref!r}: {[r.run_id for r in matches]}")

@@ -7,28 +7,31 @@ metric dicts) and classifies every shared metric as ``improved`` /
 * direction is inferred from the metric name — latency/time/loss-style
   metrics are lower-is-better, everything else higher-is-better;
 * a change is a regression when it degrades by more than
-  ``max(abs_tol, rel_tol · |baseline|)``;
+  ``max(abs_tol, rel_tol · |baseline|)``, and so is a current value that
+  is NaN or ±inf against a finite baseline;
 * when both runs carry per-trial sample lists, a percentile-bootstrap
   confidence interval on the mean difference
   (:func:`repro.eval.significance.bootstrap_mean_diff`) annotates the
   verdict — a regression whose CI excludes zero is flagged significant.
 
-This is the engine behind ``repro runs compare`` / ``repro runs check``
-(non-zero exit on any regression — the CI gate) and the repo-root
-``BENCH_*.json`` trajectory files that ``benchmarks/run_all.py`` appends
-to.  See docs/runs.md for the tolerance table and file formats.
+This is the engine behind ``repro runs check`` (exit 1 on any
+regression — the CI gate) and the repo-root ``BENCH_*.json`` trajectory
+files that ``benchmarks/run_all.py`` appends to.  See docs/runs.md for
+the tolerance table and file formats.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.eval.significance import bootstrap_mean_diff
-from repro.utils.artifact import atomic_write_text
+from repro.obs.runs import _read_object
+from repro.utils.artifact import ArtifactError, atomic_write_text
 
 __all__ = [
     "Tolerance",
@@ -188,6 +191,7 @@ class SentinelReport:
 
 
 def _as_scalar(value: Any) -> Optional[float]:
+    """Scalar view of a metric value: per-trial lists read as their mean."""
     if isinstance(value, (list, tuple)):
         return float(sum(value) / len(value)) if value else None
     if isinstance(value, (int, float)):
@@ -196,6 +200,7 @@ def _as_scalar(value: Any) -> Optional[float]:
 
 
 def _as_samples(value: Any) -> Optional[List[float]]:
+    """Per-trial samples when the value is a list of at least two."""
     if isinstance(value, (list, tuple)) and len(value) >= 2:
         return [float(v) for v in value]
     return None
@@ -210,8 +215,10 @@ def compare_metrics(
     """Classify every metric present in *both* dicts.
 
     Values may be scalars or per-trial lists; lists on both sides add a
-    bootstrap CI to the verdict.  Metrics present on only one side are
-    ignored (the registry schema may grow between versions).
+    bootstrap CI to the verdict.  A non-finite current value against a
+    finite baseline regresses, whatever the tolerance.  Metrics present
+    on only one side are ignored (the registry schema may grow between
+    versions).
     """
     tolerances = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     report = SentinelReport()
@@ -226,7 +233,8 @@ def compare_metrics(
         # Positive `gain` = better, whatever the metric's direction.
         gain = direction * delta
         threshold = _tolerance_for(name, tolerances).threshold(base_val)
-        if gain < -threshold:
+        diverged = not math.isfinite(cur_val) and math.isfinite(base_val)
+        if diverged or gain < -threshold:
             status = "regressed"
         elif gain > threshold:
             status = "improved"
@@ -278,13 +286,10 @@ def append_trajectory(path, entry: Dict[str, Any]) -> int:
     so the history renders on GitHub and diffs cleanly; entries carry at
     least ``run_id``, ``ts``, and ``metrics``.  The file is replaced
     atomically, so a crash mid-write keeps the old history.  Returns the
-    new length.
+    new length; an unreadable file raises as in :func:`load_trajectory`.
     """
     path = Path(path)
-    entries: List[Dict[str, Any]] = []
-    if path.exists():
-        payload = json.loads(path.read_text())
-        entries = payload.get("entries", [])
+    entries = load_trajectory(path)
     entry = dict(entry)
     entry.setdefault("ts", time.time())
     entries.append(entry)
@@ -295,7 +300,13 @@ def append_trajectory(path, entry: Dict[str, Any]) -> int:
 
 
 def load_trajectory(path) -> List[Dict[str, Any]]:
+    """A trajectory file's entries (``[]`` when it does not exist); a file
+    that is not a JSON object with an ``entries`` array raises
+    :class:`~repro.utils.artifact.ArtifactError` naming it."""
     path = Path(path)
     if not path.exists():
         return []
-    return json.loads(path.read_text()).get("entries", [])
+    entries = _read_object(path.read_bytes(), str(path)).get("entries", [])
+    if not isinstance(entries, list):
+        raise ArtifactError(f"{path}: field 'entries' must be an array")
+    return entries

@@ -36,7 +36,9 @@ from repro.obs.runs import (
     config_hash,
     dataset_fingerprint,
 )
+from repro.obs.sentinel import _as_samples, _as_scalar
 from repro.training import Trainer, TrainerConfig
+from repro.utils.artifact import ArtifactError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,6 +61,14 @@ def make_record(run_id="", metrics=None, kind="train", **overrides) -> RunRecord
     )
     fields.update(overrides)
     return RunRecord(**fields)
+
+
+def _exit_code(argv) -> int:
+    """``repro`` exit code, whether ``main`` returns it or argparse exits."""
+    try:
+        return cli_main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ----------------------------------------------------------------------
@@ -90,11 +100,25 @@ class TestRunStore:
         store = RunStore(tmp_path)
         store.save(make_record(run_id="a1", kind="train"))
         store.save(make_record(run_id="b2", kind="bench", model=""))
-        assert [e["run_id"] for e in store.list()] == ["a1", "b2"]
-        assert [e["run_id"] for e in store.list(kind="bench")] == ["b2"]
-        assert [e["run_id"] for e in store.list(model="BPRMF")] == ["a1"]
-        entry = store.list()[0]
-        assert entry["metrics"]["recall@10"] == pytest.approx(0.08)
+        assert [r.run_id for r in store.list()] == ["a1", "b2"]
+        assert [r.run_id for r in store.list(kind="bench")] == ["b2"]
+        record = store.list()[0]
+        assert record.to_json() == store.load("a1").to_json()
+        assert record.metrics["recall@10"] == pytest.approx(0.08)
+
+    def test_latest_follows_created_at_then_run_id(self, tmp_path):
+        """Listing orders the run files by (created_at, run_id), whatever
+        a legacy index file says."""
+        store = RunStore(tmp_path)
+        store.save(make_record(run_id="zz-old", created_at=100.0))
+        store.save(make_record(run_id="bb-tie", created_at=200.0))
+        store.save(make_record(run_id="aa-tie", created_at=200.0))
+        (tmp_path / "index.jsonl").write_text(
+            json.dumps({"run_id": "zz-old", "created_at": 300.0}) + "\n"
+        )
+        assert [r.run_id for r in store.list()] == ["zz-old", "aa-tie", "bb-tie"]
+        assert store.resolve("latest").run_id == "bb-tie"
+        assert store.resolve("latest~2").run_id == "zz-old"
 
     def test_resolve_prefix_latest_and_path(self, tmp_path):
         store = RunStore(tmp_path)
@@ -115,12 +139,11 @@ class TestRunStore:
                 store.resolve(malformed)
 
     def test_metric_value_means_lists(self):
-        record = make_record(metrics={"auc": [0.6, 0.7], "f1": 0.5})
-        assert record.metric_value("auc") == pytest.approx(0.65)
-        assert record.metric_samples("auc") == [0.6, 0.7]
-        assert record.metric_value("f1") == 0.5
-        assert record.metric_samples("f1") is None
-        assert record.metric_value("missing") is None
+        assert _as_scalar([0.6, 0.7]) == pytest.approx(0.65)
+        assert _as_samples([0.6, 0.7]) == [0.6, 0.7]
+        assert _as_scalar(0.5) == 0.5
+        assert _as_samples(0.5) is None
+        assert _as_scalar([]) is None
 
     def test_config_hash_is_order_insensitive(self):
         a = config_hash({"x": 1, "y": {"b": 2, "a": 3}})
@@ -234,6 +257,14 @@ class TestSentinel:
         assert verdict.significant
         assert "*" in report.render()
 
+    def test_non_finite_current_value_regresses(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            for name in ("recall@20", "loss"):
+                report = compare_metrics({name: 0.1}, {name: bad})
+                assert report.verdicts[0].status == "regressed", (name, bad)
+        # A diverged list metric (its mean is NaN) regresses too.
+        assert compare_metrics({"auc": [0.8, 0.8]}, {"auc": [0.8, float("nan")]}).regressed
+
     def test_disjoint_metrics_are_ignored(self):
         report = compare_metrics({"a_only": 1.0}, {"b_only": 2.0})
         assert report.verdicts == []
@@ -262,6 +293,19 @@ class TestSentinel:
         assert all("ts" in e for e in entries)
         payload = json.loads(path.read_text())
         assert payload["format"] == 1
+
+    @pytest.mark.parametrize(
+        "content", [b'{"format": 1, "entr', b"[1, 2]", b'{"entries": 5}'],
+        ids=["torn", "array", "entries-int"],
+    )
+    def test_unreadable_trajectory_names_the_file(self, tmp_path, content):
+        path = tmp_path / "BENCH_topk.json"
+        path.write_bytes(content)
+        for call in (lambda: load_trajectory(path),
+                     lambda: append_trajectory(path, {"run_id": "r3"})):
+            with pytest.raises(ArtifactError, match="BENCH_topk.json"):
+                call()
+        assert path.read_bytes() == content
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +431,7 @@ class TestTrainerRecording:
         assert record is not None
         loaded = store.load(record.run_id)
         assert loaded.model == "BPRMF" and loaded.dataset == "tiny"
-        assert loaded.metric_value("recall@10") == pytest.approx(result.best_metric)
+        assert loaded.metrics["recall@10"] == pytest.approx(result.best_metric)
         assert len(loaded.history) == len(result.history)
         assert loaded.config["model"]["dim"] == 8
         assert loaded.config_hash
@@ -468,7 +512,7 @@ class TestRunsCli:
         legacy_file.write_text(json.dumps(legacy))
         record = RunRecord.from_json(json.loads(legacy_file.read_text()))
         assert record.config["trainer"]["grad_shards"] == 4
-        assert record.metric_value("recall@20") == pytest.approx(0.10)
+        assert record.metrics["recall@20"] == pytest.approx(0.10)
         # A rerun that measured what the committed baseline did passes it.
         rerun = make_record(
             run_id="ddd-smoke", metrics=json.loads(committed.read_text())["metrics"]
@@ -487,29 +531,30 @@ class TestRunsCli:
         assert code == 1  # the legacy baseline still gates recall@20
         capsys.readouterr()
 
-    def test_compare_exit_codes(self, store_dir, capsys):
+    def test_check_tolerance_override_passes(self, store_dir, capsys):
         assert cli_main([
-            "runs", "compare", "aaa-base", "bbb-good", "--runs-dir", store_dir,
+            "runs", "check", "--baseline", "aaa-base", "--run", "ccc-bad",
+            "--runs-dir", store_dir, "--tolerance", "recall@20=0.9",
         ]) == 0
-        assert cli_main([
-            "runs", "compare", "aaa-base", "ccc-bad", "--runs-dir", store_dir,
-        ]) == 1
-        assert cli_main([
-            "runs", "compare", "aaa-base", "ccc-bad", "--runs-dir", store_dir,
-            "--tolerance", "recall@20=0.9",
-        ]) == 0
-        capsys.readouterr()
+        assert "no metric regressed" in capsys.readouterr().out
+
+    def test_compare_subcommand_is_gone(self, store_dir, capsys):
+        assert _exit_code(
+            ["runs", "compare", "aaa-base", "bbb-good", "--runs-dir", store_dir]
+        ) == 2
+        assert "invalid choice: 'compare'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, named",
         [
             (["runs", "show", "nope"], "nope"),
-            (["runs", "compare", "aaa-base", "latest~x"], "latest~x"),
+            (["runs", "check", "--baseline", "aaa-base", "--run", "latest~x"],
+             "latest~x"),
             (["runs", "check", "--baseline", "missing.json"], "missing.json"),
             (["obs", "timeline", "missing.jsonl"], "missing.jsonl"),
             (["obs", "anatomy", "missing.jsonl"], "missing.jsonl"),
         ],
-        ids=["runs-show", "runs-compare", "runs-check", "obs-timeline",
+        ids=["runs-show", "runs-check-ref", "runs-check", "obs-timeline",
              "obs-anatomy"],
     )
     def test_bad_input_is_a_one_line_error(
@@ -527,10 +572,10 @@ class TestRunsCli:
         "argv, garbled",
         [
             (["runs", "show", "latest"], "ccc-bad.json"),
-            (["runs", "list"], "index.jsonl"),
+            (["runs", "list"], "ccc-bad.json"),
             (["runs", "check", "--baseline", "baseline.json"], "baseline.json"),
         ],
-        ids=["run-file", "index-line", "baseline-file"],
+        ids=["run-file", "run-file-listed", "baseline-file"],
     )
     def test_malformed_record_is_a_one_line_error(
         self, store_dir, tmp_path, monkeypatch, capsys, argv, garbled
@@ -543,6 +588,56 @@ class TestRunsCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{garbled}:" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_torn_legacy_index_is_ignored(self, store_dir, capsys):
+        """The run files are the registry: a torn line in a legacy
+        ``index.jsonl`` neither hides a run nor fails a command."""
+        with (Path(store_dir) / "index.jsonl").open("ab") as handle:
+            handle.write(b'{"run_id": "c3", "ki')
+        assert cli_main(["runs", "list", "--runs-dir", store_dir]) == 0
+        out = capsys.readouterr().out
+        assert all(r in out for r in ("aaa-base", "bbb-good", "ccc-bad"))
+        assert cli_main(["runs", "show", "latest", "--runs-dir", store_dir]) == 0
+        assert json.loads(capsys.readouterr().out)["run_id"] == "ccc-bad"
+
+    @pytest.mark.parametrize(
+        "baseline, tolerance, named",
+        [
+            ({"run_id": "y", "metrics": 5}, None, ["baseline.json", "'metrics'"]),
+            ({"metrics": {"recall@20": [0.1, "x"]}}, None,
+             ["baseline.json", "'metrics'", "'recall@20'"]),
+            ({"run_id": 7, "metrics": {"recall@20": 0.1}}, None,
+             ["baseline.json", "'run_id'"]),
+            ({"run_id": "y", "metrics": {"recall@20": True}}, None,
+             ["baseline.json", "'recall@20'"]),
+            (None, "recall@20", ["argument --tolerance", "recall@20"]),
+            (None, "recall@20=-1", ["argument --tolerance", "recall@20=-1"]),
+            (None, "recall@20=nan", ["argument --tolerance", "recall@20=nan"]),
+            (None, "recall@20=0.1:inf", ["argument --tolerance", "0.1:inf"]),
+        ],
+        ids=["metrics-int", "metric-list-string", "run-id-int", "metric-bool",
+             "tolerance-malformed", "tolerance-negative", "tolerance-nan",
+             "tolerance-inf"],
+    )
+    def test_mistyped_input_is_a_one_line_error(
+        self, store_dir, tmp_path, monkeypatch, capsys, baseline, tolerance, named
+    ):
+        """Bad input exits 2, never 1 (the regression verdict), with one
+        ``error:`` line naming the file or flag and the field."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["runs", "check", "--baseline", "aaa-base", "--run", "bbb-good",
+                "--runs-dir", store_dir]
+        if baseline is not None:
+            (tmp_path / "baseline.json").write_text(json.dumps(baseline))
+            argv[3] = "baseline.json"
+        if tolerance is not None:
+            argv += ["--tolerance", tolerance]
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert all(part in captured.err for part in named)
+        assert "Traceback" not in captured.err and "REGRESS" not in captured.out
 
     def test_check_refuses_a_baseline_sharing_no_metric(
         self, store_dir, tmp_path, capsys
@@ -618,9 +713,9 @@ class TestRunAllIsolation:
 
         # The registry holds one bench run with metrics + failure.
         store = RunStore(tmp_path / "runs")
-        entries = store.list(kind="bench")
-        assert len(entries) == 1
-        record = store.load(entries[0]["run_id"])
+        records = store.list(kind="bench")
+        assert len(records) == 1
+        record = records[0]
         assert record.failures[0]["name"] == "fake_boom"
         assert record.metrics["topk/music/CG-KGR/recall@20"] == pytest.approx(0.1)
 
