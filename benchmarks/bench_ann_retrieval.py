@@ -104,7 +104,7 @@ def _bench_scale(n_items: int, curve_rows: list, sweep_rows: list) -> None:
         if nprobe > index.nlist:
             break
         index.nprobe = nprobe
-        recall = index._measure_recall(probe_users=32, k=K, seed=0)[
+        recall = index._measure_recall(seed=0)[
             f"recall@{K}"
         ]
         p50 = _p50_ms(lambda u: index.topk([u], K), queries)

@@ -38,8 +38,9 @@ anatomy`` prints the epoch-anatomy phase breakdown.  ``runs`` inspects
 the persistent run registry: ``list``/``show`` and the CI regression
 gate ``check --baseline <ref>`` (exit 1 on regression; see
 docs/runs.md).  An unknown run ref, unreadable trace path, missing file,
-corrupt artifact (checkpoint, index, prepared dataset) or mistyped run
-record exits 2 with a one-line error; so does a malformed flag value
+corrupt artifact (checkpoint, index, prepared dataset), mistyped run
+record or non-finite ``runs check`` baseline value exits 2 with a
+one-line error; so does a malformed flag value
 (argparse, e.g. a negative ``--tolerance``), and an
 ``--index-mode factorized|ann`` on a model without factorized
 representations (``export`` checks this before training).
@@ -597,7 +598,8 @@ def cmd_runs_show(args) -> int:
 
 def cmd_runs_check(args) -> int:
     """CI regression gate: exit 1 when any metric regressed vs baseline,
-    2 on bad input, including two runs that share no metric."""
+    2 on bad input, including two runs that share no metric and a
+    baseline whose shared value is NaN or ±inf."""
     from repro.obs import compare_runs
 
     store = _runs_store(args)
@@ -612,6 +614,17 @@ def cmd_runs_check(args) -> int:
         print(
             f"error: baseline {args.baseline!r} and run {args.run!r} "
             "share no metric; nothing to check",
+            file=sys.stderr,
+        )
+        return 2
+    # Every comparison with NaN is false and an infinite baseline makes
+    # the relative tolerance infinite: such a baseline passes any run.
+    nonfinite = [v for v in report.verdicts if not np.isfinite(v.baseline)]
+    if nonfinite:
+        values = ", ".join(f"{v.metric} = {v.baseline}" for v in nonfinite)
+        print(
+            f"error: baseline {args.baseline!r} records non-finite {values}; "
+            "it cannot gate a run",
             file=sys.stderr,
         )
         return 2

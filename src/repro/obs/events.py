@@ -7,8 +7,7 @@ epoch phases), and ``counter`` samples (:meth:`Tracer.counter`, used for
 memory tracks) — each carrying the run id, wall clock, a monotonic
 timestamp, and the emitting ``pid``/``tid``.  Everything is optionally
 mirrored to a JSONL file which ``repro obs timeline`` converts to Chrome
-trace-event JSON.  Spans nest per thread via a context-manager (or
-decorator) API:
+trace-event JSON.  Spans nest per thread via a context-manager API:
 
     tracer = Tracer(path="run.jsonl")
     with tracer.span("epoch", epoch=3) as sp:
@@ -28,7 +27,6 @@ guards on ``tracer.enabled``.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import os
@@ -276,21 +274,6 @@ class Tracer:
         """Open a nested span: ``with tracer.span("epoch", epoch=1): ...``."""
         return Span(self, name, dict(attrs))
 
-    def trace(self, name: Optional[str] = None, **attrs: Any):
-        """Decorator form: every call to the function runs in its own span."""
-
-        def decorate(fn):
-            label = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                with self.span(label, **attrs):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Aggregate span_end durations by span name."""
@@ -355,9 +338,6 @@ class NullTracer:
 
     def span(self, name: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
-
-    def trace(self, name=None, **attrs):
-        return lambda fn: fn
 
     def current_span(self) -> None:
         return None

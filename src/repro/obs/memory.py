@@ -18,7 +18,7 @@ reports to its registered observers.  While active it
   (and was not registered persistent) is reported as a **leak**, because
   training intermediates must die within their epoch;
 * emits ``counter`` samples (``live_bytes``/``peak_bytes``) into a
-  :class:`~repro.obs.events.Tracer` every ``counter_every`` allocations
+  :class:`~repro.obs.events.Tracer` every :data:`COUNTER_EVERY` allocations
   plus at phase/epoch boundaries, which ``repro obs timeline`` renders
   as a Chrome counter track.
 
@@ -45,6 +45,9 @@ from repro.autograd.tensor import Observer, Tensor, add_observer, remove_observe
 from repro.obs.events import NULL_TRACER
 
 __all__ = ["MemoryTracker", "track_memory"]
+
+#: A tracker samples its memory counter every this many allocations.
+COUNTER_EVERY = 200
 
 
 class _PhaseFrame:
@@ -77,9 +80,8 @@ class _Phase:
 class MemoryTracker(Observer):
     """Track live/peak tensor bytes with per-op and per-phase attribution."""
 
-    def __init__(self, tracer: Any = None, counter_every: int = 200):
+    def __init__(self, tracer: Any = None):
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.counter_every = max(1, int(counter_every))
         self.live_bytes = 0
         self.peak_bytes = 0
         self.total_alloc_bytes = 0
@@ -152,7 +154,7 @@ class MemoryTracker(Observer):
             entry[1] += nbytes
             self._live[seq] = (nbytes, self._epoch)
             self._id2seq[id(tensor)] = seq
-            emit = self.tracer.enabled and self.n_allocs % self.counter_every == 0
+            emit = self.tracer.enabled and self.n_allocs % COUNTER_EVERY == 0
         weakref.finalize(tensor, self._on_free, seq, nbytes, id(tensor))
         if emit:
             self._sample_counter()
@@ -272,6 +274,6 @@ class MemoryTracker(Observer):
             }
 
 
-def track_memory(tracer: Any = None, counter_every: int = 200) -> MemoryTracker:
+def track_memory(tracer: Any = None) -> MemoryTracker:
     """``with track_memory(tracer) as mem: ...`` — see the module docstring."""
-    return MemoryTracker(tracer=tracer, counter_every=counter_every)
+    return MemoryTracker(tracer=tracer)

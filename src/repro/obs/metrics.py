@@ -25,9 +25,16 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["WindowSnapshot", "SlidingWindowStats", "MetricsRegistry"]
+
+#: Samples each registry latency summary keeps (its ring's capacity).
+SUMMARY_WINDOW = 4096
+#: Percentiles every summary reports, as ``p50``/``p95``/``p99``.
+SUMMARY_QUANTILES = (50, 95, 99)
+#: Name prefix of every metric in the ``/metrics`` exposition.
+METRIC_PREFIX = "repro_serve"
 
 
 @dataclass(frozen=True)
@@ -156,11 +163,11 @@ class SlidingWindowStats:
         object.__setattr__(snap, "p99", snap.percentile(99))
         return snap
 
-    def summary(self, quantiles: Iterable[float] = (50, 95, 99)) -> Dict[str, float]:
+    def summary(self) -> Dict[str, float]:
         """Cumulative count/sum plus windowed quantiles (``p50``, ...)."""
         snap = self.snapshot()
         out = {"count": float(self.total_count), "sum": self.total}
-        for q in quantiles:
+        for q in SUMMARY_QUANTILES:
             out[f"p{q:g}"] = snap.percentile(q)
         return out
 
@@ -168,13 +175,12 @@ class SlidingWindowStats:
 class MetricsRegistry:
     """Named counters, gauges, and latency summaries behind one lock."""
 
-    def __init__(self, window: int = 4096):
+    def __init__(self):
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, SlidingWindowStats] = {}
         self._help: Dict[str, str] = {}
-        self._window = window
 
     def describe(self, name: str, help_text: str) -> None:
         """Attach a ``# HELP`` line to a metric's exposition."""
@@ -204,7 +210,7 @@ class MetricsRegistry:
             hist = self._histograms.get(name)
             if hist is None:
                 hist = self._histograms[name] = SlidingWindowStats(
-                    window_s=math.inf, capacity=self._window
+                    window_s=math.inf, capacity=SUMMARY_WINDOW
                 )
             hist.observe(seconds)
 
@@ -231,8 +237,9 @@ class MetricsRegistry:
             "cache_hit_rate": (hits / lookups) if lookups else 0.0,
         }
 
-    def render(self, prefix: str = "repro_serve") -> str:
-        """Prometheus text exposition of every counter, gauge, histogram.
+    def render(self) -> str:
+        """Prometheus text exposition of every counter, gauge, histogram,
+        each named ``<METRIC_PREFIX>_<name>``.
 
         Histogram names should carry their unit (the engine records e.g.
         ``recommend_latency_seconds``); quantiles become labeled samples.
@@ -243,7 +250,7 @@ class MetricsRegistry:
         lines: List[str] = []
 
         def declare(name: str, kind: str) -> str:
-            metric = f"{prefix}_{name}"
+            metric = f"{METRIC_PREFIX}_{name}"
             if name in helps:
                 # HELP text is a single escaped line per the exposition
                 # format (backslash and newline must be escaped).
@@ -254,12 +261,12 @@ class MetricsRegistry:
 
         for name, value in sorted(snap["counters"].items()):
             declare(name, "counter")
-            lines.append(f"{prefix}_{name} {value:g}")
+            lines.append(f"{METRIC_PREFIX}_{name} {value:g}")
         for name, value in sorted(snap["gauges"].items()):
             declare(name, "gauge")
-            lines.append(f"{prefix}_{name} {value:g}")
+            lines.append(f"{METRIC_PREFIX}_{name} {value:g}")
         declare("cache_hit_rate", "gauge")
-        lines.append(f"{prefix}_cache_hit_rate {snap['cache_hit_rate']:.6f}")
+        lines.append(f"{METRIC_PREFIX}_cache_hit_rate {snap['cache_hit_rate']:.6f}")
         for name, summary in sorted(snap["histograms"].items()):
             metric = declare(name, "summary")
             for key, value in summary.items():

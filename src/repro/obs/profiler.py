@@ -180,9 +180,9 @@ class Profiler(Observer):
         self._patches.clear()
 
     # ------------------------------------------------------------------
-    def report(self, wall_time: Optional[float] = None) -> "ProfileReport":
-        """Build the sorted report; ``wall_time`` overrides the measured one."""
-        return ProfileReport(self, wall_time if wall_time is not None else self.wall_time)
+    def report(self) -> "ProfileReport":
+        """Build the sorted report over the measured wall time."""
+        return ProfileReport(self)
 
 
 class _Section:
@@ -209,8 +209,8 @@ class ProfileReport:
     walk's own bookkeeping appears as the ``[backward overhead]`` row.
     """
 
-    def __init__(self, profiler: Profiler, wall_time: float):
-        self.wall_s = float(wall_time)
+    def __init__(self, profiler: Profiler):
+        self.wall_s = float(profiler.wall_time)
         self.rows: List[Dict[str, Any]] = []
         fwd_total = 0.0
         bwd_attributed = 0.0

@@ -15,7 +15,8 @@ metric dicts) and classifies every shared metric as ``improved`` /
   verdict — a regression whose CI excludes zero is flagged significant.
 
 This is the engine behind ``repro runs check`` (exit 1 on any
-regression — the CI gate) and the repo-root ``BENCH_*.json`` trajectory
+regression — the CI gate; exit 2 on a non-finite baseline value, which
+no current value can regress against) and the repo-root ``BENCH_*.json`` trajectory
 files that ``benchmarks/run_all.py`` appends to.  See docs/runs.md for
 the tolerance table and file formats.
 """

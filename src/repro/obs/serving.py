@@ -50,6 +50,11 @@ __all__ = [
     "lint_prometheus",
 ]
 
+#: Requests the SLO ring keeps at most, whatever its window.
+SLO_RING_CAPACITY = 16384
+#: An SLO monitor re-evaluates its specs every this many observations.
+SLO_EVAL_INTERVAL = 32
+
 
 # ----------------------------------------------------------------------
 # Request-scoped tracing
@@ -286,8 +291,10 @@ class SLOMonitor:
     """Evaluates :class:`SLOSpec` objectives over sliding windows.
 
     Every observation lands in one :class:`SlidingWindowStats` ring
-    sized to the longest window; each window length (spec windows plus
-    the multi-rate ``burn_windows``) reads its newest entries.
+    sized to the longest window (and at most :data:`SLO_RING_CAPACITY`
+    requests); each window length (spec windows plus the multi-rate
+    ``burn_windows``) reads its newest entries.  Specs are re-evaluated
+    every :data:`SLO_EVAL_INTERVAL` observations and on :meth:`status`.
     Violations are edge-triggered: crossing met→violated emits one
     structured ``slo_violation`` event on ``tracer``, bumps the
     ``slo_violations`` counter, and invokes ``on_violation(status)``
@@ -301,8 +308,6 @@ class SLOMonitor:
         metrics=None,
         tracer=None,
         burn_windows: Sequence[float] = (60.0, 300.0),
-        capacity: int = 16384,
-        eval_interval: int = 32,
         on_violation: Optional[Callable[[SLOStatus], None]] = None,
     ):
         self.specs = [
@@ -316,9 +321,9 @@ class SLOMonitor:
         window_lengths.update(self.burn_windows)
         self._window_lengths = sorted(window_lengths)
         self._ring = SlidingWindowStats(
-            window_s=max(window_lengths, default=60.0), capacity=capacity
+            window_s=max(window_lengths, default=60.0),
+            capacity=SLO_RING_CAPACITY,
         )
-        self._eval_interval = max(1, int(eval_interval))
         self._since_eval = 0
         self._violated: Dict[str, bool] = {spec.name: False for spec in self.specs}
         self._lock = threading.Lock()
@@ -332,7 +337,7 @@ class SLOMonitor:
             return
         with self._lock:
             self._since_eval += 1
-            due = self._since_eval >= self._eval_interval
+            due = self._since_eval >= SLO_EVAL_INTERVAL
             if due:
                 self._since_eval = 0
         if due:

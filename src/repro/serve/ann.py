@@ -47,6 +47,13 @@ from repro.serve.index import (
 
 __all__ = ["kmeans", "assign_to_centroids", "IVFIndex"]
 
+#: Lloyd iterations :func:`kmeans` runs at most (it stops early once the
+#: assignment no longer changes).
+KMEANS_ITERS = 25
+#: Users sampled for a build's recall self-measurement, and its K.
+RECALL_PROBE_USERS = 32
+RECALL_K = 20
+
 
 # ----------------------------------------------------------------------
 # k-means coarse quantizer
@@ -75,10 +82,7 @@ def assign_to_centroids(
 
 
 def kmeans(
-    points: np.ndarray,
-    n_clusters: int,
-    seed: int = 0,
-    n_iters: int = 25,
+    points: np.ndarray, n_clusters: int, seed: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Deterministic Lloyd k-means → ``(centroids, labels)``.
 
@@ -97,7 +101,7 @@ def kmeans(
     rng = np.random.default_rng(seed)
     centroids = x[np.sort(rng.choice(len(x), size=k, replace=False))].copy()
     labels = np.full(len(x), -1, dtype=np.int64)
-    for _ in range(max(1, int(n_iters))):
+    for _ in range(KMEANS_ITERS):
         new_labels = assign_to_centroids(x, centroids)
         counts = np.bincount(new_labels, minlength=k)
         for empty in np.flatnonzero(counts == 0):
@@ -144,7 +148,6 @@ class IVFIndex(TopKIndex):
         list_offsets: np.ndarray,
         nprobe: int,
         item_reps: np.ndarray,
-        block_size: int = 256,
         stats: Optional[Dict[str, float]] = None,
     ):
         super().__init__(
@@ -155,7 +158,6 @@ class IVFIndex(TopKIndex):
             mask_table,
             user_reps=np.asarray(user_reps, dtype=np.float64),
             item_reps=np.asarray(item_reps, dtype=np.float64),
-            block_size=block_size,
         )
         self.centroids = np.asarray(centroids, dtype=np.float64)
         #: Item ids grouped by cluster; cluster ``c`` owns
@@ -203,16 +205,14 @@ class IVFIndex(TopKIndex):
         nlist: int = 64,
         nprobe: int = 8,
         seed: int = 0,
-        train_size: Optional[int] = None,
-        probe_users: int = 32,
-        recall_k: int = 20,
-        block_size: int = 256,
     ) -> "IVFIndex":
         """Build from raw ``(U, I)`` matrices (the bench path).
 
-        ``train_size`` caps the k-means training sample (default
-        ``min(n_items, max(10·nlist, 4096))``); every item is still
-        assigned to its nearest centroid in one blocked pass.
+        k-means trains on a sample of ``min(n_items, max(10·nlist,
+        4096))`` items; every item is still assigned to its nearest
+        centroid in one blocked pass.  The build then measures its own
+        recall (:meth:`_measure_recall`) and starts the probe counters
+        behind :meth:`candidate_fraction` from zero.
         """
         tracer = default_tracer()
         users = (
@@ -229,8 +229,7 @@ class IVFIndex(TopKIndex):
 
         with tracer.span("ann.build", nlist=nlist_eff, nprobe=nprobe,
                          n_items=n_items):
-            if train_size is None:
-                train_size = min(n_items, max(10 * nlist_eff, 4096))
+            train_size = min(n_items, max(10 * nlist_eff, 4096))
             with tracer.span("ann.kmeans", train_size=train_size):
                 if train_size < n_items:
                     sample = np.sort(
@@ -259,17 +258,16 @@ class IVFIndex(TopKIndex):
                 list_offsets=list_offsets,
                 nprobe=nprobe,
                 item_reps=item_reps,
-                block_size=block_size,
             )
-            with tracer.span("ann.recall_probe", probe_users=probe_users):
-                index.stats = index._measure_recall(
-                    probe_users=probe_users, k=recall_k, seed=seed
-                )
+            with tracer.span("ann.recall_probe", probe_users=RECALL_PROBE_USERS):
+                index.stats = index._measure_recall(seed=seed)
+            # The self-measurement is not served traffic.
+            index.n_queries = index.n_candidates_scanned = 0
             tracer.event(
                 "ann_built",
                 nlist=nlist_eff,
                 nprobe=index.nprobe,
-                recall=index.stats.get(f"recall@{recall_k}"),
+                recall=index.stats.get(f"recall@{RECALL_K}"),
                 memory_bytes=index.memory_bytes(),
             )
         return index
@@ -280,7 +278,6 @@ class IVFIndex(TopKIndex):
         model: Recommender,
         users: Optional[Sequence[int]] = None,
         mask_splits: Optional[Sequence[InteractionGraph]] = None,
-        block_size: int = 256,
         **ann_params,
     ) -> "IVFIndex":
         """Build over a trained model's factorized representations.
@@ -299,7 +296,6 @@ class IVFIndex(TopKIndex):
             dataset.n_items,
             user_ids=user_ids,
             mask_table=mask_table,
-            block_size=block_size,
             **ann_params,
         )
 
@@ -313,22 +309,22 @@ class IVFIndex(TopKIndex):
             out[pos] = self._item_reps @ query
         return out
 
-    def _probe(self, user: int, k: int, mask_seen: bool) -> Tuple[np.ndarray, np.ndarray]:
+    def _probe(self, user: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """One ANN query: rank lists, widen probing until k can be filled."""
         with current_request().span(
             "ann.probe", user=int(user), k=int(k), nprobe=int(self.nprobe)
         ) as ctx_span:
-            return self._probe_inner(user, k, mask_seen, ctx_span)
+            return self._probe_inner(user, k, ctx_span)
 
     def _probe_inner(
-        self, user: int, k: int, mask_seen: bool, ctx_span
+        self, user: int, k: int, ctx_span
     ) -> Tuple[np.ndarray, np.ndarray]:
         row = self._row_of[int(user)]
         query = self._user_reps[row]
         cluster_scores = self.centroids @ query
         cluster_order = np.argsort(-cluster_scores, kind="stable")
-        masked = self.mask_table[int(user)] if mask_seen else None
-        n_masked = 0 if masked is None else len(masked)
+        masked = self.mask_table[int(user)]
+        n_masked = len(masked)
         # Probing nprobe lists is the budget; keep widening while the
         # probed lists cannot possibly hold k unmasked items.
         needed = min(int(k) + n_masked, self.n_items)
@@ -354,15 +350,13 @@ class IVFIndex(TopKIndex):
             candidate_fraction=round(len(candidates) / max(1, self.n_items), 6),
         )
         scores = self._item_reps[candidates] @ query
-        if masked is not None and n_masked:
+        if n_masked:
             scores[np.isin(candidates, masked, assume_unique=False)] = -np.inf
         # Same ordering contract as the exact index: descending score,
         # ties broken by ascending item id.
         return topk_from_scores(scores, k, ids=candidates)
 
-    def topk(
-        self, users: Sequence[int], k: int, mask_seen: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def topk(self, users: Sequence[int], k: int) -> Tuple[np.ndarray, np.ndarray]:
         u = np.asarray(users, dtype=np.int64)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -373,19 +367,16 @@ class IVFIndex(TopKIndex):
         items = np.empty((len(u), k_eff), dtype=np.int64)
         values = np.empty((len(u), k_eff), dtype=np.float64)
         for pos, user in enumerate(u):
-            items[pos], values[pos] = self._probe(int(user), k_eff, mask_seen)
+            items[pos], values[pos] = self._probe(int(user), k_eff)
         return items, values
 
     # ------------------------------------------------------------------
-    def _measure_recall(
-        self,
-        probe_users: int = 32,
-        k: int = 20,
-        seed: int = 0,
-    ) -> Dict[str, float]:
-        """Recall@k of this index vs exact scoring on sampled users."""
+    def _measure_recall(self, seed: int = 0) -> Dict[str, float]:
+        """Recall@:data:`RECALL_K` of this index vs exact scoring on
+        :data:`RECALL_PROBE_USERS` sampled users."""
+        k = RECALL_K
         rng = np.random.default_rng(seed + 1)
-        n_probe = min(int(probe_users), len(self.user_ids))
+        n_probe = min(RECALL_PROBE_USERS, len(self.user_ids))
         stats = {
             "nlist": float(self.nlist),
             "nprobe": float(self.nprobe),

@@ -9,16 +9,20 @@
    users of one call share one ``score_users`` call.
 
 ``recommend_many`` is the one walk through the tiers; ``recommend`` is
-``recommend_many`` of one user.
+``recommend_many`` of one user.  Every answer masks the user's seen
+items, as the ranking protocol does, and holds ``min(k, n_items -
+|mask(u)|)`` items: a ``k`` beyond the unmasked catalogue returns fewer
+items, never a masked one.
 
 ``MicroBatcher`` sits in front of the engine for concurrent frontends
 (the HTTP server handles each request on its own thread): requests are
 queued and flushed as one vectorized index query when either the batch
 fills or a small wait window elapses — classic serving micro-batching.
 
-Every tier bumps counters in a :class:`~repro.obs.metrics.MetricsRegistry`
-(``requests``, ``cache_hits``/``cache_misses``, ``fallback_users``) and
-request latency lands in the ``recommend_latency_seconds`` histogram.
+Every tier bumps counters in the engine's own
+:class:`~repro.obs.metrics.MetricsRegistry` (``requests``,
+``cache_hits``/``cache_misses``, ``fallback_users``) and request latency
+lands in the ``recommend_latency_seconds`` histogram.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.serving import current_request, use_request
 from repro.utils.artifact import ArtifactError
 
-Result = Tuple[np.ndarray, np.ndarray]  # (items, scores), each length k
+Result = Tuple[np.ndarray, np.ndarray]  # (items, scores), each length <= k
 
 
 def engine_from_checkpoint(
@@ -69,7 +73,7 @@ def engine_from_checkpoint(
     ``use_saved_index=False`` forces a rebuild.
     ``mode="ann"`` builds the approximate
     :class:`~repro.serve.ann.IVFIndex` with ``ann_params``
-    (``nlist``/``nprobe``/``seed``/...).
+    (``nlist``/``nprobe``/``seed``).
     """
     from repro.serve.checkpoint import INDEX_FILE, load_checkpoint
 
@@ -115,13 +119,12 @@ class ServingEngine:
         index: TopKIndex,
         model: Optional[Recommender] = None,
         cache_size: int = 1024,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         self.index = index
         self.model = model
         self.cache_size = int(cache_size)
-        self.metrics = metrics or MetricsRegistry()
-        self._cache: "OrderedDict[Tuple[int, int, bool], Result]" = OrderedDict()
+        self.metrics = MetricsRegistry()
+        self._cache: "OrderedDict[Tuple[int, int], Result]" = OrderedDict()
         self._lock = threading.RLock()
         # An approximate index carries its build-time self-measurement
         # (recall@K vs exact, nlist/nprobe); surface it as gauges so
@@ -159,9 +162,7 @@ class ServingEngine:
             raise KeyError(f"unknown user id {user}")
         return user
 
-    def _fallback(
-        self, users: List[int], k: int, mask_seen: bool
-    ) -> List[Result]:
+    def _fallback(self, users: List[int], k: int) -> List[Result]:
         """Cold-user path: score the catalogue for every user through the
         model in one :meth:`~repro.baselines.base.Recommender.score_users`
         call, so the user-independent item side is built once."""
@@ -176,26 +177,23 @@ class ServingEngine:
         ):
             scores = self.model.score_users(users)
             return [
-                topk_from_scores(
-                    row, k, self.index.mask_table[user] if mask_seen else None
-                )
+                topk_from_scores(row, k, self.index.mask_table[user])
                 for user, row in zip(users, scores)
             ]
 
-    def recommend(self, user: int, k: int = 10, mask_seen: bool = True) -> Result:
+    def recommend(self, user: int, k: int = 10) -> Result:
         """Top-``k`` (items, scores) for one user, cached."""
-        return self.recommend_many([user], k, mask_seen)[0]
+        return self.recommend_many([user], k)[0]
 
-    def recommend_many(
-        self, users: Sequence[int], k: int = 10, mask_seen: bool = True
-    ) -> List[Result]:
+    def recommend_many(self, users: Sequence[int], k: int = 10) -> List[Result]:
         """Top-``k`` (items, scores) per user: cache, then one vectorized
         index query for the uncached indexed users, then one model
-        fallback call for the rest."""
+        fallback call for the rest.  Each answer stops where the user's
+        unmasked items run out."""
         users = [self._known_user(u) for u in users]
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        k, mask_seen = int(k), bool(mask_seen)
+        k = int(k)
         self.metrics.inc("requests", len(users))
         self.metrics.inc("batched_queries")
         ctx = current_request()
@@ -204,7 +202,7 @@ class ServingEngine:
         to_fallback: List[int] = []
         with ctx.span("cache.lookup", n_users=len(users)) as span:
             for user in set(users):
-                cached = self._cache_get((user, k, mask_seen))
+                cached = self._cache_get((user, k))
                 if cached is not None:
                     results[user] = cached
                 elif self.index.contains(user):
@@ -224,15 +222,15 @@ class ServingEngine:
                     n_users=len(to_index),
                     k=k,
                 ):
-                    items, scores = self.index.topk(
-                        to_index, k, mask_seen=mask_seen
-                    )
+                    items, scores = self.index.topk(to_index, k)
                 fresh = list(zip(to_index, zip(items, scores)))
             if to_fallback:
-                fresh += zip(to_fallback, self._fallback(to_fallback, k, mask_seen))
-            for user, result in fresh:
-                results[user] = result
-                self._cache_put((user, k, mask_seen), result)
+                fresh += zip(to_fallback, self._fallback(to_fallback, k))
+            for user, (items, scores) in fresh:
+                # Masked items score -inf and rank last: cut them off.
+                n = min(k, self.index.n_items - len(self.index.mask_table[user]))
+                results[user] = result = (items[:n], scores[:n])
+                self._cache_put((user, k), result)
         return [results[user] for user in users]
 
     def score(self, user: int, items: Sequence[int]) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.base import Recommender
-from repro.eval.ranking import build_mask_table
+from repro.eval.ranking import USER_BLOCK, build_mask_table
 from repro.graph.interactions import InteractionGraph
 from repro.utils.artifact import ArtifactError, load_npz, save_npz
 
@@ -130,7 +130,6 @@ class TopKIndex:
         user_reps: Optional[np.ndarray] = None,
         item_reps: Optional[np.ndarray] = None,
         score_rows: Optional[np.ndarray] = None,
-        block_size: int = 256,
     ):
         if mode not in self._MODES:
             raise ValueError(f"unknown index mode {mode!r}")
@@ -139,7 +138,6 @@ class TopKIndex:
         self.n_items = int(n_items)
         self.mode = mode
         self.mask_table = mask_table
-        self.block_size = int(block_size)
         self._user_reps = user_reps
         self._item_reps = item_reps
         self._score_rows = score_rows
@@ -154,7 +152,6 @@ class TopKIndex:
         users: Optional[Sequence[int]] = None,
         mask_splits: Optional[Sequence[InteractionGraph]] = None,
         mode: str = "auto",
-        block_size: int = 256,
         ann_params: Optional[dict] = None,
     ) -> "TopKIndex":
         """Precompute representations (or score rows) for ``users``.
@@ -165,8 +162,8 @@ class TopKIndex:
 
         ``mode="ann"`` builds the approximate
         :class:`~repro.serve.ann.IVFIndex` instead (same query surface;
-        ``ann_params`` forwards ``nlist``/``nprobe``/``seed``
-        etc. to :meth:`IVFIndex.from_representations`).
+        ``ann_params`` forwards ``nlist``/``nprobe``/``seed`` to
+        :meth:`IVFIndex.from_representations`).
         """
         if mode not in ("auto", "factorized", "dense", "ann"):
             raise ValueError(f"unknown index mode {mode!r}")
@@ -177,7 +174,6 @@ class TopKIndex:
                 model,
                 users=users,
                 mask_splits=mask_splits,
-                block_size=block_size,
                 **(ann_params or {}),
             )
         if ann_params:
@@ -199,15 +195,14 @@ class TopKIndex:
                 mask_table,
                 user_reps=np.ascontiguousarray(user_matrix[user_ids]),
                 item_reps=np.ascontiguousarray(item_matrix),
-                block_size=block_size,
             )
 
         # Dense: one score row per indexed user, computed through the
-        # exact code path the offline ranking protocol uses, block_size
+        # exact code path the offline ranking protocol uses, USER_BLOCK
         # users per call.
         rows = np.empty((len(user_ids), dataset.n_items), dtype=np.float64)
-        for start in range(0, len(user_ids), block_size):
-            block = user_ids[start : start + block_size]
+        for start in range(0, len(user_ids), USER_BLOCK):
+            block = user_ids[start : start + USER_BLOCK]
             rows[start : start + len(block)] = model.score_users(block)
         return cls(
             user_ids,
@@ -216,7 +211,6 @@ class TopKIndex:
             "dense",
             mask_table,
             score_rows=rows,
-            block_size=block_size,
         )
 
     # ------------------------------------------------------------------
@@ -248,17 +242,19 @@ class TopKIndex:
         if self.mode == "dense":
             return self._score_rows[rows]
         out = np.empty((len(rows), self.n_items), dtype=np.float64)
-        for start in range(0, len(rows), self.block_size):
-            block = rows[start : start + self.block_size]
+        for start in range(0, len(rows), USER_BLOCK):
+            block = rows[start : start + USER_BLOCK]
             out[start : start + len(block)] = (
                 self._user_reps[block] @ self._item_reps.T
             )
         return out
 
-    def topk(
-        self, users: Sequence[int], k: int, mask_seen: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` (items, scores) per user; seen items masked by default."""
+    def topk(self, users: Sequence[int], k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` (items, scores) per user, seen items masked.
+
+        Rows are ``min(k, n_items)`` wide; when a user's mask leaves fewer
+        items, the masked ones fill the tail at ``-inf``.
+        """
         u = np.asarray(users, dtype=np.int64)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -267,8 +263,9 @@ class TopKIndex:
         items = np.empty((len(u), k_eff), dtype=np.int64)
         values = np.empty((len(u), k_eff), dtype=np.float64)
         for pos, user in enumerate(u):
-            masked = self.mask_table[int(user)] if mask_seen else None
-            items[pos], values[pos] = topk_from_scores(scores[pos], k_eff, masked)
+            items[pos], values[pos] = topk_from_scores(
+                scores[pos], k_eff, self.mask_table[int(user)]
+            )
         return items, values
 
     # ------------------------------------------------------------------
@@ -294,7 +291,6 @@ class TopKIndex:
             "mode": self.mode,
             "n_users": self.n_users,
             "n_items": self.n_items,
-            "block_size": self.block_size,
         }
         return {k: v for k, v in arrays.items() if v is not None}, meta
 
@@ -305,8 +301,12 @@ class TopKIndex:
         args = dict(arrays)
         offsets = args.pop("mask_offsets")
         args["mask_table"] = np.split(args.pop("mask_items"), offsets[1:-1])
+        # Indexes written before the score block became evaluation's
+        # USER_BLOCK also carry a ``block_size``.
         args.update(
-            (k, v) for k, v in meta.items() if k not in ("kind", "format", "sha256")
+            (k, v)
+            for k, v in meta.items()
+            if k not in ("kind", "format", "sha256", "block_size")
         )
         index = cls(**args)
         index.sha256 = meta["sha256"]

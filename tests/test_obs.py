@@ -96,16 +96,6 @@ class TestTracer:
         assert summary["epoch"]["count"] == 3
         assert summary["epoch"]["total_s"] >= 0.0
 
-    def test_trace_decorator(self):
-        tracer = Tracer()
-
-        @tracer.trace("work")
-        def double(x):
-            return 2 * x
-
-        assert double(21) == 42
-        assert [e["name"] for e in tracer.events] == ["work", "work"]
-
     def test_null_tracer_is_inert(self):
         with NULL_TRACER.span("anything", x=1) as span:
             span.set(y=2)
@@ -257,9 +247,9 @@ class TestMetrics:
         assert registry.get_gauge("missing", -1.0) == -1.0
         snap = registry.snapshot()
         assert snap["gauges"] == {"epoch_loss": 0.75}
-        text = registry.render(prefix="repro_train")
-        assert "# TYPE repro_train_epoch_loss gauge" in text
-        assert "repro_train_epoch_loss 0.75" in text
+        text = registry.render()
+        assert "# TYPE repro_serve_epoch_loss gauge" in text
+        assert "repro_serve_epoch_loss 0.75" in text
 
 
 # ----------------------------------------------------------------------

@@ -654,6 +654,32 @@ class TestRunsCli:
         assert str(baseline) in captured.err and "bbb-good" in captured.err
         assert "no metric regressed" not in captured.out
 
+    @pytest.mark.parametrize(
+        "metric, base, current",
+        [("recall@20", float("nan"), 0.0), ("p50_ms", float("inf"), 1e9)],
+        ids=["nan", "inf"],
+    )
+    def test_check_refuses_a_non_finite_baseline(
+        self, store_dir, tmp_path, capsys, metric, base, current
+    ):
+        """Nothing regresses against NaN or an infinite baseline, so such a
+        baseline is bad input (exit 2), not a pass."""
+        RunStore(store_dir).save(
+            make_record(run_id="ddd-cur", metrics={metric: current})
+        )
+        baseline = tmp_path / "diverged.json"
+        baseline.write_text(json.dumps({"run_id": "x", "metrics": {metric: base}}))
+        code = cli_main([
+            "runs", "check", "--baseline", str(baseline), "--run", "ddd-cur",
+            "--runs-dir", store_dir,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert str(baseline) in captured.err and metric in captured.err
+        assert "no metric regressed" not in captured.out
+
     def test_empty_registry(self, tmp_path, capsys):
         assert cli_main(["runs", "list", "--runs-dir", str(tmp_path)]) == 0
         assert "no runs recorded" in capsys.readouterr().out

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.obs.serving as serving_mod
 from repro.obs.events import NULL_TRACER
 from repro.obs.metrics import MetricsRegistry, SlidingWindowStats
 from repro.obs.serving import (
@@ -261,21 +262,21 @@ class TestSLOMonitor:
         assert all(s.met for s in monitor.status(now=5.0))
         assert tracer.events == []
 
-    def test_observe_periodically_evaluates(self):
-        monitor, metrics, _ = self._monitor(eval_interval=8)
+    def test_observe_periodically_evaluates(self, monkeypatch):
+        monkeypatch.setattr(serving_mod, "SLO_EVAL_INTERVAL", 8)
+        monitor, metrics, _ = self._monitor()
         for _ in range(8):
             monitor.observe(0.100, now=10.0)
         assert metrics.get("slo_violations") == 1.0
 
 
 class TestSLOMonitorOneRing:
-    def test_windows_match_standalone_rings(self):
+    def test_windows_match_standalone_rings(self, monkeypatch):
         """One ring sized to the longest window reports, for each window,
         exactly what a separate capacity-capped ring of that length would."""
         capacity = 400
-        monitor = SLOMonitor(
-            ["p99<25ms"], burn_windows=(60.0, 300.0), capacity=capacity
-        )
+        monkeypatch.setattr(serving_mod, "SLO_RING_CAPACITY", capacity)
+        monitor = SLOMonitor(["p99<25ms"], burn_windows=(60.0, 300.0))
         rings = {
             w: SlidingWindowStats(window_s=w, capacity=capacity)
             for w in (60.0, 300.0)

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.obs.memory as memory_mod
 import repro.training.trainer as trainer_mod
 from repro.autograd import ops
 from repro.autograd import tensor as tensor_mod
@@ -255,9 +256,10 @@ class TestMemoryTracker:
             assert mem.epoch_boundary(2)["leaked_tensors"] == 0
         assert [e["epoch"] for e in mem.summary()["epochs"]] == [0, 1, 2]
 
-    def test_counter_events_flow_to_tracer(self):
+    def test_counter_events_flow_to_tracer(self, monkeypatch):
+        monkeypatch.setattr(memory_mod, "COUNTER_EVERY", 1)
         tracer = Tracer()
-        with track_memory(tracer=tracer, counter_every=1):
+        with track_memory(tracer=tracer):
             Tensor(np.zeros(8))
         counters = [e for e in tracer.events if e["kind"] == "counter"]
         assert counters and counters[0]["name"] == "memory"

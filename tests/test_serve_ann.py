@@ -222,9 +222,10 @@ class TestIVFIndex:
     def test_candidate_fraction_tracks_probes(self, reps):
         users, items = reps
         index = IVFIndex.from_representations(
-            users, items, len(users), len(items),
-            nlist=16, nprobe=2, seed=0, probe_users=0,
+            users, items, len(users), len(items), nlist=16, nprobe=2, seed=0
         )
+        # The build's own recall probe is not served traffic.
+        assert index.n_queries == 0
         assert index.candidate_fraction() == 0.0
         index.topk([0, 1, 2], 5)
         assert 0.0 < index.candidate_fraction() < 1.0

@@ -249,3 +249,58 @@ def test_negative_index_users_rejected(shipped_cgkgr, tiny_dataset):
 
     with pytest.raises(ValueError, match="index_users"):
         engine_from_checkpoint(shipped_cgkgr, dataset=tiny_dataset, index_users=-5)
+
+
+# ----------------------------------------------------------------------
+# Index files written while the score block was a constructor argument
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", ["factorized", "dense", "ann"])
+def test_index_files_with_block_size_still_load(
+    tiny_dataset, tmp_path, monkeypatch, mode
+):
+    """Those files carry ``block_size`` in their meta. ``load_index`` reads
+    them and a checkpoint shipping one boots, both answering exactly as a
+    fresh build does."""
+    from repro.serve import ServingEngine, TopKIndex, load_index
+    from repro.serve.checkpoint import INDEX_FILE
+    from repro.serve.engine import engine_from_checkpoint
+    from repro.utils.artifact import load_npz, save_npz
+
+    model = BPRMF(tiny_dataset, dim=8, seed=3)
+    _train_briefly(model)
+    fresh = TopKIndex.build(
+        model,
+        mask_splits=[tiny_dataset.train, tiny_dataset.valid],
+        mode=mode,
+        ann_params={"nlist": 4, "nprobe": 2, "seed": 0} if mode == "ann" else None,
+    )
+    artifact = fresh._artifact
+
+    def with_block_size():
+        arrays, meta = artifact()
+        assert "block_size" not in meta
+        return arrays, {**meta, "block_size": 256}
+
+    path = str(tmp_path / "index.npz")
+    save_npz(path, *with_block_size())
+    # save_checkpoint writes whatever the index's _artifact returns.
+    monkeypatch.setattr(fresh, "_artifact", with_block_size)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(model, ckpt, index=fresh)
+    assert load_npz(f"{ckpt}/{INDEX_FILE}", ("exact", "ivf"))[1]["block_size"] == 256
+
+    loaded = load_index(path)
+    engine = engine_from_checkpoint(ckpt, dataset=tiny_dataset)
+    assert engine.index.sha256 == read_manifest(ckpt)["index"]["sha256"]
+    users = np.arange(tiny_dataset.n_users)
+    want_items, want_scores = fresh.topk(users, 10)
+    reference = ServingEngine(fresh)
+    for index in (loaded, engine.index):
+        assert type(index) is type(fresh) and index.mode == fresh.mode
+        assert getattr(index, "stats", None) == getattr(fresh, "stats", None)
+        items, scores = index.topk(users, 10)
+        np.testing.assert_array_equal(items, want_items)
+        np.testing.assert_array_equal(scores, want_scores)
+    for user in users:
+        for got, want in zip(engine.recommend(user, 10), reference.recommend(user, 10)):
+            np.testing.assert_array_equal(got, want)

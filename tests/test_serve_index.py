@@ -12,6 +12,7 @@ import pytest
 from repro.baselines import BPRMF, LightGCN
 from repro.core import CGKGR, CGKGRConfig
 from repro.eval.ranking import build_mask_table, rank_items
+import repro.serve.index as index_mod
 from repro.serve import MicroBatcher, ServingEngine, TopKIndex, topk_from_scores
 from repro.training import Trainer, TrainerConfig
 
@@ -83,12 +84,6 @@ class TestTopKIndex:
         with pytest.raises(ValueError, match="factorized"):
             TopKIndex.build(trained_models["cg-kgr"], mode="factorized")
 
-    def test_unmasked_topk_keeps_seen_items(self, trained_models, tiny_dataset):
-        model = trained_models["bprmf"]
-        index = TopKIndex.build(model)
-        items, _ = index.topk([0], tiny_dataset.n_items, mask_seen=False)
-        assert set(items[0].tolist()) == set(range(tiny_dataset.n_items))
-
     def test_subset_index(self, trained_models, tiny_dataset):
         model = trained_models["cg-kgr"]
         index = TopKIndex.build(model, users=[0, 2, 4])
@@ -97,14 +92,14 @@ class TestTopKIndex:
         with pytest.raises(KeyError, match="not in index"):
             index.scores_of([1])
 
-    def test_factorized_blocking_consistent(self, trained_models, tiny_dataset):
-        model = trained_models["bprmf"]
-        small = TopKIndex.build(model, block_size=4)
-        big = TopKIndex.build(model, block_size=4096)
+    def test_factorized_blocking_consistent(
+        self, trained_models, tiny_dataset, monkeypatch
+    ):
+        index = TopKIndex.build(trained_models["bprmf"])
         users = np.arange(tiny_dataset.n_users)
-        np.testing.assert_array_equal(
-            small.scores_of(users), big.scores_of(users)
-        )
+        whole = index.scores_of(users)
+        monkeypatch.setattr(index_mod, "USER_BLOCK", 4)
+        np.testing.assert_array_equal(index.scores_of(users), whole)
 
 
 class TestIndexMemoryAccounting:
@@ -266,6 +261,39 @@ class TestServingEngine:
             # BLAS gemm reduction order depends on the block's row count,
             # so batched and single-user scores may differ in the last ulp.
             np.testing.assert_allclose(scores, scores_1, rtol=1e-12)
+
+    @pytest.mark.parametrize("path", ["index", "ivf", "fallback"])
+    def test_huge_k_serves_only_unmasked_items(
+        self, trained_models, tiny_dataset, path
+    ):
+        """A ``k`` beyond the unmasked catalogue answers every unmasked item
+        once, in protocol order, and no masked item or ``-inf`` score."""
+        model = trained_models["bprmf"]
+        splits = [tiny_dataset.train, tiny_dataset.valid]
+        if path == "index":
+            index = TopKIndex.build(model, mask_splits=splits)
+        elif path == "ivf":
+            index = TopKIndex.build(
+                model, mask_splits=splits, mode="ann",
+                ann_params={"nlist": 4, "nprobe": 1, "seed": 0},
+            )
+        else:
+            index = TopKIndex.build(model, users=[1], mask_splits=splits)
+        engine = ServingEngine(index, model=model)
+        masked = build_mask_table(splits, tiny_dataset.n_users)[0]
+        assert masked.size
+        # rank_items ranks the masked items last.
+        brute = rank_items(model.score_all_items(0), masked)[: -masked.size]
+        assert not np.isin(brute, masked).any()
+        for items, scores in (
+            engine.recommend(0, 10**6),
+            *engine.recommend_many([0, 0], tiny_dataset.n_items),
+        ):
+            np.testing.assert_array_equal(items, brute)
+            assert np.isfinite(scores).all()
+        assert engine.metrics.get("fallback_users") == (
+            2 if path == "fallback" else 0
+        )
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_non_positive_k_rejected_before_cache(self, trained_models, k):

@@ -68,6 +68,21 @@ class TestServerEndpoints:
         assert payload["model"] == "CG-KGR"
         assert payload["indexed_users"] == engine.index.n_indexed_users
 
+    def test_huge_k_answer_is_strict_json(self, served_checkpoint):
+        """Masked items are cut off the answer, so no ``-Infinity`` reaches
+        the body."""
+        base, engine = served_checkpoint
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        url = base + "/recommend?user=0&k=100000"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            payload = json.loads(response.read(), parse_constant=refuse)
+        unmasked = engine.index.n_items - len(engine.index.mask_table[0])
+        assert len(payload["items"]) == len(set(payload["items"])) == unmasked
+        assert not set(payload["items"]) & set(engine.index.mask_table[0].tolist())
+
     def test_healthz_operational_fields(self, served_checkpoint):
         base, engine = served_checkpoint
         _, payload = _get(base + "/healthz")
