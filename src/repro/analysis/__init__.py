@@ -3,11 +3,10 @@ lens of the paper's motivation) and attention diagnostics for the
 collaborative-guidance case study."""
 
 from repro.analysis.sparsity import UserBucketReport, recall_by_history_size
-from repro.analysis.attention import guidance_shift, attention_entropy
+from repro.analysis.attention import attention_entropy
 
 __all__ = [
     "recall_by_history_size",
     "UserBucketReport",
-    "guidance_shift",
     "attention_entropy",
 ]

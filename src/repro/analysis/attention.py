@@ -1,13 +1,10 @@
 """Attention diagnostics for the collaborative guidance mechanism.
 
-Quantifies the Fig. 5 effect at dataset scale: how much does the guidance
-signal move the knowledge-attention distribution, and how concentrated is
-the attention with and without it.
+Measures the Fig. 5 effect: how concentrated the knowledge attention is
+with and without the guidance signal.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Sequence
 
 import numpy as np
 
@@ -27,33 +24,3 @@ def attention_entropy(weights: np.ndarray, mask: np.ndarray | None = None) -> fl
     p = w / total
     p = p[p > 0]
     return float(-(p * np.log(p)).sum())
-
-
-def guidance_shift(model, pairs: Sequence[tuple]) -> Dict[str, float]:
-    """Aggregate Fig. 5 statistics over (user, item) pairs.
-
-    For each pair, compares the hop-1 KG attention with vs without the
-    guidance signal via ``model.explain``.  Returns means of:
-
-    * ``total_variation`` — L1 shift guidance induces;
-    * ``entropy_guided`` / ``entropy_unguided`` — attention concentration.
-    """
-    shifts, ent_guided, ent_unguided = [], [], []
-    for user, item in pairs:
-        report = model.explain(int(user), int(item))
-        mask = report["mask"]
-        if not mask.any():
-            continue
-        guided = report["guided_weights"]
-        unguided = report["unguided_weights"]
-        shifts.append(float(np.abs(guided - unguided).sum()) / 2.0)
-        ent_guided.append(attention_entropy(guided, mask))
-        ent_unguided.append(attention_entropy(unguided, mask))
-    if not shifts:
-        return {"total_variation": 0.0, "entropy_guided": 0.0, "entropy_unguided": 0.0, "n_pairs": 0}
-    return {
-        "total_variation": float(np.mean(shifts)),
-        "entropy_guided": float(np.mean(ent_guided)),
-        "entropy_unguided": float(np.mean(ent_unguided)),
-        "n_pairs": len(shifts),
-    }

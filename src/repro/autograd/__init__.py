@@ -11,7 +11,7 @@ Public surface:
   :mod:`repro.autograd.ops` (most are also methods on ``Tensor``).
 * :mod:`repro.autograd.nn` — ``Module`` / ``Parameter`` / ``Embedding`` /
   ``Linear`` / ``MLP`` building blocks.
-* :mod:`repro.autograd.optim` — ``SGD`` and ``Adam``.
+* :mod:`repro.autograd.optim` — ``Adam``.
 * :mod:`repro.autograd.init` — Xavier and friends.
 * :func:`~repro.autograd.gradcheck.gradcheck` — numerical gradient checking.
 * :class:`~repro.autograd.tensor.Observer` with :func:`add_observer` /

@@ -31,13 +31,6 @@ def xavier_uniform(shape: Sequence[int], rng: np.random.Generator, gain: float =
     return rng.uniform(-limit, limit, size=tuple(shape))
 
 
-def xavier_normal(shape: Sequence[int], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot & Bengio (2010) normal initializer."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=tuple(shape))
-
-
 def normal(shape: Sequence[int], rng: np.random.Generator, std: float = 0.01) -> np.ndarray:
     """Zero-mean Gaussian with the given standard deviation."""
     return rng.normal(0.0, std, size=tuple(shape))

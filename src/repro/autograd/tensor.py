@@ -230,10 +230,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of size {self.size}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 

@@ -8,6 +8,9 @@ A :class:`Recommender` is a :class:`~repro.autograd.nn.Module` that can
 * react to epoch boundaries (:meth:`begin_epoch`, used for neighborhood
   resampling).
 
+:class:`PropagatedRecommender` is the shared base of the models that score
+with rows of one propagated node table (LightGCN, NGCF, KGAT).
+
 The trainer (:mod:`repro.training.trainer`) and both evaluation protocols
 work exclusively through this interface, so every model in the comparison
 is trained and measured identically — a prerequisite for the paper's
@@ -23,7 +26,7 @@ import numpy as np
 
 from repro.autograd import no_grad, ops
 from repro.autograd.nn import Module
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.data.dataset import RecDataset
 
 #: Items per forward when a whole catalogue is scored for a user.
@@ -236,3 +239,102 @@ class Recommender(Module):
             if isinstance(table, Embedding):
                 rows.append(table(item_ids))
         return rows
+
+
+def normalized_bipartite(dataset: RecDataset) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train edges ``(users, items, n_ui)`` of the user-item graph, with the
+    symmetric normalization ``n_ui = 1/√(|N_u||N_i|)`` (degrees clipped at 1)."""
+    train = dataset.train
+    user_deg = np.zeros(dataset.n_users)
+    item_deg = np.zeros(dataset.n_items)
+    np.add.at(user_deg, train.users, 1.0)
+    np.add.at(item_deg, train.items, 1.0)
+    norm = 1.0 / np.sqrt(
+        np.maximum(user_deg[train.users], 1.0) * np.maximum(item_deg[train.items], 1.0)
+    )
+    return train.users.copy(), train.items.copy(), norm
+
+
+class PropagatedRecommender(Recommender):
+    """A model that scores with rows of one propagated node table.
+
+    Subclasses build every node's final representation in one
+    :meth:`_propagate` pass; user ``u`` is row ``user_offset + u`` and item
+    ``i`` row ``item_offset + i``, and ``ŷ_{u,i}`` is the inner product of
+    the two rows.  The loss and :meth:`score_pairs` propagate on the tape;
+    :meth:`predict` reads a numpy copy of the table built on first use.
+
+    One rule keeps that copy current: every path that can change the
+    parameters or the sampled neighborhoods calls :meth:`drop_table` — a
+    forward on the gradient tape (the loss of a step about to be taken),
+    :meth:`begin_epoch`, :meth:`load_state_dict`, :meth:`load_extra_state`
+    and KGAT's ``pretrain``.
+    """
+
+    def __init__(self, dataset: RecDataset, seed: int, user_offset: int, item_offset: int):
+        super().__init__(dataset, seed)
+        self.user_offset = int(user_offset)
+        self.item_offset = int(item_offset)
+        self._table: Optional[np.ndarray] = None
+
+    def _propagate(self) -> Tensor:
+        """The node table: one row per user, item (and entity) node."""
+        raise NotImplementedError
+
+    def drop_table(self) -> None:
+        """Forget the inference table; the next :meth:`predict` rebuilds it."""
+        self._table = None
+
+    def node_table(self) -> np.ndarray:
+        """The propagated table as numpy, built once per parameter state."""
+        if self._table is None:
+            with no_grad():
+                self._table = self._propagate().numpy()
+        return self._table
+
+    # ------------------------------------------------------------------
+    def _tape_table(self) -> Tensor:
+        if is_grad_enabled():
+            self.drop_table()  # a step on these parameters may follow
+        return self._propagate()
+
+    def _user_rows(self, table: Tensor, users) -> Tensor:
+        return ops.gather_rows(table, np.asarray(users, dtype=np.int64) + self.user_offset)
+
+    def _scores(self, table: Tensor, user_rows: Tensor, items) -> Tensor:
+        item_rows = ops.gather_rows(table, np.asarray(items, dtype=np.int64) + self.item_offset)
+        return ops.sum(ops.mul(user_rows, item_rows), axis=-1)
+
+    def score_pairs(self, users: Sequence[int], items: Sequence[int]) -> Tensor:
+        table = self._tape_table()
+        return self._scores(table, self._user_rows(table, users), items)
+
+    def _pos_neg_scores(self, users, pos_items, neg_items) -> Tuple[Tensor, Tensor]:
+        """``(ŷ⁺, ŷ⁻)`` from one propagation, each user row gathered once."""
+        table = self._tape_table()
+        user_rows = self._user_rows(table, users)
+        return self._scores(table, user_rows, pos_items), self._scores(table, user_rows, neg_items)
+
+    def loss(self, users: np.ndarray, pos_items: np.ndarray, neg_items: np.ndarray) -> Tensor:
+        """BPR ``-mean(log σ(ŷ⁺ - ŷ⁻))`` over the propagated table."""
+        pos, neg = self._pos_neg_scores(users, pos_items, neg_items)
+        return ops.neg(ops.mean(ops.log_sigmoid(ops.sub(pos, neg))))
+
+    def predict(self, users: Sequence[int], items: Sequence[int], batch_size: int = 2048) -> np.ndarray:
+        """Scores from the cached table (one table serves every pair, so
+        ``batch_size`` is unused)."""
+        table = self.node_table()
+        users = np.asarray(users, dtype=np.int64) + self.user_offset
+        items = np.asarray(items, dtype=np.int64) + self.item_offset
+        return (table[users] * table[items]).sum(axis=-1)
+
+    # ------------------------------------------------------------------
+    def begin_epoch(self, epoch: int) -> None:
+        self.drop_table()
+
+    def load_state_dict(self, state, strict: bool = True) -> None:
+        self.drop_table()
+        super().load_state_dict(state, strict)
+
+    def load_extra_state(self, state: dict) -> None:
+        self.drop_table()

@@ -16,21 +16,21 @@ benches call it.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.autograd import init, no_grad, ops
+from repro.autograd import init, ops
 from repro.autograd.nn import Embedding, Parameter
 from repro.autograd.tensor import Tensor
-from repro.baselines.base import Recommender
+from repro.baselines.base import PropagatedRecommender
 from repro.baselines.transr import transr_kg_loss
 from repro.data.dataset import RecDataset
 from repro.graph.sampling import _build_table
 from repro.graph.unified import UnifiedGraph
 
 
-class KGAT(Recommender):
+class KGAT(PropagatedRecommender):
     """Attentive propagation on the unified user-item-entity graph."""
 
     name = "KGAT"
@@ -47,7 +47,8 @@ class KGAT(Recommender):
         l2: float = 1e-5,
         seed: int = 0,
     ):
-        super().__init__(dataset, seed)
+        # Users sit past the entities in the unified node table.
+        super().__init__(dataset, seed, user_offset=dataset.kg.n_entities, item_offset=0)
         self.dim = dim
         self.n_layers = n_layers
         self.neighbor_size = neighbor_size
@@ -74,7 +75,6 @@ class KGAT(Recommender):
         # Structural, so built once; each epoch only redraws the tables.
         self._adjacency = self.unified.adjacency()
         self._resample_adjacency()
-        self._cached_embeddings: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def _resample_adjacency(self) -> None:
@@ -86,8 +86,8 @@ class KGAT(Recommender):
         )
 
     def begin_epoch(self, epoch: int) -> None:
+        super().begin_epoch(epoch)
         self._resample_adjacency()
-        self._cached_embeddings = None
 
     def extra_state(self) -> dict:
         return {
@@ -97,10 +97,10 @@ class KGAT(Recommender):
         }
 
     def load_extra_state(self, state: dict) -> None:
+        super().load_extra_state(state)
         self._neighbors = state["neighbors"].copy()
         self._relations = state["relations"].copy()
         self._has = state["has"].copy()
-        self._cached_embeddings = None
 
     # ------------------------------------------------------------------
     def _propagate(self) -> Tensor:
@@ -127,28 +127,6 @@ class KGAT(Recommender):
         return ops.concat(outputs, axis=-1)
 
     # ------------------------------------------------------------------
-    def score_pairs(self, users: Sequence[int], items: Sequence[int]) -> Tensor:
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        all_nodes = self._propagate()
-        user_nodes = users + self.unified.n_entities
-        v_u = ops.gather_rows(all_nodes, user_nodes)
-        v_i = ops.gather_rows(all_nodes, items)
-        return ops.sum(ops.mul(v_u, v_i), axis=-1)
-
-    def predict(self, users, items, batch_size: int = 4096) -> np.ndarray:
-        # One propagation pass serves the whole evaluation sweep.
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        with no_grad():
-            if self._cached_embeddings is None:
-                self._cached_embeddings = self._propagate().numpy()
-        table = self._cached_embeddings
-        v_u = table[users + self.unified.n_entities]
-        v_i = table[items]
-        return (v_u * v_i).sum(axis=-1)
-
-    # ------------------------------------------------------------------
     def kg_loss(self) -> Tensor:
         """TransR BPR loss over the unified graph's triples."""
         return transr_kg_loss(
@@ -162,12 +140,7 @@ class KGAT(Recommender):
         )
 
     def loss(self, users: np.ndarray, pos_items: np.ndarray, neg_items: np.ndarray) -> Tensor:
-        self._cached_embeddings = None  # parameters are about to change
-        all_nodes = self._propagate()  # one propagation serves pos and neg
-        v_u = ops.gather_rows(all_nodes, np.asarray(users) + self.unified.n_entities)
-        pos = ops.sum(ops.mul(v_u, ops.gather_rows(all_nodes, pos_items)), axis=-1)
-        neg = ops.sum(ops.mul(v_u, ops.gather_rows(all_nodes, neg_items)), axis=-1)
-        cf = ops.neg(ops.mean(ops.log_sigmoid(ops.sub(pos, neg))))
+        cf = super().loss(users, pos_items, neg_items)
         return ops.add(cf, ops.mul(self.kg_loss(), self.kg_weight))
 
     def pairwise_loss(self, users: np.ndarray, pos_items: np.ndarray, neg_items: np.ndarray) -> Tensor:
@@ -175,23 +148,18 @@ class KGAT(Recommender):
         # the objective axis only swaps optimizer weight decay for the
         # batch-row EmbLoss of the official implementation and keeps the
         # TransR KG term.
-        self._cached_embeddings = None  # parameters are about to change
-        all_nodes = self._propagate()
         users = np.asarray(users, dtype=np.int64)
-        v_u = ops.gather_rows(all_nodes, users + self.unified.n_entities)
-        pos = ops.sum(ops.mul(v_u, ops.gather_rows(all_nodes, pos_items)), axis=-1)
-        neg = ops.sum(ops.mul(v_u, ops.gather_rows(all_nodes, neg_items)), axis=-1)
-        cf = ops.bpr_loss(pos, neg)
+        cf = ops.bpr_loss(*self._pos_neg_scores(users, pos_items, neg_items))
         if self.l2:
             rows = self.batch_embeddings(users, pos_items, neg_items)
             cf = ops.add(cf, ops.mul(ops.emb_loss(rows), self.l2))
         return ops.add(cf, ops.mul(self.kg_loss(), self.kg_weight))
 
     def batch_embeddings(self, users, pos_items, neg_items):
-        # Users and items share the unified node table (users offset past
-        # the entities); three blocks so EmbLoss normalizes by the batch
-        # size, matching the official KGAT recipe.
-        users = np.asarray(users, dtype=np.int64) + self.unified.n_entities
+        # Users and items share the unified node table; three blocks so
+        # EmbLoss normalizes by the batch size, matching the official KGAT
+        # recipe.
+        users = np.asarray(users, dtype=np.int64) + self.user_offset
         return [
             self.node_embedding(users),
             self.node_embedding(np.asarray(pos_items, dtype=np.int64)),
@@ -210,5 +178,5 @@ class KGAT(Recommender):
         trainer.fit()
         weights = self.node_embedding.weight.data
         weights[: self.dataset.n_items] = mf.item_embedding.weight.data
-        weights[self.unified.n_entities :] = mf.user_embedding.weight.data
-        self._cached_embeddings = None
+        weights[self.user_offset :] = mf.user_embedding.weight.data
+        self.drop_table()

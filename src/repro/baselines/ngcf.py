@@ -13,18 +13,16 @@ paper's Table IV line-up.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
-import numpy as np
-
-from repro.autograd import init, no_grad, ops
+from repro.autograd import init, ops
 from repro.autograd.nn import Embedding, Parameter
 from repro.autograd.tensor import Tensor
-from repro.baselines.base import Recommender
+from repro.baselines.base import PropagatedRecommender, normalized_bipartite
 from repro.data.dataset import RecDataset
 
 
-class NGCF(Recommender):
+class NGCF(PropagatedRecommender):
     """Neural graph collaborative filtering on the bipartite graph."""
 
     name = "NGCF"
@@ -38,7 +36,7 @@ class NGCF(Recommender):
         l2: float = 1e-5,
         seed: int = 0,
     ):
-        super().__init__(dataset, seed)
+        super().__init__(dataset, seed, user_offset=0, item_offset=dataset.n_users)
         self.dim = dim
         self.n_layers = n_layers
         self.lr = lr
@@ -53,18 +51,7 @@ class NGCF(Recommender):
             Parameter(init.xavier_uniform((dim, dim), self.rng))
             for _ in range(n_layers)
         ]
-        train = dataset.train
-        user_deg = np.zeros(dataset.n_users)
-        item_deg = np.zeros(dataset.n_items)
-        np.add.at(user_deg, train.users, 1.0)
-        np.add.at(item_deg, train.items, 1.0)
-        self._rows = train.users.copy()
-        self._cols = train.items.copy()
-        self._norm = 1.0 / np.sqrt(
-            np.maximum(user_deg[train.users], 1.0)
-            * np.maximum(item_deg[train.items], 1.0)
-        )
-        self._cached: np.ndarray | None = None
+        self._norm_rows, self._norm_cols, self._norm_vals = normalized_bipartite(dataset)
 
     # ------------------------------------------------------------------
     def _propagate(self) -> Tensor:
@@ -73,7 +60,7 @@ class NGCF(Recommender):
         items = self.item_embedding.weight
         user_out: List[Tensor] = [users]
         item_out: List[Tensor] = [items]
-        rows, cols, norm = self._rows, self._cols, self._norm[:, None]
+        rows, cols, norm = self._norm_rows, self._norm_cols, self._norm_vals[:, None]
         for layer in range(self.n_layers):
             u_cur, i_cur = user_out[-1], item_out[-1]
             msg_items = ops.mul(ops.gather_rows(i_cur, cols), norm)
@@ -101,36 +88,3 @@ class NGCF(Recommender):
         users_final = ops.concat(user_out, axis=-1)
         items_final = ops.concat(item_out, axis=-1)
         return ops.concat([users_final, items_final], axis=0)
-
-    # ------------------------------------------------------------------
-    def score_pairs(self, users: Sequence[int], items: Sequence[int]) -> Tensor:
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        table = self._propagate()
-        v_u = ops.gather_rows(table, users)
-        v_i = ops.gather_rows(table, items + self.dataset.n_users)
-        return ops.sum(ops.mul(v_u, v_i), axis=-1)
-
-    def loss(self, users, pos_items, neg_items) -> Tensor:
-        self._cached = None
-        table = self._propagate()
-        v_u = ops.gather_rows(table, np.asarray(users))
-        pos = ops.sum(ops.mul(v_u, ops.gather_rows(table, np.asarray(pos_items) + self.dataset.n_users)), axis=-1)
-        neg = ops.sum(ops.mul(v_u, ops.gather_rows(table, np.asarray(neg_items) + self.dataset.n_users)), axis=-1)
-        return ops.neg(ops.mean(ops.log_sigmoid(ops.sub(pos, neg))))
-
-    def pairwise_loss(self, users, pos_items, neg_items) -> Tensor:
-        self._cached = None  # parameters are about to change
-        return super().pairwise_loss(users, pos_items, neg_items)
-
-    def predict(self, users, items, batch_size: int = 8192) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        with no_grad():
-            if self._cached is None:
-                self._cached = self._propagate().numpy()
-        table = self._cached
-        return (table[users] * table[items + self.dataset.n_users]).sum(axis=-1)
-
-    def begin_epoch(self, epoch: int) -> None:
-        self._cached = None

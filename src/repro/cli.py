@@ -118,7 +118,7 @@ def cmd_prep(args) -> int:
     """Run the dataset-preparation pipeline (docs/data.md)."""
     import os
 
-    from repro.data.prep import PrepConfig, prepare_dataset, write_prepared
+    from repro.data.prep import PrepConfig, prepare
 
     if args.data_dir:
         ratings = os.path.join(args.data_dir, args.ratings_filename)
@@ -139,8 +139,7 @@ def cmd_prep(args) -> int:
         split_seed=args.split_seed,
         name=args.name or os.path.basename(os.path.normpath(args.out)),
     )
-    result = prepare_dataset(ratings, kg, config)
-    manifest = write_prepared(args.out, result)
+    manifest = prepare(ratings, kg, args.out, config)
     sizes = manifest["sizes"]
     stats = manifest["stats"]
     print(

@@ -86,32 +86,3 @@ def evaluate_ctr(
         "auc": auc_score(labels, probabilities),
         "f1": f1_score(labels, probabilities >= threshold),
     }
-
-
-def threshold_sweep(
-    labels: np.ndarray,
-    probabilities: np.ndarray,
-    thresholds: Optional[np.ndarray] = None,
-) -> Dict[str, float]:
-    """F1 across decision thresholds.
-
-    Supports the paper's Table V discussion: on Music, the fixed 0.5
-    threshold is a poor operating point, whereas AUC — which averages
-    over thresholds — still reflects the model's ranking quality.
-    Returns the best threshold, its F1, and the F1 at 0.5 for contrast.
-    """
-    labels = np.asarray(labels, dtype=bool)
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    if thresholds is None:
-        thresholds = np.linspace(0.05, 0.95, 19)
-    best_threshold, best_f1 = 0.5, -1.0
-    for threshold in thresholds:
-        value = f1_score(labels, probabilities >= threshold)
-        if value > best_f1:
-            best_f1 = value
-            best_threshold = float(threshold)
-    return {
-        "best_threshold": best_threshold,
-        "best_f1": best_f1,
-        "f1_at_half": f1_score(labels, probabilities >= 0.5),
-    }

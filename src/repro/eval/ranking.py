@@ -227,19 +227,3 @@ def map_at_k(ranked: Sequence[int], relevant: Set[int], k: int) -> float:
             hits += 1
             precision_sum += hits / (position + 1.0)
     return precision_sum / min(len(relevant), k)
-
-
-def catalogue_coverage(
-    rankings: Sequence[Sequence[int]], n_items: int, k: int
-) -> float:
-    """Fraction of the catalogue appearing in at least one user's top-k.
-
-    A diversity diagnostic: popularity-biased models cover a thin slice
-    of the catalogue even when accuracy looks fine.
-    """
-    if n_items <= 0:
-        raise ValueError("n_items must be positive")
-    seen: Set[int] = set()
-    for ranking in rankings:
-        seen.update(int(i) for i in ranking[:k])
-    return len(seen) / n_items

@@ -8,7 +8,7 @@ a user's interacted items ``S(u)`` and an item's interacting users
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -66,16 +66,9 @@ class InteractionGraph:
         total = self.n_users * self.n_items
         return self.n_interactions / total if total else 0.0
 
-    def users_with_interactions(self) -> np.ndarray:
-        """Sorted ids of users having at least one interaction."""
-        return np.asarray(sorted(self._user_items), dtype=np.int64)
-
     def pairs(self) -> np.ndarray:
         """``(n, 2)`` array of (user, item) pairs."""
         return np.stack([self.users, self.items], axis=1) if self.n_interactions else np.empty((0, 2), dtype=np.int64)
-
-    def to_set(self) -> Set[Tuple[int, int]]:
-        return set(zip(self.users.tolist(), self.items.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

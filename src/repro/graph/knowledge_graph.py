@@ -12,7 +12,7 @@ reverse edge is the same as the forward edge.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -81,23 +81,6 @@ class KnowledgeGraph:
         if n_items <= 0:
             raise ValueError("n_items must be positive")
         return self.n_triples / n_items
-
-    def relation_counts(self) -> np.ndarray:
-        """Histogram of relation usage, length ``n_relations``."""
-        counts = np.zeros(self.n_relations, dtype=np.int64)
-        if len(self.triples):
-            np.add.at(counts, self.triples[:, 1], 1)
-        return counts
-
-    def subgraph_for_entities(self, entities: Sequence[int]) -> "KnowledgeGraph":
-        """Return the induced subgraph on ``entities`` (same id space)."""
-        keep = set(int(e) for e in entities)
-        mask = [h in keep and t in keep for h, _, t in self.triples]
-        return KnowledgeGraph(
-            self.triples[np.asarray(mask, dtype=bool)] if len(self.triples) else [],
-            n_entities=self.n_entities,
-            n_relations=self.n_relations,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

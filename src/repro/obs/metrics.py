@@ -201,10 +201,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = float(value)
 
-    def get_gauge(self, name: str, default: float = 0.0) -> float:
-        with self._lock:
-            return self._gauges.get(name, default)
-
     def observe(self, name: str, seconds: float) -> None:
         with self._lock:
             hist = self._histograms.get(name)

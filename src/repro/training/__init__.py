@@ -10,7 +10,6 @@ from repro.training.experiment import (
     run_comparison,
     run_single,
 )
-from repro.training.search import PAPER_SEARCH_GRIDS, SearchResult, grid_search
 
 __all__ = [
     "Trainer",
@@ -20,7 +19,4 @@ __all__ = [
     "ModelFactory",
     "run_comparison",
     "run_single",
-    "grid_search",
-    "SearchResult",
-    "PAPER_SEARCH_GRIDS",
 ]

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis import (
     attention_entropy,
-    guidance_shift,
     recall_by_history_size,
 )
 from repro.analysis.sparsity import DEFAULT_BUCKETS, UserBucketReport
@@ -32,23 +31,6 @@ class TestAttentionEntropy:
         assert attention_entropy(np.array([0.7, 0.2, 0.1])) < attention_entropy(
             np.full(3, 1 / 3)
         )
-
-
-class TestGuidanceShift:
-    def test_reports_on_real_model(self, tiny_dataset):
-        cfg = CGKGRConfig(dim=8, depth=1, n_heads=2, kg_sample_size=3)
-        model = CGKGR(tiny_dataset, cfg, seed=0)
-        pairs = list(zip(tiny_dataset.test.users[:5], tiny_dataset.test.items[:5]))
-        report = guidance_shift(model, pairs)
-        assert report["n_pairs"] > 0
-        assert 0.0 <= report["total_variation"] <= 1.0
-        assert report["entropy_guided"] >= 0.0
-
-    def test_empty_pairs(self, tiny_dataset):
-        cfg = CGKGRConfig(dim=8, depth=1, n_heads=2, kg_sample_size=2)
-        model = CGKGR(tiny_dataset, cfg, seed=0)
-        report = guidance_shift(model, [])
-        assert report["n_pairs"] == 0
 
 
 class TestSparsityBuckets:

@@ -5,57 +5,13 @@ import pytest
 
 from repro.autograd import Tensor, ops
 from repro.autograd.nn import Parameter
-from repro.autograd.optim import SGD, Adam
+from repro.autograd.optim import Adam
 
 
 def quadratic_loss(p: Parameter) -> Tensor:
     target = np.array([1.0, -2.0, 3.0])
     diff = ops.sub(p, target)
     return ops.sum(ops.mul(diff, diff))
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.zeros(3))
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            loss = quadratic_loss(p)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, [1.0, -2.0, 3.0], atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            p = Parameter(np.zeros(3))
-            opt = SGD([p], lr=0.02, momentum=momentum)
-            for _ in range(30):
-                loss = quadratic_loss(p)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-            return quadratic_loss(p).item()
-
-        assert run(0.9) < run(0.0)
-
-    def test_single_step_matches_formula(self):
-        p = Parameter(np.array([2.0]))
-        opt = SGD([p], lr=0.5)
-        loss = ops.sum(ops.mul(p, p))  # grad = 2p = 4
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        assert p.data[0] == pytest.approx(2.0 - 0.5 * 4.0)
-
-    def test_missing_grad_treated_as_zero(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1)
-        opt.step()  # no backward happened
-        assert p.data[0] == pytest.approx(1.0)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, momentum=1.5)
 
 
 class TestAdam:
@@ -87,9 +43,9 @@ class TestAdam:
 class TestWeightDecay:
     def test_decay_shrinks_parameters(self):
         p = Parameter(np.array([10.0]))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        opt.step()  # grad 0 → update = -lr · 2λθ
-        assert p.data[0] == pytest.approx(10.0 - 0.1 * 2 * 0.5 * 10.0)
+        opt = Adam([p], lr=0.1, weight_decay=0.5)
+        opt.step()  # grad 0 → gradient 2λθ; Adam's first step is lr · sign
+        assert p.data[0] == pytest.approx(10.0 - 0.1)
 
     def test_decay_changes_fixed_point(self):
         # min (p - 1)² + λp² has fixed point 1 / (1 + λ).
@@ -106,13 +62,13 @@ class TestWeightDecay:
 
     def test_negative_decay_rejected(self):
         with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, weight_decay=-1.0)
+            Adam([Parameter(np.zeros(1))], lr=0.1, weight_decay=-1.0)
 
 
 class TestValidation:
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_nonpositive_lr_rejected(self):
         with pytest.raises(ValueError):
@@ -120,10 +76,16 @@ class TestValidation:
 
     def test_zero_grad_clears_all(self):
         p1, p2 = Parameter(np.zeros(2)), Parameter(np.zeros(2))
-        opt = SGD([p1, p2], lr=0.1)
+        opt = Adam([p1, p2], lr=0.1)
         ops.sum(ops.add(ops.mul(p1, p1), p2)).backward()
         opt.zero_grad()
         assert p1.grad is None and p2.grad is None
+
+    def test_missing_grad_treated_as_zero(self):
+        p = Parameter(np.array([1.0]))
+        opt = Adam([p], lr=0.1)
+        opt.step()  # no backward happened
+        assert p.data[0] == pytest.approx(1.0)
 
 
 class TestEmbeddingTableReference:
@@ -171,21 +133,4 @@ class TestEmbeddingTableReference:
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
             theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
-        assert np.array_equal(got, theta)
-
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-    def test_sgd_matches_numpy(self, momentum, weight_decay):
-        lr = 0.05
-        got, theta, grads = self._train(
-            lambda ps: SGD(ps, lr=lr, momentum=momentum, weight_decay=weight_decay)
-        )
-        vel = None
-        for g in grads:
-            if weight_decay:
-                g = g + 2.0 * weight_decay * theta
-            if momentum:
-                vel = g if vel is None else momentum * vel + g
-                g = vel
-            theta = theta - lr * g
         assert np.array_equal(got, theta)

@@ -98,12 +98,6 @@ class TestBackward:
         y.backward()
         assert x.grad == pytest.approx(1.0)
 
-    def test_detach_cuts_graph(self):
-        x = Tensor(2.0, requires_grad=True)
-        y = (x * 3.0).detach() * x
-        y.backward()
-        assert x.grad == pytest.approx(6.0)  # only the outer factor
-
 
 class TestNoGrad:
     def test_no_grad_disables_tape(self):

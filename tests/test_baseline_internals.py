@@ -93,10 +93,10 @@ class TestKGATInternals:
     def test_loss_invalidates_prediction_cache(self, tiny_dataset):
         model = KGAT(tiny_dataset, dim=8, n_layers=1, neighbor_size=2, seed=0)
         model.predict([0], [0])
-        assert model._cached_embeddings is not None
+        assert model._table is not None
         neg = np.array([1])
         model.loss(np.array([0]), np.array([0]), neg)
-        assert model._cached_embeddings is None
+        assert model._table is None
 
     def test_seed0_neighbor_tables_are_pinned(self):
         # KGAT draws its unified-graph tables with the per-node

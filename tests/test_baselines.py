@@ -176,9 +176,9 @@ class TestKGAT:
     def test_predict_uses_cache(self, tiny_dataset):
         m = KGAT(tiny_dataset, dim=8, n_layers=1, neighbor_size=2, seed=0)
         m.predict([0, 1], [0, 1])
-        assert m._cached_embeddings is not None
+        assert m._table is not None
         m.begin_epoch(0)
-        assert m._cached_embeddings is None
+        assert m._table is None
 
     def test_pretrain_copies_bprmf_rows(self, tiny_dataset):
         m = KGAT(tiny_dataset, dim=8, n_layers=1, neighbor_size=2, seed=0)

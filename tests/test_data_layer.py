@@ -14,6 +14,7 @@ from repro.data import (
 from repro.data.dataset import DatasetSplits, RecDataset
 from repro.data.loaders import save_interactions_file, save_kg_file
 from repro.graph import InteractionGraph, KnowledgeGraph
+from tests.helpers import pair_set
 
 
 @pytest.fixture()
@@ -38,22 +39,22 @@ class TestSplits:
     def test_disjoint_and_complete(self, interactions):
         splits = split_interactions(interactions, seed=1)
         train, valid, test = (
-            splits.train.to_set(),
-            splits.valid.to_set(),
-            splits.test.to_set(),
+            pair_set(splits.train),
+            pair_set(splits.valid),
+            pair_set(splits.test),
         )
         assert not (train & valid) and not (train & test) and not (valid & test)
-        assert train | valid | test == interactions.to_set()
+        assert train | valid | test == pair_set(interactions)
 
     def test_seed_determinism(self, interactions):
         a = split_interactions(interactions, seed=5)
         b = split_interactions(interactions, seed=5)
-        assert a.train.to_set() == b.train.to_set()
+        assert pair_set(a.train) == pair_set(b.train)
 
     def test_different_seeds_differ(self, interactions):
         a = split_interactions(interactions, seed=1)
         b = split_interactions(interactions, seed=2)
-        assert a.train.to_set() != b.train.to_set()
+        assert pair_set(a.train) != pair_set(b.train)
 
     def test_train_coverage(self, interactions):
         splits = split_interactions(interactions, seed=3, ensure_train_coverage=True)
@@ -174,7 +175,7 @@ class TestLoaders:
         save_kg_file(str(kg_file), tiny_dataset.kg)
         loaded_inter = load_interactions_file(str(ratings))
         loaded_kg = load_kg_file(str(kg_file))
-        assert loaded_inter.to_set() == tiny_dataset.train.to_set()
+        assert pair_set(loaded_inter) == pair_set(tiny_dataset.train)
         # The loader dedups triples, so a fixture with repeated random
         # triples round-trips to the unique set.
         unique_triples = {tuple(t) for t in tiny_dataset.kg.triples.tolist()}
@@ -184,7 +185,7 @@ class TestLoaders:
         path = tmp_path / "r.txt"
         path.write_text("0\t0\t1\n0\t1\t0\n1\t1\t1\n")
         inter = load_interactions_file(str(path))
-        assert inter.to_set() == {(0, 0), (1, 1)}
+        assert pair_set(inter) == {(0, 0), (1, 1)}
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "kg.txt"

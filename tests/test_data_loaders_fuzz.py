@@ -21,6 +21,7 @@ from repro.data.loaders import (
 )
 from repro.graph.interactions import InteractionGraph
 from repro.graph.knowledge_graph import KnowledgeGraph
+from tests.helpers import pair_set
 
 settings.register_profile("ci", max_examples=20, deadline=None)
 settings.load_profile("ci")
@@ -208,7 +209,7 @@ class TestDuplicateLines:
         path = _write(tmp_path, "ratings.txt", "0\t1\t1\n0\t1\t1\n1\t0\t1\n0\t1\t1\n")
         graph = load_interactions_file(path)
         assert graph.n_interactions == 2
-        assert graph.to_set() == {(0, 1), (1, 0)}
+        assert pair_set(graph) == {(0, 1), (1, 0)}
 
     def test_duplicate_triples_deduped(self, tmp_path):
         path = _write(tmp_path, "kg.txt", "0 0 1\n0 0 1\n1 1 2\n0 0 1\n")
@@ -234,4 +235,4 @@ class TestDuplicateLines:
         with _scratch_file("dup.txt", lines) as path:
             graph = load_interactions_file(path)
             assert graph.n_interactions == len(set(pairs))
-            assert graph.to_set() == set(pairs)
+            assert pair_set(graph) == set(pairs)

@@ -7,6 +7,7 @@ from repro.baselines import BPRMF
 from repro.core import CGKGR, CGKGRConfig
 from repro.data import generate_profile
 from repro.training import Trainer, TrainerConfig
+from tests.helpers import pair_set
 
 
 class TestEndToEndDeterminism:
@@ -40,8 +41,8 @@ class TestEndToEndDeterminism:
         a = generate_profile("music", seed=4, scale=0.3)
         b = generate_profile("music", seed=4, scale=0.3)
         np.testing.assert_array_equal(a.kg.triples, b.kg.triples)
-        assert a.train.to_set() == b.train.to_set()
-        assert a.valid.to_set() == b.valid.to_set()
+        assert pair_set(a.train) == pair_set(b.train)
+        assert pair_set(a.valid) == pair_set(b.valid)
 
     def test_trainer_negative_stream_seeded(self, tiny_dataset):
         """Negative sampling inside the trainer derives from the config

@@ -197,7 +197,7 @@ class TestWilcoxon:
             wilcoxon_improvement([1.0], [0.5])
 
 
-from repro.eval.ranking import catalogue_coverage, map_at_k, mrr_at_k
+from repro.eval.ranking import map_at_k, mrr_at_k
 
 
 class TestMAP:
@@ -271,47 +271,6 @@ class TestMRR:
     def test_empty_relevant_raises(self):
         with pytest.raises(ValueError):
             mrr_at_k([1], set(), 1)
-
-
-class TestCatalogueCoverage:
-    def test_full_coverage(self):
-        assert catalogue_coverage([[0, 1], [2, 3]], n_items=4, k=2) == 1.0
-
-    def test_partial_coverage(self):
-        assert catalogue_coverage([[0, 1], [0, 1]], n_items=4, k=2) == 0.5
-
-    def test_k_limits_window(self):
-        assert catalogue_coverage([[0, 1, 2, 3]], n_items=4, k=1) == 0.25
-
-    def test_invalid_items(self):
-        with pytest.raises(ValueError):
-            catalogue_coverage([], n_items=0, k=1)
-
-
-from repro.eval.ctr import threshold_sweep
-
-
-class TestThresholdSweep:
-    def test_finds_better_threshold_on_skewed_scores(self):
-        # All probabilities < 0.5: threshold 0.5 predicts nothing.
-        labels = np.array([1, 1, 0, 0])
-        probs = np.array([0.4, 0.35, 0.1, 0.05])
-        report = threshold_sweep(labels, probs)
-        assert report["f1_at_half"] == 0.0
-        assert report["best_f1"] == 1.0
-        assert report["best_threshold"] < 0.5
-
-    def test_well_calibrated_scores_keep_half(self):
-        labels = np.array([1, 1, 0, 0])
-        probs = np.array([0.9, 0.8, 0.2, 0.1])
-        report = threshold_sweep(labels, probs)
-        assert report["best_f1"] == report["f1_at_half"] == 1.0
-
-    def test_custom_thresholds(self):
-        labels = np.array([1, 0])
-        probs = np.array([0.6, 0.4])
-        report = threshold_sweep(labels, probs, thresholds=np.array([0.5]))
-        assert report["best_threshold"] == 0.5
 
 
 class TestMetricValidationUnified:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.splits import split_interactions
 from repro.graph import InteractionGraph, KnowledgeGraph, NeighborSampler
+from tests.helpers import pair_set
 
 settings.register_profile("ci", max_examples=20, deadline=None)
 settings.load_profile("ci")
@@ -93,11 +94,11 @@ class TestSplitProperties:
     def test_partition(self, inter, seed):
         splits = split_interactions(inter, seed=seed)
         train, valid, test = (
-            splits.train.to_set(),
-            splits.valid.to_set(),
-            splits.test.to_set(),
+            pair_set(splits.train),
+            pair_set(splits.valid),
+            pair_set(splits.test),
         )
-        assert train | valid | test == inter.to_set()
+        assert train | valid | test == pair_set(inter)
         assert len(train) + len(valid) + len(test) == inter.n_interactions
 
     @given(inter=random_interactions(), seed=st.integers(0, 1000))

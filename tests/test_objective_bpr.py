@@ -182,10 +182,10 @@ class TestModelZoo:
 
     @pytest.mark.parametrize("cls", [LightGCN, NGCF])
     def test_cached_tables_invalidated(self, tiny_dataset, cls):
-        # pairwise_loss must reset the prediction cache like loss() does,
+        # pairwise_loss must drop the prediction table like loss() does,
         # otherwise eval after a bpr step scores with stale propagation.
         model = cls(tiny_dataset, dim=8, n_layers=1, seed=0)
         model.predict(np.array([0]), np.array([0]))
-        assert model._cached is not None
+        assert model._table is not None
         model.pairwise_loss(np.array([0]), np.array([0]), np.array([1]))
-        assert model._cached is None
+        assert model._table is None

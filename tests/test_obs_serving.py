@@ -216,7 +216,7 @@ class TestSLOMonitor:
             monitor.observe(0.001, now=10.0)
         statuses = monitor.status(now=10.0)
         assert all(s.met for s in statuses)
-        assert metrics.get_gauge("slo_latency_p99_met") == 1.0
+        assert metrics.snapshot()["gauges"]["slo_latency_p99_met"] == 1.0
         assert tracer.events == []
 
     def test_violation_is_edge_triggered_and_rearms(self):
@@ -233,9 +233,9 @@ class TestSLOMonitor:
         assert metrics.get("slo_violations") == 1.0
         assert len(hits) == 1 and hits[0].spec.name == "latency_p99"
         # Every request over target with a 1% budget → burn rate 100x.
-        assert metrics.get_gauge("slo_latency_p99_burn_rate_60s") == pytest.approx(
-            100.0
-        )
+        assert metrics.snapshot()["gauges"][
+            "slo_latency_p99_burn_rate_60s"
+        ] == pytest.approx(100.0)
         # Recovery (window slides past the slow burst) re-arms the edge.
         for _ in range(50):
             monitor.observe(0.001, now=200.0)

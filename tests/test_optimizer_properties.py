@@ -1,12 +1,11 @@
 """Property tests on optimizer update rules."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import ops
 from repro.autograd.nn import Parameter
-from repro.autograd.optim import SGD, Adam
+from repro.autograd.optim import Adam
 
 settings.register_profile("ci", max_examples=20, deadline=None)
 settings.load_profile("ci")
@@ -52,46 +51,3 @@ class TestAdamProperties:
         opt.step()
         large = np.abs(vec) > 2 * lr
         assert np.all(np.abs(p.data[large]) < np.abs(vec[large]))
-
-
-class TestSGDProperties:
-    @given(vec=small_vec(), lr=st.floats(1e-4, 0.5))
-    def test_update_is_linear_in_gradient(self, vec, lr):
-        """One SGD step: θ' = θ - lr·g exactly."""
-        p = Parameter(vec.copy())
-        opt = SGD([p], lr=lr)
-        loss = ops.sum(ops.mul(p, 3.0))  # grad = 3
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        np.testing.assert_allclose(p.data, vec - lr * 3.0, atol=1e-12)
-
-    @given(vec=small_vec(), lr=st.floats(1e-3, 0.1), scale=st.floats(0.1, 10.0))
-    def test_gradient_scaling_scales_step(self, vec, lr, scale):
-        def run(s):
-            p = Parameter(vec.copy())
-            opt = SGD([p], lr=lr)
-            loss = ops.sum(ops.mul(p, s))
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            return vec - p.data
-
-        step1 = run(1.0)
-        step2 = run(scale)
-        np.testing.assert_allclose(step2, scale * step1, rtol=1e-9, atol=1e-12)
-
-    def test_momentum_accumulates_constant_gradient(self):
-        """With constant gradient g and momentum m, step_k → g/(1-m)."""
-        p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0, momentum=0.5)
-        prev = p.data.copy()
-        steps = []
-        for _ in range(30):
-            loss = ops.sum(ops.mul(p, 1.0))  # grad = 1
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            steps.append(float((prev - p.data)[0]))
-            prev = p.data.copy()
-        assert steps[-1] == pytest.approx(1.0 / (1.0 - 0.5), rel=1e-3)

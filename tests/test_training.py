@@ -265,56 +265,3 @@ class TestFailureInjection:
             # Overflow may saturate instead of producing NaN; either way
             # the trainer must not emit non-finite history entries silently.
             assert all(np.isfinite(h["loss"]) for h in trainer.fit().history)
-
-
-class TestGridSearch:
-    def test_finds_better_configuration(self, tiny_dataset):
-        from repro.training import grid_search
-
-        def factory(ds, seed, dim, lr):
-            return BPRMF(ds, dim=dim, lr=lr, seed=seed)
-
-        result = grid_search(
-            factory,
-            tiny_dataset,
-            grid={"dim": [4, 8], "lr": [1e-3, 2e-2]},
-            trainer_config=TrainerConfig(epochs=4, eval_task="topk", seed=0),
-        )
-        assert len(result.trace) == 4
-        assert result.best_params in [p for p, _ in result.trace]
-        assert result.best_metric == max(m for _, m in result.trace)
-
-    def test_top_sorted(self, tiny_dataset):
-        from repro.training import grid_search
-
-        result = grid_search(
-            lambda ds, seed, dim: BPRMF(ds, dim=dim, seed=seed),
-            tiny_dataset,
-            grid={"dim": [4, 8, 16]},
-            trainer_config=TrainerConfig(epochs=2, eval_task="topk", seed=0),
-        )
-        top = result.top(2)
-        assert len(top) == 2
-        assert top[0][1] >= top[1][1]
-
-    def test_empty_grid_rejected(self, tiny_dataset):
-        from repro.training import grid_search
-
-        with pytest.raises(ValueError):
-            grid_search(lambda ds, seed: BPRMF(ds, seed=seed), tiny_dataset, grid={})
-
-    def test_requires_validation_task(self, tiny_dataset):
-        from repro.training import grid_search
-
-        with pytest.raises(ValueError):
-            grid_search(
-                lambda ds, seed, dim: BPRMF(ds, dim=dim, seed=seed),
-                tiny_dataset,
-                grid={"dim": [4]},
-                trainer_config=TrainerConfig(epochs=1, eval_task="none"),
-            )
-
-    def test_paper_grids_exported(self):
-        from repro.training import PAPER_SEARCH_GRIDS
-
-        assert PAPER_SEARCH_GRIDS["dim"] == [8, 16, 32, 64, 128]

@@ -1,9 +1,9 @@
-"""Table/series rendering and RNG helpers."""
+"""Table/series rendering and the RNG helper."""
 
 import numpy as np
 import pytest
 
-from repro.utils import derive_rng, format_series, format_table, spawn_rngs
+from repro.utils import derive_rng, format_series, format_table
 
 
 class TestFormatTable:
@@ -41,21 +41,6 @@ class TestFormatSeries:
     def test_nan_rendered_as_dash(self):
         out = format_series("k", [1], {"a": [float("nan")]})
         assert "-" in out.splitlines()[-1]
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        rngs = spawn_rngs(0, 3)
-        assert len(rngs) == 3
-
-    def test_streams_independent(self):
-        a, b = spawn_rngs(0, 2)
-        assert a.random() != b.random()
-
-    def test_deterministic(self):
-        a1 = spawn_rngs(7, 2)[0].random(5)
-        a2 = spawn_rngs(7, 2)[0].random(5)
-        np.testing.assert_array_equal(a1, a2)
 
 
 class TestDeriveRng:
