@@ -230,18 +230,6 @@ def leaky_relu(a: TensorLike, negative_slope: float = 0.2) -> Tensor:
     return Tensor._make(out, (a,), (lambda g, s=scale: g * s,), "leaky_relu")
 
 
-@differentiable
-def dropout(a: TensorLike, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: zero a fraction ``rate`` and rescale survivors."""
-    a = ensure_tensor(a)
-    if not training or rate <= 0.0:
-        return a
-    keep = 1.0 - float(rate)
-    mask = (rng.random(a.shape) < keep) / keep
-    out = a.data * mask
-    return Tensor._make(out, (a,), (lambda g, m=mask: g * m,), "dropout")
-
-
 # ----------------------------------------------------------------------
 # Reductions
 # ----------------------------------------------------------------------

@@ -26,24 +26,32 @@ import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Per-thread tape switch: a server runs ``no_grad`` forwards on
+    several threads at once, and one thread's exit must not flip another's
+    mode.  Every thread starts enabled."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the gradient tape."""
-    return _GRAD_ENABLED
+    """Return whether operations on this thread record the gradient tape."""
+    return _grad_mode.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling tape recording (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager disabling tape recording (inference mode) on the
+    calling thread."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _grad_mode.enabled = previous
 
 
 # ----------------------------------------------------------------------

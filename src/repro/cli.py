@@ -400,7 +400,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.serve import create_server, engine_from_checkpoint
+    from repro.serve import RecommendationServer, engine_from_checkpoint
     from repro.serve.index import IndexModeError
 
     try:
@@ -418,11 +418,10 @@ def cmd_serve(args) -> int:
     _report_ann_index(engine.index)
     # A long-running server must not keep every event in memory.
     tracer = _make_tracer(args, keep_events=False)
-    server = create_server(
+    server = RecommendationServer(
         engine,
         host=args.host,
         port=args.port,
-        micro_batch=None if args.no_batch else args.batch_size,
         quiet=False,
         tracer=tracer,
         slo_specs=args.slo,  # None → server defaults (docs/observability.md)
@@ -843,8 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "factorized", "dense", "ann"])
     p.add_argument("--rebuild-index", action="store_true",
                    help="ignore a prebuilt index.npz in the checkpoint")
-    p.add_argument("--batch-size", type=_positive_int, default=64, help="micro-batch size")
-    p.add_argument("--no-batch", action="store_true", help="disable request micro-batching")
     p.add_argument(
         "--slo", action="append", type=_slo_spec, metavar="SPEC", default=None,
         help="SLO objective, e.g. 'p99<25ms' or 'availability>=99.9%%' "

@@ -61,11 +61,6 @@ class InteractionGraph:
     def item_set_of(self, user: int) -> Set[int]:
         return set(self.items_of(user))
 
-    def density(self) -> float:
-        """Fraction of the user×item matrix that is observed."""
-        total = self.n_users * self.n_items
-        return self.n_interactions / total if total else 0.0
-
     def pairs(self) -> np.ndarray:
         """``(n, 2)`` array of (user, item) pairs."""
         return np.stack([self.users, self.items], axis=1) if self.n_interactions else np.empty((0, 2), dtype=np.int64)

@@ -2,7 +2,7 @@
 
 Pipeline: train → :func:`save_checkpoint` → :func:`load_checkpoint` →
 :class:`TopKIndex` (precomputed representations) → :class:`ServingEngine`
-(cache, micro-batching, fallback) → :func:`create_server` (HTTP JSON API
+(cache, micro-batching, fallback) → :class:`RecommendationServer` (HTTP JSON API
 with Prometheus-style metrics). At catalogue scale :class:`IVFIndex`
 (``mode="ann"``) replaces the exact scan with IVF approximate
 retrieval that self-reports recall@K. See ``docs/serving.md``.
@@ -20,7 +20,7 @@ from repro.serve.engine import MicroBatcher, ServingEngine, engine_from_checkpoi
 from repro.serve.index import TopKIndex, load_index, topk_from_scores
 from repro.serve.ann import IVFIndex, kmeans
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.server import RecommendationServer, create_server
+from repro.serve.server import RecommendationServer
 
 __all__ = [
     "IVFIndex",
@@ -39,5 +39,4 @@ __all__ = [
     "engine_from_checkpoint",
     "MetricsRegistry",
     "RecommendationServer",
-    "create_server",
 ]

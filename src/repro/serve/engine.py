@@ -15,9 +15,9 @@ items, as the ranking protocol does, and holds ``min(k, n_items -
 items, never a masked one.
 
 ``MicroBatcher`` sits in front of the engine for concurrent frontends
-(the HTTP server handles each request on its own thread): requests are
-queued and flushed as one vectorized index query when either the batch
-fills or a small wait window elapses — classic serving micro-batching.
+(the HTTP server handles each request on its own thread): a flush takes
+every request queued so far and answers it with one vectorized index
+query, so requests batch exactly when the engine is busy.
 
 Every tier bumps counters in the engine's own
 :class:`~repro.obs.metrics.MetricsRegistry` (``requests``,
@@ -30,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -269,23 +268,15 @@ class MicroBatcher:
     """Collects concurrent requests into vectorized engine calls.
 
     ``submit`` returns a :class:`concurrent.futures.Future`; a background
-    worker flushes the queue whenever ``max_batch`` requests are waiting
-    or the oldest has waited ``max_wait_ms`` — so a lone request pays at
-    most the wait window and a burst is answered by one blocked matmul.
+    worker wakes on the first queued request and flushes everything queued
+    by then, without waiting for more.  Requests that arrive during a
+    flush make up the next one, so a lone request is answered at once and
+    a burst against a busy engine is answered by one blocked matmul.
     """
 
-    def __init__(
-        self,
-        engine: ServingEngine,
-        max_batch: int = 64,
-        max_wait_ms: float = 2.0,
-    ):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, engine: ServingEngine):
         self.engine = engine
-        self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1000.0
-        self._queue: List[Tuple[int, int, Future]] = []
+        self._queue: List[Tuple[int, int, Future, object]] = []
         self._cond = threading.Condition()
         self._closed = False
         self._worker = threading.Thread(target=self._run, daemon=True)
@@ -315,14 +306,8 @@ class MicroBatcher:
             with self._cond:
                 while not self._queue and not self._closed:
                     self._cond.wait()
-                if not self._queue and self._closed:
-                    return
-                deadline = time.monotonic() + self.max_wait
-                while len(self._queue) < self.max_batch and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
+                if not self._queue:
+                    return  # closed and drained
                 batch, self._queue = self._queue, []
             self.engine.metrics.inc("microbatch_flushes")
             self.engine.metrics.observe("microbatch_size", len(batch))

@@ -67,15 +67,21 @@ _METRIC_HELP = {
 
 
 class RecommendationServer(ThreadingHTTPServer):
-    """HTTP server owning an engine, its metrics, SLOs, and a batcher."""
+    """HTTP server owning an engine, its metrics, SLOs, and a batcher.
+
+    Binds ``host:port`` at once (``port=0`` picks an ephemeral port).
+    ``slo_specs`` takes :class:`SLOSpec` objects or parseable strings
+    (``"p99<25ms"``); ``None`` applies :data:`DEFAULT_SLOS` and an empty
+    sequence disables SLO tracking.
+    """
 
     daemon_threads = True
 
     def __init__(
         self,
-        address,
         engine: ServingEngine,
-        batcher: Optional[MicroBatcher] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
         quiet: bool = True,
         tracer=None,
         slo_specs: Optional[Sequence] = None,
@@ -83,7 +89,6 @@ class RecommendationServer(ThreadingHTTPServer):
     ):
         self.engine = engine
         self.metrics = engine.metrics
-        self.batcher = batcher
         self.quiet = quiet
         #: ``repro.obs.Tracer`` receiving each request's ``http.request``
         #: span and its stage spans; defaults to the no-op tracer.
@@ -100,7 +105,9 @@ class RecommendationServer(ThreadingHTTPServer):
         )
         for name, text in _METRIC_HELP.items():
             self.metrics.describe(name, text)
-        super().__init__(address, _Handler)
+        # Before binding: a failed bind calls ``server_close``.
+        self.batcher = MicroBatcher(engine)
+        super().__init__((host, port), _Handler)
 
     @property
     def port(self) -> int:
@@ -147,44 +154,8 @@ class RecommendationServer(ThreadingHTTPServer):
         self.slo.status()  # refreshes the slo_* gauges as a side effect
 
     def server_close(self) -> None:  # also tear down the batcher thread
-        if self.batcher is not None:
-            self.batcher.close()
+        self.batcher.close()
         super().server_close()
-
-
-def create_server(
-    engine: ServingEngine,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    micro_batch: Optional[int] = 64,
-    max_wait_ms: float = 2.0,
-    quiet: bool = True,
-    tracer=None,
-    slo_specs: Optional[Sequence] = None,
-    slow_capacity: int = 16,
-) -> RecommendationServer:
-    """Bind a server (``port=0`` picks an ephemeral port).
-
-    ``micro_batch`` enables the request micro-batcher; ``None`` routes
-    every request straight to the engine (still thread-safe, just no
-    cross-request batching).  ``slo_specs`` takes :class:`SLOSpec`
-    objects or parseable strings (``"p99<25ms"``); ``None`` applies
-    :data:`DEFAULT_SLOS` and an empty sequence disables SLO tracking.
-    """
-    batcher = (
-        MicroBatcher(engine, max_batch=micro_batch, max_wait_ms=max_wait_ms)
-        if micro_batch
-        else None
-    )
-    return RecommendationServer(
-        (host, port),
-        engine,
-        batcher=batcher,
-        quiet=quiet,
-        tracer=tracer,
-        slo_specs=slo_specs,
-        slow_capacity=slow_capacity,
-    )
 
 
 def _result(user, items: np.ndarray, scores: np.ndarray) -> dict:
@@ -264,12 +235,9 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def _recommendation(self, user: int, k: int) -> dict:
-        if self.server.batcher is not None:
-            future = self.server.batcher.submit(user, k, ctx=self._ctx)
-            with self._ctx.span("batch.wait"):
-                items, scores = future.result(timeout=30)
-        else:
-            items, scores = self.server.engine.recommend(user, k)
+        future = self.server.batcher.submit(user, k, ctx=self._ctx)
+        with self._ctx.span("batch.wait"):
+            items, scores = future.result(timeout=30)
         return {"k": int(k), **_result(user, items, scores)}
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Additional autograd coverage: dropout, where/power gradients, einsum
+"""Additional autograd coverage: where/power gradients, einsum
 adjoint shapes, mixed requires_grad, and numerical-gradient utilities."""
 
 import numpy as np
@@ -7,29 +7,6 @@ import pytest
 from repro.autograd import Tensor, gradcheck
 from repro.autograd import ops
 from repro.autograd.gradcheck import numerical_gradient
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(4, 4)))
-        out = ops.dropout(x, 0.5, rng, training=False)
-        assert out is x
-
-    def test_zero_rate_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(4, 4)))
-        assert ops.dropout(x, 0.0, rng, training=True) is x
-
-    def test_inverted_scaling_preserves_mean(self, rng):
-        x = Tensor(np.ones((200, 200)))
-        out = ops.dropout(x, 0.3, rng, training=True)
-        assert out.numpy().mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_mask_reused_in_backward(self, rng):
-        x = Tensor(np.ones((50, 50)), requires_grad=True)
-        out = ops.dropout(x, 0.5, rng, training=True)
-        out.sum().backward()
-        # Gradient must be zero exactly where forward output is zero.
-        np.testing.assert_array_equal(x.grad == 0.0, out.numpy() == 0.0)
 
 
 class TestMixedRequiresGrad:

@@ -1,5 +1,7 @@
 """Tensor mechanics: construction, tape recording, backward traversal."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,37 @@ class TestNoGrad:
         with no_grad():
             t = Tensor([1.0], requires_grad=True)
         assert not t.requires_grad
+
+    def test_interleaved_threads_keep_their_own_mode(self):
+        """A enters, B enters, A exits: B is still in no-grad mode, and
+        once both exit the main thread records the tape again."""
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                assert b_in.wait(timeout=5)
+            a_out.set()
+
+        def thread_b():
+            assert a_in.wait(timeout=5)
+            with no_grad():
+                b_in.set()
+                assert a_out.wait(timeout=5)
+                seen["enabled"] = is_grad_enabled()
+                y = Tensor(2.0, requires_grad=True) * 3.0
+                seen["recorded"] = y.requires_grad
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert seen == {"enabled": False, "recorded": False}
+        assert is_grad_enabled()
+        x = Tensor(2.0, requires_grad=True)
+        assert (x * x).requires_grad
 
 
 class TestUnbroadcast:

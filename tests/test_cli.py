@@ -196,7 +196,7 @@ _SERVE = ["serve", "--checkpoint", "/nonexistent", "--port", "0"]
         (["compare", *_SMALL, "--seeds", "0"], "--seeds"),
         (["prep", "--data-dir", "raw", "--out", "out", "--min-user-k", "0"], "--min-user-k"),
         ([*_SERVE, "--slow-log", "0"], "--slow-log"),
-        ([*_SERVE, "--batch-size", "-1"], "--batch-size"),
+        (["prep", "--data-dir", "raw", "--out", "out", "--min-item-k", "0"], "--min-item-k"),
         ([*_SERVE, "--nlist", "0"], "--nlist"),
         ([*_SERVE, "--nprobe", "0"], "--nprobe"),
         ([*_SERVE, "--cache-size", "-1"], "--cache-size"),

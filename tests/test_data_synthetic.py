@@ -36,7 +36,8 @@ class TestProfiles:
     def test_density_ordering(self):
         # Book-Crossing is the sparsest benchmark in the paper.
         densities = {
-            name: generate_profile(name, seed=0).train.density() for name in PROFILES
+            name: generate_profile(name, seed=0).summary()["density"]
+            for name in PROFILES
         }
         assert densities["book"] == min(densities.values())
 

@@ -76,10 +76,6 @@ class TestInteractionGraph:
         with pytest.raises(ValueError):
             InteractionGraph([(0, 5)], n_users=2, n_items=3)
 
-    def test_density(self):
-        g = InteractionGraph([(0, 0), (1, 1)], n_users=2, n_items=2)
-        assert g.density() == 0.5
-
     def test_pairs_round_trip(self):
         pairs = [(0, 1), (1, 0)]
         g = InteractionGraph(pairs, n_users=2, n_items=2)

@@ -33,10 +33,6 @@ ALLOWED = {
     "GuidanceAttentionRecorder.for_item": "recorder API, docs/observability.md",
     "GuidanceAttentionRecorder.to_jsonl": "recorder API, docs/observability.md",
     "read_manifest": "reads a checkpoint's manifest, docs/serving.md",
-    # Library building blocks that no model or bench uses today; ROADMAP
-    # lists them to delete unless a caller appears.
-    "dropout": "the inverted-dropout autograd op",
-    "derive_rng": "a seed stream keyed by a tuple of integers",
     # Called by the standard library, which dispatches on the name.
     "_Handler.do_GET": "http.server calls do_<METHOD>",
     "_Handler.do_POST": "http.server calls do_<METHOD>",

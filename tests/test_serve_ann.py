@@ -398,14 +398,14 @@ class TestModelIntegration:
         import json as jsonlib
         from urllib.request import urlopen
 
-        from repro.serve import create_server
+        from repro.serve import RecommendationServer
 
         index = TopKIndex.build(
             trained_bprmf,
             mode="ann",
             ann_params={"nlist": 8, "nprobe": 4, "seed": 0},
         )
-        server = create_server(ServingEngine(index), micro_batch=None)
+        server = RecommendationServer(ServingEngine(index))
         import threading
 
         thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -6,6 +6,8 @@ exactly the prefix of the brute-force ranking protocol
 modes — serving must never drift from evaluation.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -328,7 +330,7 @@ class TestServingEngine:
 class TestMicroBatcher:
     def test_batches_and_resolves_futures(self, trained_models):
         engine = ServingEngine(TopKIndex.build(trained_models["bprmf"]))
-        batcher = MicroBatcher(engine, max_batch=8, max_wait_ms=20.0)
+        batcher = MicroBatcher(engine)
         try:
             futures = [batcher.submit(user, 5) for user in (0, 1, 2, 0)]
             results = [f.result(timeout=5) for f in futures]
@@ -339,9 +341,44 @@ class TestMicroBatcher:
             np.testing.assert_array_equal(items, reference.recommend(user, 5)[0])
         assert engine.metrics.get("microbatch_flushes") >= 1
 
+    def test_requests_queued_during_a_flush_form_the_next(self, trained_models):
+        """The worker waits for no one: the first request flushes alone,
+        and the three queued while its engine call is blocked make up the
+        next flush."""
+        model = trained_models["bprmf"]
+        engine = ServingEngine(TopKIndex.build(model))
+        entered, release = threading.Event(), threading.Event()
+        recommend_many = engine.recommend_many
+
+        def first_call_blocks(users, k):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=5)
+            return recommend_many(users, k)
+
+        engine.recommend_many = first_call_blocks
+        batcher = MicroBatcher(engine)
+        try:
+            futures = [batcher.submit(0, 5)]
+            assert entered.wait(timeout=5)
+            futures += [batcher.submit(user, 5) for user in (1, 2, 3)]
+            release.set()
+            results = [f.result(timeout=5) for f in futures]
+        finally:
+            release.set()
+            batcher.close()
+        sizes = engine.metrics.snapshot()["histograms"]["microbatch_size"]
+        assert (sizes["count"], sizes["sum"]) == (2, 4)
+        assert engine.metrics.get("microbatch_flushes") == 2
+        reference = ServingEngine(TopKIndex.build(model))
+        for user, (items, scores) in zip((0, 1, 2, 3), results):
+            ref_items, ref_scores = reference.recommend(user, 5)
+            np.testing.assert_array_equal(items, ref_items)
+            np.testing.assert_allclose(scores, ref_scores, rtol=1e-6)
+
     def test_error_propagates_to_future(self, trained_models, tiny_dataset):
         engine = ServingEngine(TopKIndex.build(trained_models["bprmf"]))
-        batcher = MicroBatcher(engine, max_batch=4, max_wait_ms=5.0)
+        batcher = MicroBatcher(engine)
         try:
             future = batcher.submit(tiny_dataset.n_users + 99, 5)
             with pytest.raises(KeyError):

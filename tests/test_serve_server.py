@@ -9,6 +9,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ import pytest
 from repro.cli import main
 from repro.serve import (
     MetricsRegistry,
+    RecommendationServer,
     ServingEngine,
     TopKIndex,
-    create_server,
     engine_from_checkpoint,
 )
 
@@ -48,7 +49,7 @@ def served_checkpoint(tmp_path_factory):
     )
     assert code == 0
     engine = engine_from_checkpoint(ckpt)
-    server = create_server(engine, port=0, micro_batch=8, max_wait_ms=1.0)
+    server = RecommendationServer(engine, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -163,16 +164,13 @@ class TestServerEndpoints:
         assert excinfo.value.code == 400
 
 
-    @pytest.mark.parametrize("micro_batch", [8, None])
-    def test_non_positive_k_is_400_and_not_cached(
-        self, served_checkpoint, micro_batch
-    ):
+    def test_non_positive_k_is_400_and_not_cached(self, served_checkpoint):
         _, shared = served_checkpoint
         # Users 0 and 1 are indexed; user 3 is cold (model fallback).
         engine = ServingEngine(
             TopKIndex.build(shared.model, users=[0, 1]), model=shared.model
         )
-        server = create_server(engine, port=0, micro_batch=micro_batch)
+        server = RecommendationServer(engine, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         base = f"http://127.0.0.1:{server.port}"
@@ -196,6 +194,53 @@ class TestServerEndpoints:
             thread.join(timeout=5)
         assert engine.cache_info()["size"] == 0
         assert engine.metrics.get("fallback_users") == 0
+
+    def test_concurrent_burst_matches_sequential(self, served_checkpoint):
+        """Eight threads at once: GETs for indexed and cold users batch
+        through the micro-batcher while ``POST /score`` runs the model on
+        handler threads, and every answer equals the sequential one."""
+        _, shared = served_checkpoint
+        # Users 0-2 are indexed; users 3-9 are cold (model fallback).
+        engine = ServingEngine(
+            TopKIndex.build(shared.model, users=[0, 1, 2]),
+            model=shared.model,
+            cache_size=0,
+        )
+        server = RecommendationServer(engine, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.port}"
+        calls = [("/recommend", user) for user in range(10)]
+        calls += [("/score", user) for user in (0, 5)]
+
+        def answer(call):
+            path, user = call
+            if path == "/score":
+                _, body = _post(base + path, {"user": user, "items": [0, 1, 2, 3]})
+            else:
+                _, body = _get(base + f"{path}?user={user}&k=5")
+            return body["items"], body["scores"]
+
+        try:
+            sequential = [answer(call) for call in calls]
+            barrier = threading.Barrier(8)
+
+            def burst(offset):
+                barrier.wait(timeout=10)
+                order = calls[offset:] + calls[:offset]
+                return {call: answer(call) for call in order}
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                bursts = list(pool.map(burst, range(8)))
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        for answers in bursts:
+            for call, (items, scores) in zip(calls, sequential):
+                assert answers[call][0] == items, call
+                np.testing.assert_allclose(answers[call][1], scores, rtol=1e-5)
+        assert engine.metrics.get("microbatch_flushes") > 0
 
     @pytest.mark.parametrize("length", [b"-1", b"abc"])
     def test_bad_content_length_is_400(self, served_checkpoint, length):
@@ -313,7 +358,7 @@ class TestRequestTracing:
         # Its own server over the module's engine: traces left by earlier
         # tests (e.g. a 404 /recommend) cannot rank among the slowest.
         _, engine = served_checkpoint
-        server = create_server(engine, port=0, micro_batch=8, max_wait_ms=1.0)
+        server = RecommendationServer(engine, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -371,9 +416,7 @@ class TestRequestTracing:
         # A fresh cache, so every request takes the index.query path.
         engine = ServingEngine(shared.index, model=shared.model)
         tracer = Tracer()
-        server = create_server(
-            engine, port=0, micro_batch=8, max_wait_ms=1.0, tracer=tracer
-        )
+        server = RecommendationServer(engine, port=0, tracer=tracer)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -420,10 +463,9 @@ class TestSLOEndToEnd:
         _, engine = served_checkpoint
         trace_path = str(tmp_path / "serve.jsonl")
         tracer = Tracer(path=trace_path)
-        server = create_server(
+        server = RecommendationServer(
             engine,
             port=0,
-            micro_batch=None,
             tracer=tracer,
             slo_specs=("p99<0.001ms",),  # 1 µs: every request violates
         )
@@ -513,7 +555,7 @@ def test_serve_trace_keeps_no_events_in_memory(
     _, engine = served_checkpoint
     captured = {}
 
-    def fake_create_server(engine, tracer=None, **kwargs):
+    def fake_server(engine, tracer=None, **kwargs):
         captured["tracer"] = tracer
 
         def serve_forever():
@@ -527,7 +569,7 @@ def test_serve_trace_keeps_no_events_in_memory(
             server_close=lambda: None,
         )
 
-    monkeypatch.setattr(repro.serve, "create_server", fake_create_server)
+    monkeypatch.setattr(repro.serve, "RecommendationServer", fake_server)
     monkeypatch.setattr(
         repro.serve, "engine_from_checkpoint", lambda *args, **kwargs: engine
     )

@@ -1,9 +1,6 @@
-"""Table/series rendering and the RNG helper."""
+"""Table and series rendering."""
 
-import numpy as np
-import pytest
-
-from repro.utils import derive_rng, format_series, format_table
+from repro.utils import format_series, format_table
 
 
 class TestFormatTable:
@@ -41,20 +38,3 @@ class TestFormatSeries:
     def test_nan_rendered_as_dash(self):
         out = format_series("k", [1], {"a": [float("nan")]})
         assert "-" in out.splitlines()[-1]
-
-
-class TestDeriveRng:
-    def test_same_keys_same_draws(self):
-        np.testing.assert_array_equal(
-            derive_rng(3, 1, 5).random(8), derive_rng(3, 1, 5).random(8)
-        )
-
-    @pytest.mark.parametrize("keys", [(4, 1, 5), (3, 2, 5), (3, 1, 6)])
-    def test_changing_any_key_changes_stream(self, keys):
-        base = derive_rng(3, 1, 5).random(8)
-        assert not np.array_equal(base, derive_rng(*keys).random(8))
-
-    def test_key_order_matters(self):
-        assert not np.array_equal(
-            derive_rng(1, 2, 3).random(8), derive_rng(3, 2, 1).random(8)
-        )
