@@ -164,11 +164,16 @@ class TestServerEndpoints:
         assert excinfo.value.code == 400
 
 
-    def test_non_positive_k_is_400_and_not_cached(self, served_checkpoint):
+    # A small cache and the engine's default one (None) both stay empty.
+    @pytest.mark.parametrize("cache_size", [8, None])
+    def test_non_positive_k_is_400_and_not_cached(
+        self, served_checkpoint, cache_size
+    ):
         _, shared = served_checkpoint
         # Users 0 and 1 are indexed; user 3 is cold (model fallback).
+        sizing = {} if cache_size is None else {"cache_size": cache_size}
         engine = ServingEngine(
-            TopKIndex.build(shared.model, users=[0, 1]), model=shared.model
+            TopKIndex.build(shared.model, users=[0, 1]), model=shared.model, **sizing
         )
         server = RecommendationServer(engine, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
